@@ -5,7 +5,8 @@
     survcobra tune      --config cfg.json [--seed N] [--out DIR]
     survcobra relevance --config cfg.json [--seed N] [--out DIR]
 
-Exit codes: 0 success, 1 configuration or input error, 2 internal error.
+Exit codes: 0 success, 1 configuration or input error (a learner whose
+solver does not converge on the data is one), 2 internal error.
 Report files land in the output directory only after the computation
 finished, and rerunning with the same config and seed reproduces them
 byte for byte.
@@ -19,7 +20,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .exceptions import ConfigError, TuningError
+from .exceptions import ConfigError, ConvergenceError, TuningError
 from .experiments import (
     load_config,
     run_bench,
@@ -31,6 +32,9 @@ from .experiments import (
     write_run_metadata,
     write_tune_reports,
 )
+
+
+_RELEVANCE_RUNNERS = {"simulate": run_simulate, "relevance": run_relevance}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,22 +81,19 @@ def main(argv=None) -> int:
             best, trace = run_tune(cfg)
             write_tune_reports(cfg, best, trace, out)
             write_run_metadata(cfg, "tune", raw, out, extra={"trials": len(trace)})
-        elif args.command == "simulate":
-            model, params, study, curves, tuning = run_simulate(cfg)
-            names = model.split.d_l.feature_names
-            write_relevance_reports(cfg, names, study, curves, out)
-            if tuning is not None:
-                write_tune_reports(cfg, tuning[0], tuning[1], out)
-            write_run_metadata(cfg, "simulate", raw, out, extra=_params_extra(params))
         else:
-            model, params, study, curves, tuning = run_relevance(cfg)
+            model, params, study, curves, tuning = _RELEVANCE_RUNNERS[args.command](cfg)
             names = model.split.d_l.feature_names
             write_relevance_reports(cfg, names, study, curves, out)
             if tuning is not None:
                 write_tune_reports(cfg, tuning[0], tuning[1], out)
-            write_run_metadata(cfg, "relevance", raw, out, extra=_params_extra(params))
+            write_run_metadata(cfg, args.command, raw, out, extra=_params_extra(params))
     except (ConfigError, OSError, ValueError, TuningError) as exc:
         print(f"survcobra: error: {exc}", file=sys.stderr)
+        return 1
+    except ConvergenceError as exc:
+        where = f"{exc.learner}: " if exc.learner else ""
+        print(f"survcobra: error: {where}solver did not converge: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()

@@ -30,6 +30,10 @@ from .curves import StepCurve, kaplan_meier, product_limit
 from .data import DatasetSplit, SurvivalDataset, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
+#: Upper bound, in bytes, on the (machines, queries, calibration) float64
+#: distance tensor that one chunk of a query set holds at a time.
+_DISTANCE_BUDGET_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True)
 class CobraParams:
@@ -151,6 +155,13 @@ class CobraModel:
             raise ValueError(f"query has shape {x.shape}, expected ({p},)")
         return x
 
+    def _check_queries(self, queries) -> np.ndarray:
+        q = np.atleast_2d(np.asarray(queries, dtype=float))
+        p = self.split.d_k.n_features
+        if q.shape[1] != p:
+            raise ValueError(f"queries have {q.shape[1]} features, expected {p}")
+        return q
+
 
 @dataclass(frozen=True)
 class ProximityAggregate:
@@ -168,18 +179,38 @@ def fit_cobra(train: SurvivalDataset, params: CobraParams, seed: int) -> CobraMo
     return CobraModel(params, _fit_stack(train, params.roster, params.l_fraction, seed))
 
 
-def _member_mask(distances_mq, epsilon, need) -> np.ndarray:
-    """distances_mq: (machines, n_l) for one query -> bool member mask."""
-    return (distances_mq <= epsilon).sum(axis=0) >= need
+def _distance_chunks(stack: _CobraStack, queries: np.ndarray):
+    """Yield `stack.query_distances` over consecutive chunks of `queries`.
+
+    A chunk holds as many queries as keep its (machines, chunk, n_l)
+    float64 tensor within `_DISTANCE_BUDGET_BYTES` (at least one).  Every
+    row of a learner's `predict_values` and of a cityblock `cdist` is
+    computed on its own, so chunking leaves every distance unchanged.
+    """
+    per_query = len(stack.machines) * stack.split.d_l.n * 8
+    size = max(1, _DISTANCE_BUDGET_BYTES // per_query)
+    for start in range(0, queries.shape[0], size):
+        yield stack.query_distances(queries[start : start + size])
+
+
+def _member_mask(distances, epsilon, need) -> np.ndarray:
+    """distances: (machines, ..., n_l) -> bool member mask of shape (..., n_l)."""
+    return (distances <= epsilon).sum(axis=0) >= need
+
+
+def _label_chunks(model: CobraModel, queries):
+    """Yield the (chunk, n_l) 0/1 proximity labels of consecutive chunks of
+    a query set, from one chunked distance pass."""
+    q = model._check_queries(queries)
+    epsilon, need = model.params.epsilon, model.params.consensus_count
+    for distances in _distance_chunks(model.stack, q):
+        yield _member_mask(distances, epsilon, need).astype(np.int64)
 
 
 def gamma_labels(model: CobraModel, x) -> np.ndarray:
     """The 0/1 proximity indicator of every calibration record for query x."""
     x = model._check_query(x)
-    distances = model.stack.query_distances(x[None, :])[:, 0, :]
-    return _member_mask(distances, model.params.epsilon, model.params.consensus_count).astype(
-        np.int64
-    )
+    return next(_label_chunks(model, x[None, :]))[0]
 
 
 def gamma_indicator(model: CobraModel, x, j: int) -> int:
@@ -215,32 +246,21 @@ def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon,
     return product_limit(d_l.time[members], events)
 
 
-def predict_from_distances(stack: _CobraStack, distances, epsilon, need):
-    """Aggregated curves for precomputed (machines, queries, n_l) distances."""
-    d_l = stack.split.d_l
-    return [
-        _predict_one(d_l, stack.pop_km, distances[:, q, :], epsilon, need)
-        for q in range(distances.shape[1])
-    ]
-
-
 def predict_cobra(model: CobraModel, x) -> StepCurve:
     """Aggregated survival curve at query x (population KM fallback when
     the proximity set is empty or event-free)."""
     x = model._check_query(x)
-    distances = model.stack.query_distances(x[None, :])
-    return predict_from_distances(
-        model.stack, distances, model.params.epsilon, model.params.consensus_count
-    )[0]
+    return predict_cobra_batch(model, x[None, :])[0]
 
 
 def predict_cobra_batch(model: CobraModel, queries) -> list[StepCurve]:
-    """Element-wise `predict_cobra`; identical results to sequential calls."""
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    p = model.split.d_k.n_features
-    if q.shape[1] != p:
-        raise ValueError(f"queries have {q.shape[1]} features, expected {p}")
-    distances = model.stack.query_distances(q)
-    return predict_from_distances(
-        model.stack, distances, model.params.epsilon, model.params.consensus_count
-    )
+    """Element-wise `predict_cobra`, from one chunked distance pass;
+    identical results to sequential calls."""
+    q = model._check_queries(queries)
+    d_l, pop_km = model.split.d_l, model.stack.pop_km
+    epsilon, need = model.params.epsilon, model.params.consensus_count
+    return [
+        _predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
+        for distances in _distance_chunks(model.stack, q)
+        for i in range(distances.shape[1])
+    ]

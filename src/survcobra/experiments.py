@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cobra import CobraParams, fit_cobra, predict_cobra, predict_cobra_batch
+from .cobra import CobraParams, fit_cobra, predict_cobra_batch
 from .data import (
     SurvivalDataset,
     SyntheticConfig,
@@ -278,20 +278,23 @@ def write_bench_reports(cfg: ExperimentConfig, results: dict, out: Path):
             w.writerow([name, sum(int(r.dcal_pass) for r in reports), len(reports)])
 
 
+def _relevance_run(cfg: ExperimentConfig, train: SurvivalDataset, queries):
+    """Fit the ensemble on `train`, score covariate relevance over
+    `queries`, and predict the curves of the first five queries."""
+    params, tuning = _resolve_params(cfg, train, derive_seed(cfg.seed, 3))
+    model = fit_cobra(train, params, derive_seed(cfg.seed, 2))
+    study = relevance_study(model, queries)
+    curves = predict_cobra_batch(model, queries[:5])
+    return model, params, study, curves, tuning
+
+
 def run_simulate(cfg: ExperimentConfig):
     """Synthetic-population study: fit the ensemble, score covariate relevance."""
     data = load_dataset(cfg)
-    params, tuning = _resolve_params(cfg, data, derive_seed(cfg.seed, 3))
-    model = fit_cobra(data, params, derive_seed(cfg.seed, 2))
-    dim = data.n_features
     query_cfg = SyntheticConfig(
-        n=cfg.queries, censor_fraction=0.0, dim=dim, seed=derive_seed(cfg.seed, 4)
+        n=cfg.queries, censor_fraction=0.0, dim=data.n_features, seed=derive_seed(cfg.seed, 4)
     )
-    queries = generate_synthetic(query_cfg).x
-    study = relevance_study(model, queries)
-    sample = queries[: min(5, len(queries))]
-    curves = [predict_cobra(model, q) for q in sample]
-    return model, params, study, curves, tuning
+    return _relevance_run(cfg, data, generate_synthetic(query_cfg).x)
 
 
 def run_relevance(cfg: ExperimentConfig):
@@ -303,14 +306,7 @@ def run_relevance(cfg: ExperimentConfig):
     perm = rng.permutation(data.n)
     held = np.sort(perm[: cfg.queries])
     rest = np.sort(perm[cfg.queries :])
-    train = data.subset(rest)
-    queries = data.x[held]
-    params, tuning = _resolve_params(cfg, train, derive_seed(cfg.seed, 3))
-    model = fit_cobra(train, params, derive_seed(cfg.seed, 2))
-    study = relevance_study(model, queries)
-    sample = queries[: min(5, len(queries))]
-    curves = [predict_cobra(model, q) for q in sample]
-    return model, params, study, curves, tuning
+    return _relevance_run(cfg, data.subset(rest), data.x[held])
 
 
 def write_relevance_reports(cfg: ExperimentConfig, feature_names, study, curves, out: Path):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..data import SurvivalDataset
+from ..exceptions import ConvergenceError
 from .base import BaseSurvivalModel
 from .cox import CoxModel, breslow_baseline, cox_gradient, cox_log_partial_likelihood, fit_cox
 from .forest import RandomSurvivalForestModel, fit_random_survival_forest
@@ -91,7 +92,18 @@ class LearnerSpec:
 
 
 def fit(spec: LearnerSpec, data: SurvivalDataset) -> BaseSurvivalModel:
-    """Train the learner described by `spec` on `data`."""
+    """Train the learner described by `spec` on `data`.
+
+    A solver that fails to converge raises `ConvergenceError` naming
+    `spec.kind` as its learner.
+    """
+    try:
+        return _fit(spec, data)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), exc.trace, learner=spec.kind) from exc
+
+
+def _fit(spec: LearnerSpec, data: SurvivalDataset) -> BaseSurvivalModel:
     hp = spec.get
     if spec.kind == "survival_tree":
         return fit_survival_tree(

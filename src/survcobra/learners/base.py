@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, evaluate
+from ..curves import StepCurve
 from ..data import SurvivalDataset
 
 
@@ -34,17 +34,9 @@ class BaseSurvivalModel:
         raise NotImplementedError
 
     def predict_values(self, x, grid) -> np.ndarray:
-        """Survival values for each row of `x` at each grid point.
-
-        The default evaluates `predict_curve` row by row; subclasses may
-        vectorize but must return the same floats.
-        """
-        x = self._check_matrix(x)
-        grid = np.asarray(grid, dtype=float)
-        out = np.empty((x.shape[0], grid.size))
-        for i in range(x.shape[0]):
-            out[i] = evaluate(self.predict_curve(x[i]), grid)
-        return out
+        """Survival values for each row of `x` at each grid point: the same
+        floats as evaluating `predict_curve` of that row on `grid`."""
+        raise NotImplementedError
 
 
 def standardize_fit(x: np.ndarray):

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, product_limit
+from ..curves import StepCurve, evaluate, product_limit
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel, standardize_fit
+
+#: Rough size, in bytes, of the (queries, training records, features)
+#: float64 difference temporary that one chunk of queries holds.  It is
+#: kept small because the temporary adds to the peak RSS of every run.
+_NEIGHBOR_CHUNK_BYTES = 2**18
 
 
 class KNNSurvivalModel(BaseSurvivalModel):
@@ -25,16 +30,31 @@ class KNNSurvivalModel(BaseSurvivalModel):
         self.sd = sd
         self.n_features = z.shape[1]
 
+    def _neighbor_rows(self, x) -> np.ndarray:
+        """(queries, k) nearest training indices for each row of `x`."""
+        zq = (x - self.mean) / self.sd
+        diff = self.z[None, :, :] - zq[:, None, :]
+        dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+        return np.argsort(dist, axis=1, kind="stable")[:, : self.k]
+
     def neighbors(self, x) -> np.ndarray:
         """Indices of the k nearest training records (stable tie-break)."""
-        x = self._check_vector(x)
-        zq = (x - self.mean) / self.sd
-        dist = np.sqrt(((self.z - zq) ** 2).sum(axis=1))
-        return np.argsort(dist, kind="stable")[: self.k]
+        return self._neighbor_rows(self._check_vector(x)[None, :])[0]
 
     def predict_curve(self, x) -> StepCurve:
         nb = self.neighbors(x)
         return product_limit(self.times[nb], self.events[nb])
+
+    def predict_values(self, x, grid) -> np.ndarray:
+        x = self._check_matrix(x)
+        grid = np.asarray(grid, dtype=float)
+        out = np.empty((x.shape[0], grid.size))
+        size = max(1, _NEIGHBOR_CHUNK_BYTES // (self.z.size * 8))
+        for start in range(0, x.shape[0], size):
+            rows = self._neighbor_rows(x[start : start + size])
+            for i, nb in enumerate(rows, start):
+                out[i] = evaluate(product_limit(self.times[nb], self.events[nb]), grid)
+        return out
 
 
 def fit_knn_survival(data: SurvivalDataset, k: int | None = None) -> KNNSurvivalModel:

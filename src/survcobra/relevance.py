@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .cobra import CobraModel, gamma_labels
+from .cobra import CobraModel, _label_chunks, gamma_labels
 from .exceptions import ConvergenceError
 from .learners.base import standardize_fit
 
@@ -152,42 +152,38 @@ def _standardized_calibration(model: CobraModel):
     return (x - mean) / sd
 
 
+def _relevance_from_labels(features, labels, l2) -> QueryRelevance:
+    if labels.min() == labels.max():
+        return QueryRelevance(np.zeros(features.shape[1] + 1), True)
+    return QueryRelevance(fit_logistic(features, labels, l2), False)
+
+
 def relevance_for_query(model: CobraModel, x, l2: float = DEFAULT_RIDGE) -> QueryRelevance:
     """Per-query relevance: regress the proximity labels on the
     standardized calibration covariates."""
     labels = gamma_labels(model, x)
-    p = model.split.d_l.n_features
-    if labels.min() == labels.max():
-        return QueryRelevance(np.zeros(p + 1), True)
-    features = _standardized_calibration(model)
-    return QueryRelevance(fit_logistic(features, labels, l2), False)
+    return _relevance_from_labels(_standardized_calibration(model), labels, l2)
 
 
 def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> RelevanceResult:
     """Aggregate per-query relevance over a query set.
 
-    The aggregate for covariate j is the mean of |slope_j| over queries
-    whose labels were not degenerate; fails if every query degenerates.
+    The labels of all queries come from one distance pass in chunks of
+    bounded size, and each chunk's regressions are fit before the next
+    chunk is computed.  The aggregate for covariate j is the mean of
+    |slope_j| over queries whose labels were not degenerate; fails if
+    every query degenerates.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    p = model.split.d_l.n_features
-    if queries.shape[1] != p:
-        raise ValueError(f"queries have {queries.shape[1]} features, expected {p}")
     features = _standardized_calibration(model)
-    rows = []
-    degenerate = []
-    for q in queries:
-        labels = gamma_labels(model, q)
-        if labels.min() == labels.max():
-            rows.append(np.zeros(p + 1))
-            degenerate.append(True)
-        else:
-            rows.append(fit_logistic(features, labels, l2))
-            degenerate.append(False)
-    per_query = np.stack(rows)
-    degenerate = np.asarray(degenerate)
+    results = [
+        _relevance_from_labels(features, labels, l2)
+        for chunk in _label_chunks(model, queries)
+        for labels in chunk
+    ]
+    per_query = np.stack([r.coefficients for r in results])
+    degenerate = np.array([r.degenerate for r in results])
     informative = ~degenerate
     if not informative.any():
         raise ValueError("every query produced constant proximity labels")
     aggregate = np.abs(per_query[informative, 1:]).mean(axis=0)
-    return RelevanceResult(per_query, degenerate, aggregate, queries.shape[0])
+    return RelevanceResult(per_query, degenerate, aggregate, len(results))

@@ -1,10 +1,12 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from survcobra.cli import main
+from survcobra.exceptions import ConvergenceError
 
 FAST_ROSTER = [
     {"kind": "survival_tree", "max_depth": 3, "min_leaf": 5},
@@ -68,6 +70,33 @@ class TestBench:
         out = tmp_path / "out"
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_unconverged_solver_exits_one_naming_the_learner(self, tmp_path, capsys):
+        # the single covariate orders the times perfectly, so the unpenalized
+        # Cox partial likelihood has no maximum
+        rng = np.random.default_rng(0)
+        covariate = np.sort(rng.uniform(size=60))
+        rows = [f"{c:.6f},{t:.1f},1" for c, t in zip(covariate, range(1, 61))]
+        csv_path = tmp_path / "ordered.csv"
+        csv_path.write_text("x,time,event\n" + "\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            dataset={"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"},
+            roster=[{"kind": "cox_ridge", "penalty": 0}],
+            folds=2,
+            seed=1,
+        )
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("survcobra: error: cox_ridge:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_convergence_error_keeps_learner_across_pickling(self):
+        exc = pickle.loads(pickle.dumps(ConvergenceError("stuck", (1.0, 2.0), learner="cox_lasso")))
+        assert (str(exc), exc.trace, exc.learner) == ("stuck", (1.0, 2.0), "cox_lasso")
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,11 +1,17 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from survcobra import cobra
 from survcobra.cobra import (
     CobraModel,
     CobraParams,
+    _CobraStack,
+    _label_chunks,
     _member_mask,
     fit_cobra,
     gamma_indicator,
@@ -287,3 +293,84 @@ class TestBatch:
         batch = predict_cobra_batch(model, queries)
         for i, q in enumerate(queries):
             assert batch[i] == predict_cobra(model, q)
+
+
+def _budget_for(model, queries_per_chunk):
+    """A distance budget that fits exactly `queries_per_chunk` queries."""
+    return len(model.machines) * model.split.d_l.n * 8 * queries_per_chunk
+
+
+def _record_chunk_sizes(monkeypatch) -> list:
+    """Route `query_distances` through a spy that records each chunk's size."""
+    sizes = []
+    original = _CobraStack.query_distances
+
+    def spy(stack, x_matrix):
+        sizes.append(x_matrix.shape[0])
+        return original(stack, x_matrix)
+
+    monkeypatch.setattr(_CobraStack, "query_distances", spy)
+    return sizes
+
+
+class TestChunkedPass:
+    def test_batch_spanning_chunks_equals_sequential(self, monkeypatch):
+        model = small_model(seed=8, alpha=0.6, roster=FIVE_ROSTER, n=80)
+        rng = np.random.default_rng(4)
+        queries = np.vstack([rng.uniform(size=(6, 2)), model.split.d_l.x[:3]])
+        sequential = [predict_cobra(model, q) for q in queries]
+        sizes = _record_chunk_sizes(monkeypatch)
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", _budget_for(model, 2))
+        batch = predict_cobra_batch(model, queries)
+        assert sizes == [2, 2, 2, 2, 1]
+        assert batch == sequential
+
+    def test_budget_below_one_query_takes_one_query_per_chunk(self, monkeypatch):
+        model = small_model(seed=5)
+        queries = np.random.default_rng(6).uniform(size=(3, 2))
+        expected = predict_cobra_batch(model, queries)
+        sizes = _record_chunk_sizes(monkeypatch)
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", 1)
+        assert predict_cobra_batch(model, queries) == expected
+        assert sizes == [1, 1, 1]
+
+    def test_label_chunks_equal_per_query_labels(self, monkeypatch):
+        model = small_model(seed=9, epsilon=0.05, alpha=0.5)
+        queries = np.random.default_rng(7).uniform(size=(5, 2))
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", _budget_for(model, 2))
+        chunks = list(_label_chunks(model, queries))
+        assert [c.shape[0] for c in chunks] == [2, 2, 1]
+        labels = np.concatenate(chunks)
+        for q, row in zip(queries, labels):
+            assert np.array_equal(row, gamma_labels(model, q))
+
+    def test_query_feature_count_checked(self):
+        model = small_model(seed=5)
+        with pytest.raises(ValueError, match="features"):
+            predict_cobra_batch(model, np.zeros((2, 3)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(24, 48),
+    log_epsilon=st.floats(np.log(1e-3), np.log(0.9)),
+    alpha=st.sampled_from([0.5, 1.0]),
+    n_queries=st.integers(1, 7),
+    per_chunk=st.integers(1, 4),
+)
+def test_property_batch_equals_sequential_and_saturation_gives_km(
+    seed, n, log_epsilon, alpha, n_queries, per_chunk
+):
+    try:
+        model = small_model(seed=seed, n=n, epsilon=float(np.exp(log_epsilon)), alpha=alpha)
+    except ValueError:
+        assume(False)  # a random split left one part without events
+    rng = np.random.default_rng(seed)
+    queries = np.vstack([rng.uniform(size=(n_queries, 2)), model.split.d_l.x[:1]])
+    with mock.patch.object(cobra, "_DISTANCE_BUDGET_BYTES", _budget_for(model, per_chunk)):
+        batch = predict_cobra_batch(model, queries)
+        assert batch == [predict_cobra(model, q) for q in queries]
+        largest = max(float(model.stack.query_distances(queries).max()), 1e-300)
+        saturated = CobraModel(dataclasses.replace(model.params, epsilon=largest), model.stack)
+        assert all(c == model.population_km for c in predict_cobra_batch(saturated, queries))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from survcobra.curves import kaplan_meier
+from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset
-from survcobra.learners import fit_knn_survival
+from survcobra.learners import fit_knn_survival, knn
 from helpers import random_dataset, slow_km
 
 
@@ -72,6 +72,18 @@ class TestKNNSurvival:
         model = fit_knn_survival(ds, k=2)
         curve = model.predict_curve(np.array([0.0]))
         assert curve.times.size == 0
+
+    def test_predict_values_match_row_by_row_curves_across_chunks(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, 40, p=3)
+        model = fit_knn_survival(ds, k=5)
+        queries = np.vstack([rng.uniform(size=(9, 3)), ds.x[:2]])
+        grid = np.unique(np.concatenate(([0.0], ds.time, [4.0])))
+        # room for four queries' (training records, features) difference blocks
+        monkeypatch.setattr(knn, "_NEIGHBOR_CHUNK_BYTES", 4 * model.z.size * 8)
+        values = model.predict_values(queries, grid)
+        for i, q in enumerate(queries):
+            assert np.array_equal(values[i], evaluate(model.predict_curve(q), grid))
 
     def test_default_k_is_sqrt_n(self):
         rng = np.random.default_rng(1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from survcobra.curves import SURVIVAL, evaluate
-from survcobra.learners import LEARNER_KINDS, LearnerSpec, default_roster, fit
+from survcobra.learners import LEARNER_KINDS, BaseSurvivalModel, LearnerSpec, default_roster, fit
 from helpers import random_dataset
 
 SPECS = [
@@ -48,6 +48,10 @@ class TestPredictContract:
                 curve = model.predict_curve(q)  # constructor enforces monotone [0,1]
                 assert curve.kind == SURVIVAL
                 assert evaluate(curve, 0.0) == 1.0 or curve.times[0] == 0.0
+
+    def test_base_class_has_no_predict_values(self):
+        with pytest.raises(NotImplementedError):
+            BaseSurvivalModel().predict_values(np.zeros((1, 1)), np.zeros(2))
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_dimension_mismatch_rejected(self, spec):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from survcobra import cobra
 from survcobra.cobra import CobraModel, CobraParams, fit_cobra
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.exceptions import ConvergenceError
@@ -166,6 +167,28 @@ class TestRelevanceStudy:
         result = relevance_study(model, rng.uniform(0.01, 1.0, size=(20, 5)))
         ranked = result.aggregate[result.ranking()]
         assert np.all(np.diff(ranked) <= 0)
+
+    def test_rows_equal_per_query_relevance_with_five_learners(self, monkeypatch):
+        train = generate_synthetic(SyntheticConfig(n=150, censor_fraction=0.3, dim=5, seed=8))
+        roster = (
+            LearnerSpec("survival_tree", {"max_depth": 3, "min_leaf": 5}),
+            LearnerSpec("random_survival_forest", {"n_trees": 5, "min_leaf": 5, "seed": 1}),
+            LearnerSpec("cox_ridge", {"penalty": 1.0}),
+            LearnerSpec("cox_lasso", {"penalty": 1.0}),
+            LearnerSpec("knn_survival", {"k": 7}),
+        )
+        model = fit_cobra(train, CobraParams(0.05, 0.6, 0.5, roster), seed=8)
+        queries = np.random.default_rng(9).uniform(0.01, 1.0, size=(12, 5))
+        # three queries per chunk, so the study crosses four chunks
+        per_query_bytes = len(roster) * model.split.d_l.n * 8
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", 3 * per_query_bytes)
+        result = relevance_study(model, queries)
+        assert result.query_count == 12
+        assert not result.degenerate.all()
+        for i, q in enumerate(queries):
+            single = relevance_for_query(model, q)
+            assert np.array_equal(result.per_query[i], single.coefficients)
+            assert result.degenerate[i] == single.degenerate
 
     def test_dimension_mismatch_rejected(self):
         model = small_relevance_model(seed=6)
