@@ -13,7 +13,6 @@ from .cobra import (
     CobraParams,
     ProximityAggregate,
     fit_cobra,
-    gamma_indicator,
     gamma_labels,
     predict_cobra,
     predict_cobra_batch,
@@ -77,7 +76,6 @@ __all__ = [
     "CobraParams",
     "ProximityAggregate",
     "fit_cobra",
-    "gamma_indicator",
     "gamma_labels",
     "predict_cobra",
     "predict_cobra_batch",

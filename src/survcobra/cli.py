@@ -15,7 +15,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -57,24 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _raw_config(cfg) -> dict:
-    """The effective config echoed into run.json (overrides applied)."""
-    with open(cfg, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg, raw = load_config(args.config)
         cfg = cfg.with_overrides(seed=args.seed, out_dir=args.out, jobs=args.jobs)
-        raw = _raw_config(args.config)
-        if args.seed is not None:
+        if args.seed is not None:  # run.json echoes the effective seed
             raw["seed"] = int(args.seed)
         out = Path(cfg.out_dir)
 
         if args.command == "bench":
-            results = run_bench(cfg, raw)
+            results = run_bench(cfg)
             write_bench_reports(cfg, results, out)
             write_run_metadata(cfg, "bench", raw, out, extra={"folds": cfg.folds})
         elif args.command == "tune":

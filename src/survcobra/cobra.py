@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, kaplan_meier, product_limit
+from .curves import StepCurve, _event_counts, kaplan_meier, product_limit
 from .data import DatasetSplit, SurvivalDataset, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
@@ -84,14 +83,6 @@ class _CobraStack:
         self.cal_values = tuple(cal_values)  # one (n_l, grid) matrix per machine
         self.pop_km = pop_km
 
-    @cached_property
-    def calibration_curves(self):
-        """Per machine, the cached curve for each calibration record."""
-        return tuple(
-            tuple(_curve_from_row(self.grid, row) for row in values)
-            for values in self.cal_values
-        )
-
     def query_distances(self, x_matrix) -> np.ndarray:
         """(machines, queries, calibration) tensor of area distances."""
         n_q = x_matrix.shape[0]
@@ -103,11 +94,6 @@ class _CobraStack:
             cw = self.cal_values[m][:, :-1] * self.widths
             out[m] = cdist(qw, cw, metric="cityblock") / self.span
         return out
-
-
-def _curve_from_row(grid, row) -> StepCurve:
-    changed = np.flatnonzero(row[1:] != row[:-1]) + 1
-    return StepCurve(grid[changed], row[changed])
 
 
 def _distance_grid_for(d_k: SurvivalDataset) -> np.ndarray:
@@ -139,10 +125,6 @@ class CobraModel:
     @property
     def machines(self) -> tuple[BaseSurvivalModel, ...]:
         return self.stack.machines
-
-    @property
-    def calibration_curves(self):
-        return self.stack.calibration_curves
 
     @property
     def population_km(self) -> StepCurve:
@@ -213,27 +195,12 @@ def gamma_labels(model: CobraModel, x) -> np.ndarray:
     return next(_label_chunks(model, x[None, :]))[0]
 
 
-def gamma_indicator(model: CobraModel, x, j: int) -> int:
-    """Proximity indicator of calibration record `j` for query x."""
-    n_l = model.split.d_l.n
-    if not 0 <= j < n_l:
-        raise IndexError(f"calibration index {j} out of range [0, {n_l})")
-    return int(gamma_labels(model, x)[j])
-
-
 def proximity_aggregate(model: CobraModel, x) -> ProximityAggregate:
     """Counts behind the aggregated curve at query x."""
-    labels = gamma_labels(model, x)
-    members = np.flatnonzero(labels)
+    members = np.flatnonzero(gamma_labels(model, x))
     d_l = model.split.d_l
-    times = d_l.time[members]
-    events = d_l.event[members]
-    event_times = np.unique(times[events == 1])
-    event_counts = np.array(
-        [int(((times == t) & (events == 1)).sum()) for t in event_times], dtype=np.int64
-    )
-    risk_counts = np.array([int((times >= t).sum()) for t in event_times], dtype=np.int64)
-    return ProximityAggregate(members, event_times, event_counts, risk_counts)
+    u, d, r = _event_counts(d_l.time[members], d_l.event[members])
+    return ProximityAggregate(members, u, d.astype(np.int64), r.astype(np.int64))
 
 
 def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon, need) -> StepCurve:
@@ -244,6 +211,14 @@ def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon,
     if not np.any(events == 1):
         return pop_km
     return product_limit(d_l.time[members], events)
+
+
+def _aggregate(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need) -> list[StepCurve]:
+    """`_predict_one` for every query of a (machines, queries, n_l) distance tensor."""
+    return [
+        _predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
+        for i in range(distances.shape[1])
+    ]
 
 
 def predict_cobra(model: CobraModel, x) -> StepCurve:
@@ -260,7 +235,7 @@ def predict_cobra_batch(model: CobraModel, queries) -> list[StepCurve]:
     d_l, pop_km = model.split.d_l, model.stack.pop_km
     epsilon, need = model.params.epsilon, model.params.consensus_count
     return [
-        _predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
+        curve
         for distances in _distance_chunks(model.stack, q)
-        for i in range(distances.shape[1])
+        for curve in _aggregate(d_l, pop_km, distances, epsilon, need)
     ]

@@ -95,6 +95,13 @@ class StepCurve:
             yield (t, v)
 
 
+def curve_from_row(grid, row) -> StepCurve:
+    """Survival curve through the values `row` on `grid` (grid[0] = 0,
+    row[0] = 1), with one jump wherever the value changes."""
+    changed = np.flatnonzero(row[1:] != row[:-1]) + 1
+    return StepCurve(grid[changed], row[changed])
+
+
 def evaluate(curve: StepCurve, t):
     """Evaluate a step curve at scalar or array `t` (right-continuously)."""
     arr = np.asarray(t, dtype=float)
@@ -124,6 +131,12 @@ def _event_table(times, events):
         raise ValueError("times must be finite")
     if not np.all((e == 0) | (e == 1)):
         raise ValueError("event flags must be 0 or 1")
+    return _event_counts(t, e)
+
+
+def _event_counts(t: np.ndarray, e: np.ndarray):
+    """`_event_table` on validated arrays (possibly empty): unique event
+    times, float event counts, float at-risk counts."""
     event_times = t[e == 1]
     if event_times.size == 0:
         empty = np.empty(0, dtype=float)

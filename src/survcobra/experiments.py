@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cobra import CobraParams, fit_cobra, predict_cobra_batch
+from .curves import curve_from_row
 from .data import (
     SurvivalDataset,
     SyntheticConfig,
@@ -134,13 +135,14 @@ class ExperimentConfig:
         return replace(self, **updates) if updates else self
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> tuple[ExperimentConfig, dict]:
+    """The validated config and the parsed JSON it came from."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(raw), raw
 
 
 def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
@@ -195,10 +197,11 @@ def _resolve_params(cfg: ExperimentConfig, train: SurvivalDataset, tune_seed: in
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
     """Metric reports for the five standalone learners and the ensemble."""
     rows = {}
+    # the metrics read each curve only at test times
+    grid = np.unique(np.concatenate(([0.0], test.time)))
     for spec in cfg.roster:
-        model = fit(spec, train)
-        curves = [model.predict_curve(x) for x in test.x]
-        rows[spec.kind] = _report(curves, test, cfg, fold_id)
+        values = fit(spec, train).predict_values(test.x, grid)
+        rows[spec.kind] = _report([curve_from_row(grid, row) for row in values], test, cfg, fold_id)
     params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
     ensemble = fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id))
     curves = predict_cobra_batch(ensemble, test.x)
@@ -219,34 +222,21 @@ def _report(curves, test, cfg, fold_id) -> MetricReport:
     )
 
 
-def _bench_fold_worker(raw_config: dict, fold_id: int):
-    cfg = ExperimentConfig.from_dict(raw_config)
-    data = load_dataset(cfg)
-    train, test = kfold_split(data, cfg.folds, derive_seed(cfg.seed, 1))[fold_id]
-    reports = _fold_metrics(train, test, cfg, fold_id)
-    return {
-        name: (r.concordance, r.ibs, r.dcal_pass, r.dcal_pvalue) for name, r in reports.items()
-    }
+def run_bench(cfg: ExperimentConfig) -> dict:
+    """Outer cross-validation over all models; returns {model: [MetricReport]}.
 
-
-def run_bench(cfg: ExperimentConfig, raw_config: dict) -> dict:
-    """Outer cross-validation over all models; returns {model: [MetricReport]}."""
+    With `cfg.jobs > 1` the folds run in a process pool that receives each
+    fold's datasets, so every fold sees the data loaded once here.
+    """
     data = load_dataset(cfg)
-    pairs = kfold_split(data, cfg.folds, derive_seed(cfg.seed, 1))
-    model_names = [spec.kind for spec in cfg.roster] + [PROPOSED]
-    results: dict[str, list[MetricReport]] = {name: [] for name in model_names}
+    trains, tests = zip(*kfold_split(data, cfg.folds, derive_seed(cfg.seed, 1)))
+    fold_args = (trains, tests, [cfg] * cfg.folds, range(cfg.folds))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_bench_fold_worker, raw_config, k) for k in range(cfg.folds)]
-            fold_rows = [f.result() for f in futures]  # fold order preserved
-        for fold_id, row in enumerate(fold_rows):
-            for name, (c, ibs, dpass, dp) in row.items():
-                results[name].append(MetricReport(c, ibs, dpass, dp, fold_id))
+            fold_rows = list(pool.map(_fold_metrics, *fold_args))
     else:
-        for fold_id, (train, test) in enumerate(pairs):
-            for name, report in _fold_metrics(train, test, cfg, fold_id).items():
-                results[name].append(report)
-    return results
+        fold_rows = list(map(_fold_metrics, *fold_args))
+    return {name: [rows[name] for rows in fold_rows] for name in fold_rows[0]}
 
 
 def _dataset_label(cfg: ExperimentConfig) -> str:

@@ -153,10 +153,10 @@ def _newton_ridge(pl: _PartialLikelihood, lam: float):
             if float(np.max(np.abs(grad))) < 1e-8:
                 break
             raise ConvergenceError("step halving exhausted", tuple(trace))
-        change = float(np.max(np.abs(candidate - beta)))
         beta = candidate
         trace.append(value)
-        if change < COEF_TOL:
+        # a step that halving shrank below the tolerance is not convergence
+        if float(np.max(np.abs(step))) < COEF_TOL:
             return beta, tuple(trace)
     else:
         raise ConvergenceError(
@@ -237,10 +237,15 @@ class CoxModel(BaseSurvivalModel):
     def n_features(self) -> int:  # type: ignore[override]
         return self.beta.shape[0]
 
-    def risk_score(self, x) -> float:
-        x = self._check_vector(x)
+    def _risk(self, x: np.ndarray) -> np.ndarray:
+        """exp(beta . z) per row, summed row-wise so that a row's score does
+        not depend on how many rows come with it (a BLAS dot, a gemv and a
+        one-row gemm can round differently)."""
         z = (x - self.feature_means) / self.feature_sds
-        return float(np.exp(z @ self.beta_standardized))
+        return np.exp((z * self.beta_standardized).sum(axis=-1))
+
+    def risk_score(self, x) -> float:
+        return float(self._risk(self._check_vector(x)))
 
     def predict_curve(self, x) -> StepCurve:
         r = self.risk_score(x)
@@ -249,10 +254,7 @@ class CoxModel(BaseSurvivalModel):
         )
 
     def predict_values(self, x, grid) -> np.ndarray:
-        x = self._check_matrix(x)
-        grid = np.asarray(grid, dtype=float)
-        z = (x - self.feature_means) / self.feature_sds
-        r = np.exp(z @ self.beta_standardized)
+        r = self._risk(self._check_matrix(x))
         h = self.baseline_cumhaz(grid)
         return np.exp(-(r[:, None] * h[None, :]))
 

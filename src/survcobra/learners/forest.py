@@ -26,14 +26,8 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
 
     def predict_curve(self, x) -> StepCurve:
         x = self._check_vector(x)
-        curves = [tree.predict_curve(x) for tree in self.trees]
-        grid = np.unique(np.concatenate([c.times for c in curves]))
-        if grid.size == 0:
-            return StepCurve(grid, grid.copy())
-        total = np.zeros(grid.size)
-        for c in curves:
-            total += evaluate(c, grid)
-        return StepCurve(grid, total / len(curves))
+        grid = np.unique(np.concatenate([tree.predict_curve(x).times for tree in self.trees]))
+        return StepCurve(grid, self.predict_values(x[None, :], grid)[0])
 
     def predict_values(self, x, grid) -> np.ndarray:
         x = self._check_matrix(x)

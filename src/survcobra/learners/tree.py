@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, evaluate, product_limit
+from ..curves import StepCurve, _event_counts, evaluate, product_limit
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 
@@ -30,16 +30,6 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.leaf_id >= 0
-
-
-def _node_event_stats(times, events):
-    """Unique event times with total event and at-risk counts in the node."""
-    event_times = times[events == 1]
-    if event_times.size == 0:
-        return None
-    u, d = np.unique(event_times, return_counts=True)
-    r = times.size - np.searchsorted(np.sort(times), u, side="left")
-    return u, d.astype(float), r.astype(float)
 
 
 def _best_split_for_feature(fvals, at_risk, events, weights, min_leaf):
@@ -129,10 +119,9 @@ def _grow(x, times, events, depth, max_depth, min_leaf, mtry, rng, leaves):
     n, p = x.shape
     if depth >= max_depth or n < 2 * min_leaf:
         return make_leaf()
-    stats = _node_event_stats(times, events.astype(int))
-    if stats is None:
+    u, d, r = _event_counts(times, events)
+    if u.size == 0:
         return make_leaf()
-    u, d, r = stats
     at_risk = (times[:, None] >= u[None, :]).astype(np.int8)
     dr = d / r
     with np.errstate(divide="ignore", invalid="ignore"):

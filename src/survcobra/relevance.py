@@ -175,15 +175,21 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
     every query degenerates.
     """
     features = _standardized_calibration(model)
-    results = [
-        _relevance_from_labels(features, labels, l2)
-        for chunk in _label_chunks(model, queries)
-        for labels in chunk
-    ]
+    results, set_sizes = [], []
+    for chunk in _label_chunks(model, queries):
+        results.extend(_relevance_from_labels(features, labels, l2) for labels in chunk)
+        set_sizes.extend(chunk.sum(axis=1).tolist())
     per_query = np.stack([r.coefficients for r in results])
     degenerate = np.array([r.degenerate for r in results])
     informative = ~degenerate
     if not informative.any():
-        raise ValueError("every query produced constant proximity labels")
+        params = model.params
+        full = set_sizes.count(model.split.d_l.n)
+        raise ValueError(
+            "every query produced constant proximity labels "
+            f"(epsilon {params.epsilon:g}, consensus {params.consensus_count} of "
+            f"{params.n_machines} machines): {len(results) - full} queries had no "
+            f"member and {full} had every calibration record as a member"
+        )
     aggregate = np.abs(per_query[informative, 1:]).mean(axis=0)
     return RelevanceResult(per_query, degenerate, aggregate, len(results))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cobra import CobraParams, _fit_stack, _predict_one
+from .cobra import CobraParams, _aggregate, _fit_stack
 from .data import SurvivalDataset, kfold_split
 from .exceptions import ConvergenceError, TuningError
 from .learners import LearnerSpec, default_roster
@@ -101,11 +101,9 @@ def _prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
 
 
 def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str) -> float:
-    need = params.consensus_count
-    curves = [
-        _predict_one(prepared.d_l, prepared.pop_km, prepared.distances[:, q, :], params.epsilon, need)
-        for q in range(prepared.distances.shape[1])
-    ]
+    curves = _aggregate(
+        prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count
+    )
     if objective == "ibs":
         return integrated_brier(curves, prepared.val_times, prepared.val_events)
     return -concordance_td(curves, prepared.val_times, prepared.val_events)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from survcobra import experiments
 from survcobra.cli import main
 from survcobra.exceptions import ConvergenceError
 
@@ -119,6 +120,22 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out", str(out_b), "--jobs", "2"]) == 0
         for name in ("metrics.csv", "concordance.csv", "ibs.csv", "dcalibration.csv"):
             assert read(out_a / name) == read(out_b / name)
+
+    def test_parallel_folds_receive_the_loaded_dataset(self, tmp_path, monkeypatch):
+        cfg, _ = experiments.load_config(write_config(tmp_path / "cfg.json"))
+        load_dataset = experiments.load_dataset
+        calls = []
+
+        def load_once(c):
+            calls.append(c)
+            if len(calls) > 1:
+                raise AssertionError("the dataset was loaded again")
+            return load_dataset(c)
+
+        # forked workers inherit the patch, so a reload there fails too
+        monkeypatch.setattr(experiments, "load_dataset", load_once)
+        results = experiments.run_bench(cfg.with_overrides(jobs=2))
+        assert [r.fold_id for r in results["proposed"]] == [0, 1, 2]
 
 
 class TestTune:

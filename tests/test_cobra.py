@@ -14,13 +14,12 @@ from survcobra.cobra import (
     _label_chunks,
     _member_mask,
     fit_cobra,
-    gamma_indicator,
     gamma_labels,
     predict_cobra,
     predict_cobra_batch,
     proximity_aggregate,
 )
-from survcobra.curves import kaplan_meier
+from survcobra.curves import evaluate, kaplan_meier
 from survcobra.learners import LearnerSpec
 from helpers import oracle_cobra_curve, random_dataset
 
@@ -68,9 +67,9 @@ class TestFit:
     def test_calibration_cache_dimensions(self):
         model = small_model(n=100, l_fraction=0.4, alpha=0.6, roster=FIVE_ROSTER)
         assert model.split.l == 40
-        curves = model.calibration_curves
-        assert len(curves) == 5
-        assert all(len(per_machine) == 40 for per_machine in curves)
+        values = model.stack.cal_values
+        assert len(values) == 5
+        assert all(v.shape == (40, model.stack.grid.size) for v in values)
 
     def test_constant_machine_gives_identical_cached_curves(self):
         rng = np.random.default_rng(5)
@@ -78,8 +77,8 @@ class TestFit:
         k_all = LearnerSpec("knn_survival", {"k": 30})  # k = |D_k|: population KM for any x
         params = CobraParams(0.1, 1.0, 0.4, (k_all,))
         model = fit_cobra(train, params, seed=2)
-        first = model.calibration_curves[0][0]
-        assert all(c == first for c in model.calibration_curves[0])
+        values = model.stack.cal_values[0]
+        assert np.all(values == values[0])
 
     def test_seeded_determinism(self):
         a = small_model(seed=7, alpha=0.6, roster=FIVE_ROSTER)
@@ -92,10 +91,12 @@ class TestFit:
 
     def test_cached_curves_match_direct_predictions(self):
         model = small_model(seed=3, roster=TINY_ROSTER)
-        d_l = model.split.d_l
+        d_l, grid = model.split.d_l, model.stack.grid
         for m, machine in enumerate(model.machines):
             for j in [0, d_l.n // 2, d_l.n - 1]:
-                assert model.calibration_curves[m][j] == machine.predict_curve(d_l.x[j])
+                cached = model.stack.cal_values[m][j]
+                assert np.array_equal(cached, machine.predict_values(d_l.x[j], grid)[0])
+                assert np.array_equal(cached, evaluate(machine.predict_curve(d_l.x[j]), grid))
 
 
 class TestGamma:
@@ -103,7 +104,7 @@ class TestGamma:
         model = small_model(seed=1, epsilon=1e-12, alpha=1.0)
         d_l = model.split.d_l
         for j in range(min(5, d_l.n)):
-            assert gamma_indicator(model, d_l.x[j], j) == 1
+            assert gamma_labels(model, d_l.x[j])[j] == 1
 
     def test_direct_count_example(self):
         # five machines, three of five distances within epsilon, need 3 -> member
@@ -116,11 +117,6 @@ class TestGamma:
         rng = np.random.default_rng(8)
         for q in rng.uniform(size=(5, 2)):
             assert gamma_labels(model, q).all()
-
-    def test_index_out_of_range(self):
-        model = small_model(seed=1)
-        with pytest.raises(IndexError):
-            gamma_indicator(model, np.zeros(2), model.split.l)
 
     def test_monotone_in_epsilon_and_alpha(self):
         model = small_model(seed=9, epsilon=0.05, alpha=0.5)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from survcobra.curves import evaluate, nelson_aalen
-from survcobra.data import SurvivalDataset
+from survcobra.data import SurvivalDataset, kfold_split
+from survcobra.exceptions import ConvergenceError
 from survcobra.learners import (
     breslow_baseline,
     cox_gradient,
     cox_log_partial_likelihood,
     fit_cox,
 )
+from survcobra.seeds import derive_seed
 from helpers import random_dataset
 
 
@@ -106,6 +108,17 @@ class TestRidge:
         stderr = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean()) < 3 * stderr
 
+    def test_unpenalized_fit_on_perfectly_ordered_times_raises(self):
+        # the covariate orders the times perfectly, so the partial likelihood
+        # has no maximum; step halving shrinks the Newton steps towards zero
+        # long before the gradient vanishes
+        rng = np.random.default_rng(0)
+        covariate = [float(f"{c:.6f}") for c in np.sort(rng.uniform(size=60))]
+        data = SurvivalDataset(np.c_[covariate], np.arange(1.0, 61.0), np.ones(60, dtype=int), ["x"])
+        for train, _ in kfold_split(data, 2, derive_seed(1, 1)):
+            with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+                fit_cox(train, "ridge", penalty=0)
+
 
 class TestLasso:
     def test_agrees_with_ridge_at_zero_penalty(self):
@@ -173,14 +186,18 @@ class TestBaselineAndPrediction:
         assert again == model.baseline_cumhaz
 
     def test_predict_values_matches_predict_curve(self):
-        rng = np.random.default_rng(35)
-        ds = random_dataset(rng, 40, 3)
-        model = fit_cox(ds, "lasso", penalty=0.1)
+        # at p = 9 a matrix-vector product and a one-row dot product round
+        # differently, so batch and single rows must share one summation
         grid = np.linspace(0.0, 4.0, 9)
-        queries = rng.uniform(size=(6, 3))
-        batch = model.predict_values(queries, grid)
-        for i in range(6):
-            assert np.array_equal(batch[i], evaluate(model.predict_curve(queries[i]), grid))
+        for seed, n, p in ((35, 40, 3), (35, 60, 9), (36, 60, 9), (37, 60, 9)):
+            rng = np.random.default_rng(seed)
+            ds = random_dataset(rng, n, p)
+            queries = rng.uniform(size=(30, p))
+            for kind, penalty in (("ridge", 1.0), ("lasso", 0.1)):
+                model = fit_cox(ds, kind, penalty=penalty)
+                batch = model.predict_values(queries, grid)
+                for i, q in enumerate(queries):
+                    assert np.array_equal(batch[i], evaluate(model.predict_curve(q), grid))
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(37)

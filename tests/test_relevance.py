@@ -161,6 +161,15 @@ class TestRelevanceStudy:
         with pytest.raises(ValueError, match="constant proximity labels"):
             relevance_study(model, rng.uniform(size=(5, 5)))
 
+    def test_all_degenerate_message_says_why(self):
+        queries = np.random.default_rng(2).uniform(size=(5, 5))
+        tiny = small_relevance_model(epsilon=1e-300)  # no calibration record is close
+        with pytest.raises(ValueError, match=r"epsilon 1e-300, consensus 1 of 2 machines\): 5 queries had no member and 0 had every"):
+            relevance_study(tiny, queries)
+        saturated = small_relevance_model(epsilon=1.5)
+        with pytest.raises(ValueError, match="0 queries had no member and 5 had every calibration record"):
+            relevance_study(saturated, queries)
+
     def test_ranking_orders_by_aggregate(self):
         model = small_relevance_model(seed=5)
         rng = np.random.default_rng(3)
