@@ -32,7 +32,6 @@ from .data import (
     DatasetSplit,
     RawTable,
     SurvivalDataset,
-    SurvivalRecord,
     SyntheticConfig,
     cobra_split,
     generate_synthetic,
@@ -91,7 +90,6 @@ __all__ = [
     "DatasetSplit",
     "RawTable",
     "SurvivalDataset",
-    "SurvivalRecord",
     "SyntheticConfig",
     "cobra_split",
     "generate_synthetic",

@@ -95,13 +95,6 @@ class StepCurve:
             yield (t, v)
 
 
-def curve_from_row(grid, row) -> StepCurve:
-    """Survival curve through the values `row` on `grid` (grid[0] = 0,
-    row[0] = 1), with one jump wherever the value changes."""
-    changed = np.flatnonzero(row[1:] != row[:-1]) + 1
-    return StepCurve(grid[changed], row[changed])
-
-
 def evaluate(curve: StepCurve, t):
     """Evaluate a step curve at scalar or array `t` (right-continuously)."""
     arr = np.asarray(t, dtype=float)

@@ -22,15 +22,6 @@ log = logging.getLogger(__name__)
 MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "?"})
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One individual: covariates, observed time, and event flag."""
-
-    covariates: np.ndarray
-    time: float
-    event: int
-
-
 class SurvivalDataset:
     """Immutable array-backed collection of survival records.
 
@@ -87,13 +78,6 @@ class SurvivalDataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(self.x[i], float(self.time[i]), int(self.event[i]))
-
-    @property
-    def records(self) -> list[SurvivalRecord]:
-        return [self[i] for i in range(self.n)]
 
     @property
     def n_events(self) -> int:

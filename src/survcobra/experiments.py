@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cobra import CobraParams, fit_cobra, predict_cobra_batch
-from .curves import curve_from_row
+from .curves import evaluate
 from .data import (
     SurvivalDataset,
     SyntheticConfig,
@@ -104,6 +104,9 @@ class ExperimentConfig:
                 raise ConfigError(f"'params' needs keys epsilon, alpha, l_fraction (missing {sorted(missing)})")
         if search is not None and "trials" not in search:
             raise ConfigError("'search' needs a 'trials' entry")
+        queries = int(raw.get("queries", 100))
+        if queries < 1:
+            raise ConfigError(f"queries must be at least 1, got {queries}")
 
         return ExperimentConfig(
             dataset=dataset,
@@ -113,7 +116,7 @@ class ExperimentConfig:
             folds=int(raw.get("folds", 5)),
             inner_folds=int(raw.get("inner_folds", 3)),
             seed=int(raw.get("seed", 0)),
-            queries=int(raw.get("queries", 100)),
+            queries=queries,
             dcal_bins=int(raw.get("dcal_bins", 10)),
             dcal_level=float(raw.get("dcal_level", 0.05)),
             out_dir=str(raw.get("out_dir", "survcobra-out")),
@@ -197,25 +200,23 @@ def _resolve_params(cfg: ExperimentConfig, train: SurvivalDataset, tune_seed: in
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
     """Metric reports for the five standalone learners and the ensemble."""
     rows = {}
-    # the metrics read each curve only at test times
-    grid = np.unique(np.concatenate(([0.0], test.time)))
     for spec in cfg.roster:
-        values = fit(spec, train).predict_values(test.x, grid)
-        rows[spec.kind] = _report([curve_from_row(grid, row) for row in values], test, cfg, fold_id)
+        rows[spec.kind] = _report(fit(spec, train).predict_values(test.x, test.time), test, cfg, fold_id)
     params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
     ensemble = fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id))
     curves = predict_cobra_batch(ensemble, test.x)
-    rows[PROPOSED] = _report(curves, test, cfg, fold_id)
+    rows[PROPOSED] = _report(np.stack([evaluate(c, test.time) for c in curves]), test, cfg, fold_id)
     return rows
 
 
-def _report(curves, test, cfg, fold_id) -> MetricReport:
+def _report(survival, test, cfg, fold_id) -> MetricReport:
+    """`survival[i, k]`: record i's predicted survival at `test.time[k]`."""
     passed, pvalue = d_calibration(
-        curves, test.time, test.event, bins=cfg.dcal_bins, level=cfg.dcal_level
+        survival, test.time, test.event, bins=cfg.dcal_bins, level=cfg.dcal_level
     )
     return MetricReport(
-        concordance=concordance_td(curves, test.time, test.event),
-        ibs=integrated_brier(curves, test.time, test.event),
+        concordance=concordance_td(survival, test.time, test.event),
+        ibs=integrated_brier(survival, test.time, test.event),
         dcal_pass=passed,
         dcal_pvalue=pvalue,
         fold_id=fold_id,

@@ -2,7 +2,10 @@
 
 Time-dependent concordance over comparable pairs, the inverse-probability-
 of-censoring-weighted Brier score and its trapezoid time average, and the
-D-calibration goodness-of-calibration test.  All functions are pure; fold
+D-calibration goodness-of-calibration test.  Each metric reads the
+predictions of an n-record sample as one array `survival` of shape
+(n, n), where `survival[i, k]` is record i's predicted survival at
+`times[k]`, the sample's own observed times.  All functions are pure; fold
 evaluation can run in parallel.
 """
 
@@ -27,28 +30,33 @@ class MetricReport:
     fold_id: int
 
 
-def _check_aligned(curves, times, events):
+def _check_aligned(survival, times, events, ndim=2):
+    """Float arrays of the sample; `survival` holds one value per record
+    (ndim=1) or one row per record and one column per record time (ndim=2)."""
+    survival = np.asarray(survival, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
-    if len(curves) != times.size or times.size != events.size:
-        raise ValueError("curves, times, and events must have equal length")
+    if times.ndim != 1 or events.shape != times.shape:
+        raise ValueError("times and events must be 1-d arrays of equal length")
+    if survival.shape != (times.size,) * ndim:
+        raise ValueError(
+            f"survival has shape {survival.shape}, expected {(times.size,) * ndim} for {times.size} records"
+        )
     if not np.all((events == 0) | (events == 1)):
         raise ValueError("event flags must be 0 or 1")
-    return list(curves), times, events.astype(np.int64)
+    return survival, times, events.astype(np.int64)
 
 
-def concordance_td(curves, times, events) -> float:
+def concordance_td(survival, times, events) -> float:
     """Time-dependent concordance.
 
-    Over pairs (i, j) with an observed event for i and t_i < t_j, the
-    fraction where subject i's predicted survival at t_i is lower than
-    subject j's; prediction ties count one half.  1 is perfect ranking,
-    0.5 is random.
+    `survival[i, k]` is record i's predicted survival at `times[k]`.  Over
+    pairs (i, j) with an observed event for i and t_i < t_j, the fraction
+    where record i's predicted survival at t_i is lower than record j's;
+    prediction ties count one half.  1 is perfect ranking, 0.5 is random.
     """
-    curves, times, events = _check_aligned(curves, times, events)
+    survival, times, events = _check_aligned(survival, times, events)
     n = times.size
-    # survival[j, i] = curve_j evaluated at t_i
-    survival = np.stack([evaluate(c, times) for c in curves])
     num = 0.0
     den = 0
     for i in range(n):
@@ -86,46 +94,44 @@ def _brier_from_values(survival_at_t, times, events, t, g_at_times, g_at_t):
     return total / n_eff
 
 
-def brier_censored(curves, times, events, t, censoring_curve: StepCurve) -> float:
+def brier_censored(survival_at_t, times, events, t, censoring_curve: StepCurve) -> float:
     """Censoring-weighted Brier score at time `t`.
 
-    Records already censored by `t` contribute nothing; event records are
-    weighted by 1/G(y_i) and at-risk records by 1/G(t), where G is the
+    `survival_at_t[i]` is record i's predicted survival at `t`.  Records
+    already censored by `t` contribute nothing; event records are weighted
+    by 1/G(y_i) and at-risk records by 1/G(t), where G is the
     censoring-distribution Kaplan-Meier.
     """
-    curves, times, events = _check_aligned(curves, times, events)
+    survival_at_t, times, events = _check_aligned(survival_at_t, times, events, ndim=1)
     t = float(t)
-    survival_at_t = np.array([evaluate(c, t) for c in curves])
     g_at_times = evaluate(censoring_curve, times)
     g_at_t = float(evaluate(censoring_curve, t))
     return _brier_from_values(survival_at_t, times, events, t, g_at_times, g_at_t)
 
 
-def integrated_brier(curves, times, events, t_grid=None, censoring_curve=None) -> float:
+def integrated_brier(survival, times, events) -> float:
     """Trapezoid average of the censored Brier score.
 
-    The default grid is every distinct event time of the evaluation
-    sample, so the average runs from the first to the last event; the
-    default censoring curve is estimated on the same sample.
+    `survival[i, k]` is record i's predicted survival at `times[k]`.  The
+    grid is every distinct event time of the sample, so the average runs
+    from the first to the last event, and G is the censoring Kaplan-Meier
+    of the same sample.
     """
-    curves, times, events = _check_aligned(curves, times, events)
-    if t_grid is None:
-        t_grid = np.unique(times[events == 1])
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if np.any(np.diff(t_grid) <= 0.0):
-            raise ValueError("t_grid must be strictly increasing")
+    survival, times, events = _check_aligned(survival, times, events)
+    event_rows = np.flatnonzero(events == 1)
+    t_grid, first = np.unique(times[event_rows], return_index=True)
     if t_grid.size < 2:
         raise ValueError("the integration grid needs at least two time points")
-    if censoring_curve is None:
-        censoring_curve = censoring_km(times, events)
-    survival = np.stack([evaluate(c, t_grid) for c in curves])  # (n, grid)
-    g_at_times = evaluate(censoring_curve, times)
-    g_at_grid = evaluate(censoring_curve, t_grid)
+    # every record observed at a grid time holds that time's column; take
+    # the first event record's
+    columns = event_rows[first]
+    g_at_times = evaluate(censoring_km(times, events), times)
     scores = np.array(
         [
-            _brier_from_values(survival[:, k], times, events, float(t_grid[k]), g_at_times, float(g_at_grid[k]))
-            for k in range(t_grid.size)
+            _brier_from_values(
+                survival[:, c], times, events, float(times[c]), g_at_times, float(g_at_times[c])
+            )
+            for c in columns
         ]
     )
     gaps = np.diff(t_grid)
@@ -133,22 +139,22 @@ def integrated_brier(curves, times, events, t_grid=None, censoring_curve=None) -
     return area / float(t_grid[-1] - t_grid[0])
 
 
-def d_calibration_masses(curves, times, events, bins: int = 10) -> np.ndarray:
+def d_calibration_masses(survival, times, events, bins: int = 10) -> np.ndarray:
     """Bin masses behind the D-calibration statistic.
 
-    Each uncensored record drops unit mass into the bin holding its
-    predicted survival probability at its observed time; a censored
-    record spreads its mass below that probability (partial mass to its
-    own bin, uniform mass to every lower bin).  Masses sum to the record
-    count.
+    `survival[i, k]` is record i's predicted survival at `times[k]`, so
+    the diagonal holds each record's prediction at its own observed time.
+    Each uncensored record drops unit mass into the bin holding that
+    probability; a censored record spreads its mass below it (partial mass
+    to its own bin, uniform mass to every lower bin).  Masses sum to the
+    record count.
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    curves, times, events = _check_aligned(curves, times, events)
+    survival, times, events = _check_aligned(survival, times, events)
     width = 1.0 / bins
     masses = np.zeros(bins)
-    p = np.array([evaluate(c, y) for c, y in zip(curves, times.tolist())])
-    for pi, event in zip(p, events):
+    for pi, event in zip(np.diagonal(survival), events):
         b = min(int(pi * bins), bins - 1)
         if event == 1:
             masses[b] += 1.0
@@ -163,12 +169,13 @@ def d_calibration_masses(curves, times, events, bins: int = 10) -> np.ndarray:
     return masses
 
 
-def d_calibration(curves, times, events, bins: int = 10, level: float = 0.05):
-    """Chi-square uniformity test on the D-calibration bin masses.
+def d_calibration(survival, times, events, bins: int = 10, level: float = 0.05):
+    """Chi-square uniformity test on the D-calibration bin masses of
+    `survival` (laid out as in `d_calibration_masses`).
 
     Returns (passed, p_value), passing when the p-value exceeds `level`.
     """
-    masses = d_calibration_masses(curves, times, events, bins)
+    masses = d_calibration_masses(survival, times, events, bins)
     n = len(times)
     expected = n / bins
     stat = float(((masses - expected) ** 2 / expected).sum())

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cobra import CobraParams, _aggregate, _fit_stack
+from .curves import evaluate
 from .data import SurvivalDataset, kfold_split
 from .exceptions import ConvergenceError, TuningError
 from .learners import LearnerSpec, default_roster
@@ -104,9 +105,10 @@ def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str
     curves = _aggregate(
         prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count
     )
+    survival = np.stack([evaluate(c, prepared.val_times) for c in curves])
     if objective == "ibs":
-        return integrated_brier(curves, prepared.val_times, prepared.val_events)
-    return -concordance_td(curves, prepared.val_times, prepared.val_events)
+        return integrated_brier(survival, prepared.val_times, prepared.val_events)
+    return -concordance_td(survival, prepared.val_times, prepared.val_events)
 
 
 def _evaluate(params, folds, seed, objective, cache):

@@ -1,5 +1,6 @@
 """The benchmark's layer tracer wraps survcobra functions by name; these
-names must stay importable with the call shapes it expects."""
+names must stay importable with the call shapes it expects, and the metric
+spans must still see one call per scored fold."""
 
 import subprocess
 import sys
@@ -23,6 +24,7 @@ predict_cobra_batch(fit_cobra(train, params, seed=0), train.x[:4])
 assert rec.counts["cobra.aggregate.queries"] == 4, dict(rec.counts)
 evaluate_params(params, train, inner_folds=2)
 assert rec.counts["tuning.fold_objective.calls"] == 2, dict(rec.counts)
+assert rec.counts["metrics.integrated_brier.calls"] == 2, dict(rec.counts)
 assert rec.counts["cobra.aggregate.queries"] == 4 + 60, dict(rec.counts)
 """
 

@@ -204,22 +204,35 @@ class TestSimulate:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def write_relevance_config(tmp_path, queries):
+    """A 120-row, two-covariate CSV and a relevance config holding out `queries`."""
+    rng = np.random.default_rng(0)
+    lines = ["a,b,time,event"]
+    for i in range(120):
+        lines.append(
+            f"{rng.uniform():.6f},{rng.uniform():.6f},{rng.uniform(0.1, 5.0):.6f},{int(rng.uniform() < 0.7)}"
+        )
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    return write_config(
+        tmp_path / "cfg.json",
+        dataset={"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"},
+        queries=queries,
+    )
+
+
 class TestRelevanceCommand:
     def test_holds_out_queries_from_csv(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = ["a,b,time,event"]
-        for i in range(120):
-            lines.append(
-                f"{rng.uniform():.6f},{rng.uniform():.6f},{rng.uniform(0.1, 5.0):.6f},{int(rng.uniform() < 0.7)}"
-            )
-        csv_path = tmp_path / "data.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            dataset={"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"},
-            queries=10,
-        )
+        cfg = write_relevance_config(tmp_path, queries=10)
         out = tmp_path / "out"
         assert main(["relevance", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "relevance.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + two covariates
+
+    @pytest.mark.parametrize("queries", [-100, 0])
+    def test_nonpositive_queries_exit_one_naming_queries(self, tmp_path, capsys, queries):
+        cfg = write_relevance_config(tmp_path, queries=queries)
+        out = tmp_path / "out"
+        assert main(["relevance", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "queries" in capsys.readouterr().err
+        assert not out.exists()

@@ -370,3 +370,27 @@ def test_property_batch_equals_sequential_and_saturation_gives_km(
         largest = max(float(model.stack.query_distances(queries).max()), 1e-300)
         saturated = CobraModel(dataclasses.replace(model.params, epsilon=largest), model.stack)
         assert all(c == model.population_km for c in predict_cobra_batch(saturated, queries))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    log_epsilons=st.lists(st.floats(np.log(1e-3), np.log(0.9)), min_size=2, max_size=2),
+    alphas=st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]), min_size=2, max_size=2),
+)
+def test_property_proximity_set_grows_with_epsilon_and_shrinks_with_alpha(
+    seed, log_epsilons, alphas
+):
+    roster = TINY_ROSTER + (LearnerSpec("knn_survival", {"k": 6}),)  # need 1, 2 or 3
+    (epsilon, wider), (alpha, stricter) = np.exp(sorted(log_epsilons)), sorted(alphas)
+    try:
+        model = small_model(seed=seed, n=40, epsilon=epsilon, alpha=alpha, roster=roster)
+    except ValueError:
+        assume(False)  # a random split left one part without events
+    grown = CobraModel(dataclasses.replace(model.params, epsilon=wider), model.stack)
+    shrunk = CobraModel(dataclasses.replace(model.params, alpha=stricter), model.stack)
+    rng = np.random.default_rng(seed)
+    for q in np.vstack([rng.uniform(size=(4, 2)), model.split.d_l.x[:1]]):
+        labels = gamma_labels(model, q)
+        assert np.all(labels <= gamma_labels(grown, q))
+        assert np.all(gamma_labels(shrunk, q) <= labels)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcobra.data import (
     RawTable,
@@ -26,8 +28,7 @@ class TestDataset:
         ds = SurvivalDataset([[1.0], [2.0]], [3.0, 4.0], [1, 0], ["x1"])
         assert ds.n == 2
         assert ds.n_features == 1
-        assert ds[1].event == 0
-        assert len(ds.records) == 2
+        assert ds.event[1] == 0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -190,6 +191,20 @@ class TestKfold:
         ds = SurvivalDataset(np.ones((3, 1)), [1.0, 2.0, 3.0], [1, 1, 1], ["x"])
         with pytest.raises(ValueError):
             kfold_split(ds, 4, seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_property_kfold_is_a_partition(data, n, seed):
+    folds = data.draw(st.integers(2, n))
+    ids = np.arange(n, dtype=float)  # the one covariate names the record
+    ds = SurvivalDataset(ids[:, None], ids + 1.0, np.ones(n, dtype=int), ["id"])
+    pairs = kfold_split(ds, folds, seed)
+    assert len(pairs) == folds
+    held_out = np.concatenate([test.x[:, 0] for _, test in pairs])
+    assert np.array_equal(np.sort(held_out), ids)  # every record in one test part
+    for train, test in pairs:
+        assert np.array_equal(np.sort(np.concatenate((train.x[:, 0], test.x[:, 0]))), ids)
 
 
 class TestCobraSplit:

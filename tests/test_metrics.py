@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survcobra.curves import StepCurve, censoring_km, evaluate, kaplan_meier
 from survcobra.metrics import (
@@ -9,6 +11,16 @@ from survcobra.metrics import (
     d_calibration,
     integrated_brier,
 )
+
+
+def survival_array(curves, times):
+    """`survival[i, k]` = curves[i] at times[k]: the array every metric reads."""
+    return np.stack([evaluate(c, np.asarray(times, dtype=float)) for c in curves])
+
+
+def survival_at(curves, t):
+    """Each curve's value at the single time `t`, as `brier_censored` reads it."""
+    return survival_array(curves, [t])[:, 0]
 
 
 def constant_curve(value):
@@ -49,12 +61,11 @@ class TestConcordance:
     def test_perfect_ranking_scores_one(self):
         times = [1.0, 2.0, 3.0, 4.0]
         curves = [constant_curve(v) for v in [0.1, 0.3, 0.5, 0.7]]
-        assert concordance_td(curves, times, [1, 1, 1, 1]) == 1.0
+        assert concordance_td(survival_array(curves, times), times, [1, 1, 1, 1]) == 1.0
 
     def test_identical_curves_score_half(self):
         times = [1.0, 2.0, 3.0]
-        curves = [constant_curve(0.5)] * 3
-        assert concordance_td(curves, times, [1, 1, 1]) == 0.5
+        assert concordance_td(np.full((3, 3), 0.5), times, [1, 1, 1]) == 0.5
 
     def test_three_subject_hand_case(self):
         curves = [
@@ -64,7 +75,7 @@ class TestConcordance:
         ]
         times = [1.0, 2.0, 3.0]
         events = [1, 1, 0]
-        assert concordance_td(curves, times, events) == pytest.approx(
+        assert concordance_td(survival_array(curves, times), times, events) == pytest.approx(
             slow_concordance(curves, times, events)
         )
 
@@ -77,7 +88,7 @@ class TestConcordance:
             events[int(rng.integers(n))] = 1
             curves = random_curves(rng, n)
             try:
-                fast = concordance_td(curves, times, events)
+                fast = concordance_td(survival_array(curves, times), times, events)
             except ValueError:
                 with pytest.raises(ValueError):
                     slow_concordance(curves, times, events)  # zero division
@@ -90,13 +101,12 @@ class TestConcordance:
         n = 20
         times = rng.uniform(0.1, 5.0, size=n)
         events = np.ones(n, dtype=int)
-        curves = random_curves(rng, n)
-        squared = [StepCurve(c.times, c.values**2) for c in curves]
-        assert concordance_td(curves, times, events) == concordance_td(squared, times, events)
+        survival = survival_array(random_curves(rng, n), times)
+        assert concordance_td(survival, times, events) == concordance_td(survival**2, times, events)
 
     def test_no_comparable_pairs_fails(self):
         with pytest.raises(ValueError, match="comparable"):
-            concordance_td([constant_curve(0.5)] * 3, [1.0, 2.0, 3.0], [0, 0, 1])
+            concordance_td(np.full((3, 3), 0.5), [1.0, 2.0, 3.0], [0, 0, 1])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(2)
@@ -104,11 +114,15 @@ class TestConcordance:
         times = rng.uniform(0.1, 5.0, size=n)
         events = rng.integers(0, 2, size=n)
         events[0] = 1
-        curves = random_curves(rng, n)
+        survival = survival_array(random_curves(rng, n), times)
         perm = rng.permutation(n)
-        a = concordance_td(curves, times, events)
-        b = concordance_td([curves[i] for i in perm], times[perm], events[perm])
+        a = concordance_td(survival, times, events)
+        b = concordance_td(survival[np.ix_(perm, perm)], times[perm], events[perm])
         assert a == pytest.approx(b)
+
+    def test_survival_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            concordance_td(np.full((3, 2), 0.5), [1.0, 2.0, 3.0], [1, 1, 1])
 
 
 class TestBrier:
@@ -117,19 +131,17 @@ class TestBrier:
         curves = [StepCurve([t], [0.0]) for t in times]
         g = censoring_km(times, [1, 1, 1])
         for t in [0.5, 1.5, 2.5, 3.5]:
-            assert brier_censored(curves, times, [1, 1, 1], t, g) == 0.0
+            assert brier_censored(survival_at(curves, t), times, [1, 1, 1], t, g) == 0.0
 
     def test_constant_half_scores_quarter(self):
         times = [1.0, 2.0, 3.0, 4.0]
-        curves = [constant_curve(0.5)] * 4
         g = censoring_km(times, [1, 1, 1, 1])
         for t in [0.5, 2.5, 5.0]:
-            assert brier_censored(curves, times, [1, 1, 1, 1], t, g) == pytest.approx(0.25)
+            assert brier_censored(np.full(4, 0.5), times, [1, 1, 1, 1], t, g) == pytest.approx(0.25)
 
     def test_hand_case_with_censoring(self):
         times = np.array([1.0, 2.0, 3.0, 4.0])
         events = np.array([1, 0, 1, 1])
-        curves = [constant_curve(0.7)] * 4
         g = censoring_km(times, events)
         t = 2.5
         # record 0: event before t, weight 1/G(1.0); record 1 censored before t: 0
@@ -137,7 +149,7 @@ class TestBrier:
         g1 = evaluate(g, 1.0)
         gt = evaluate(g, 2.5)
         expected = (0.7**2 / g1 + 2 * (0.3**2 / gt)) / 4
-        assert brier_censored(curves, times, events, t, g) == pytest.approx(expected)
+        assert brier_censored(np.full(4, 0.7), times, events, t, g) == pytest.approx(expected)
 
     def test_matches_plain_brier_without_censoring(self):
         rng = np.random.default_rng(3)
@@ -151,25 +163,42 @@ class TestBrier:
             s = np.array([evaluate(c, t) for c in curves])
             outcome = (times > t).astype(float)
             plain = float(((outcome - s) ** 2).mean())
-            assert brier_censored(curves, times, events, t, g) == pytest.approx(plain, abs=1e-12)
+            assert brier_censored(s, times, events, t, g) == pytest.approx(plain, abs=1e-12)
 
 
 class TestIntegratedBrier:
     def test_constant_score_integrates_to_itself(self):
         times = [1.0, 2.0, 3.0, 4.0]
         events = [1, 1, 1, 1]
-        curves = [constant_curve(0.5)] * 4
-        assert integrated_brier(curves, times, events) == pytest.approx(0.25)
+        assert integrated_brier(np.full((4, 4), 0.5), times, events) == pytest.approx(0.25)
 
     def test_two_point_grid_is_the_average(self):
         times = [1.0, 3.0]
         events = [1, 1]
         curves = [StepCurve([2.0], [0.4]), StepCurve([2.5], [0.6])]
         g = censoring_km(times, events)
-        u = brier_censored(curves, times, events, 1.0, g)
-        v = brier_censored(curves, times, events, 3.0, g)
-        got = integrated_brier(curves, times, events, t_grid=[1.0, 3.0])
+        u = brier_censored(survival_at(curves, 1.0), times, events, 1.0, g)
+        v = brier_censored(survival_at(curves, 3.0), times, events, 3.0, g)
+        got = integrated_brier(survival_array(curves, times), times, events)
         assert got == pytest.approx((u + v) / 2)
+
+    def test_grid_columns_with_tied_and_censored_times(self):
+        # event times are tied, and censored records share them (one sits
+        # first at its time); the gathered columns must give the trapezoid
+        # over the distinct event times of brier_censored at each one
+        times = np.array([2.0, 1.0, 2.0, 2.0, 3.0, 3.0, 1.0, 4.0, 3.5, 4.0, 5.0, 2.0])
+        events = np.array([0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0])
+        curves = random_curves(np.random.default_rng(10), times.size)
+        g = censoring_km(times, events)
+        grid = np.unique(times[events == 1])
+        scores = np.array(
+            [brier_censored(survival_at(curves, t), times, events, t, g) for t in grid]
+        )
+        by_hand = float((0.5 * (scores[:-1] + scores[1:]) * np.diff(grid)).sum()) / (
+            grid[-1] - grid[0]
+        )
+        got = integrated_brier(survival_array(curves, times), times, events)
+        assert got == pytest.approx(by_hand, abs=1e-12)
 
     def test_close_to_fine_grid_integration(self):
         # without censoring the score is a step function between event times,
@@ -182,16 +211,16 @@ class TestIntegratedBrier:
         curves = random_curves(rng, n)
         grid = np.unique(times)
         fine = np.linspace(grid[0], grid[-1], 20001)
-        survival = np.stack([evaluate(c, fine) for c in curves])
+        survival = survival_array(curves, fine)
         outcome = (times[:, None] > fine[None, :]).astype(float)
         scores = ((outcome - survival) ** 2).mean(axis=0)
         riemann = float(scores[:-1].mean())  # equal spacing: left-Riemann mean
-        got = integrated_brier(curves, times, events)
+        got = integrated_brier(survival_array(curves, times), times, events)
         assert got == pytest.approx(riemann, abs=1e-3)
 
     def test_short_grid_fails(self):
         with pytest.raises(ValueError, match="two time points"):
-            integrated_brier([constant_curve(0.5)], [1.0], [1])
+            integrated_brier(np.full((1, 1), 0.5), [1.0], [1])
 
 
 class TestDCalibration:
@@ -201,15 +230,14 @@ class TestDCalibration:
         times = np.arange(1.0, n + 1.0)
         values = np.tile(np.arange(0.05, 1.0, 0.1), n // 10)
         curves = [StepCurve([t], [v]) for t, v in zip(times, values)]
-        passed, pvalue = d_calibration(curves, times, np.ones(n, dtype=int))
+        passed, pvalue = d_calibration(survival_array(curves, times), times, np.ones(n, dtype=int))
         assert passed
         assert pvalue > 0.999
 
     def test_constant_one_predictor_fails(self):
         n = 1000
         times = np.arange(1.0, n + 1.0)
-        curves = [constant_curve(1.0)] * n
-        passed, pvalue = d_calibration(curves, times, np.ones(n, dtype=int))
+        passed, pvalue = d_calibration(np.ones((n, n)), times, np.ones(n, dtype=int))
         assert not passed
         assert pvalue < 1e-10
 
@@ -217,8 +245,8 @@ class TestDCalibration:
         rng = np.random.default_rng(5)
         times = rng.weibull(2.0, 1000) * 4.0
         km = kaplan_meier(times, np.ones(1000, dtype=int))
-        curves = [km] * 1000
-        passed, _ = d_calibration(curves, times, np.ones(1000, dtype=int))
+        survival = np.tile(evaluate(km, times), (1000, 1))  # one shared curve
+        passed, _ = d_calibration(survival, times, np.ones(1000, dtype=int))
         assert passed
 
     def test_censored_mass_spreads_below(self):
@@ -249,18 +277,17 @@ class TestDCalibration:
 
     def test_bins_validation(self):
         with pytest.raises(ValueError):
-            d_calibration([constant_curve(0.5)], [1.0], [1], bins=1)
+            d_calibration(np.full((1, 1), 0.5), [1.0], [1], bins=1)
 
 
 def _masses(probabilities, events, bins):
-    """Bin masses via the production path, with predictions pinned at p."""
+    """Bin masses via the production path, with each record's prediction at
+    its own time (the diagonal) pinned at p."""
     from survcobra.metrics import d_calibration_masses
 
-    curves = [
-        StepCurve([0.5], [p]) if p < 1.0 else constant_curve(1.0) for p in probabilities
-    ]
+    survival = np.diag(np.asarray(probabilities, dtype=float))
     times = np.ones(len(probabilities))
-    return d_calibration_masses(curves, times, events, bins=bins)
+    return d_calibration_masses(survival, times, events, bins=bins)
 
 
 class TestOrderInvariance:
@@ -271,17 +298,19 @@ class TestOrderInvariance:
         events = rng.integers(0, 2, size=n)
         events[:3] = 1
         curves = random_curves(rng, n)
+        survival = survival_array(curves, times)
         perm = rng.permutation(n)
-        shuffled = [curves[i] for i in perm]
-        assert integrated_brier(curves, times, events) == pytest.approx(
+        shuffled = survival[np.ix_(perm, perm)]
+        assert integrated_brier(survival, times, events) == pytest.approx(
             integrated_brier(shuffled, times[perm], events[perm]), abs=1e-12
         )
-        assert d_calibration(curves, times, events)[1] == pytest.approx(
+        assert d_calibration(survival, times, events)[1] == pytest.approx(
             d_calibration(shuffled, times[perm], events[perm])[1], abs=1e-12
         )
         g = censoring_km(times, events)
-        assert brier_censored(curves, times, events, 2.0, g) == pytest.approx(
-            brier_censored(shuffled, times[perm], events[perm], 2.0, g), abs=1e-12
+        at_two = survival_at(curves, 2.0)
+        assert brier_censored(at_two, times, events, 2.0, g) == pytest.approx(
+            brier_censored(at_two[perm], times[perm], events[perm], 2.0, g), abs=1e-12
         )
 
 
@@ -290,3 +319,21 @@ class TestMetricReport:
         report = MetricReport(0.7, 0.15, True, 0.4, fold_id=2)
         assert report.concordance == 0.7
         assert report.fold_id == 2
+
+
+TIMES = st.sampled_from([0.5, 1.0, 1.5, 2.0])  # few values, so times tie
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 9))
+def test_property_reversed_ranking_gives_one_minus_concordance(data, n):
+    # distinct survival values leave no prediction ties, so every comparable
+    # pair that S ranks correctly 1 - S ranks wrongly, and the other way round
+    order = data.draw(st.permutations(range(n * n)))
+    survival = (np.array(order, dtype=float).reshape(n, n) + 1.0) / (n * n + 1.0)
+    times = np.array(data.draw(st.lists(TIMES, min_size=n, max_size=n)))
+    events = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    comparable = (events[:, None] == 1) & (times[:, None] < times[None, :])
+    assume(comparable.any())
+    c = concordance_td(survival, times, events)
+    assert concordance_td(1.0 - survival, times, events) == pytest.approx(1.0 - c, abs=1e-12)

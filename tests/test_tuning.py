@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from survcobra.cobra import CobraParams, fit_cobra, predict_cobra_batch
-from survcobra.curves import kaplan_meier
+from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
 from survcobra.exceptions import TuningError
 from survcobra.learners import LearnerSpec
 from survcobra.metrics import concordance_td, integrated_brier
 from survcobra.seeds import derive_seed
 from survcobra.tuning import SearchSpace, evaluate_params, random_search
+
+from test_metrics import survival_array
 
 ROSTER = (
     LearnerSpec("knn_survival", {"k": 5}),
@@ -48,8 +50,8 @@ class TestEvaluateParams:
             model = fit_cobra(
                 fold_train, params, derive_seed(seed, 1, int(round(params.l_fraction * 1e9)))
             )
-            curves = predict_cobra_batch(model, fold_val.x)
-            by_hand.append(integrated_brier(curves, fold_val.time, fold_val.event))
+            survival = survival_array(predict_cobra_batch(model, fold_val.x), fold_val.time)
+            by_hand.append(integrated_brier(survival, fold_val.time, fold_val.event))
         got = evaluate_params(params, train, 3, objective="ibs", seed=seed)
         assert got == pytest.approx(np.mean(by_hand), abs=1e-12)
 
@@ -63,8 +65,8 @@ class TestEvaluateParams:
             model = fit_cobra(
                 fold_train, params, derive_seed(seed, 1, int(round(params.l_fraction * 1e9)))
             )
-            curves = predict_cobra_batch(model, fold_val.x)
-            by_hand.append(-concordance_td(curves, fold_val.time, fold_val.event))
+            survival = survival_array(predict_cobra_batch(model, fold_val.x), fold_val.time)
+            by_hand.append(-concordance_td(survival, fold_val.time, fold_val.event))
         got = evaluate_params(params, train, 3, objective="neg_concordance", seed=seed)
         assert got == pytest.approx(np.mean(by_hand), abs=1e-12)
 
@@ -137,8 +139,8 @@ class TestRandomSearch:
                 fold_train, params, derive_seed(seed, 1, int(round(params.l_fraction * 1e9)))
             )
             pop = kaplan_meier(model.split.d_l.time, model.split.d_l.event)
-            curves = [pop] * fold_val.n
-            baseline.append(integrated_brier(curves, fold_val.time, fold_val.event))
+            survival = np.tile(evaluate(pop, fold_val.time), (fold_val.n, 1))
+            baseline.append(integrated_brier(survival, fold_val.time, fold_val.event))
         got = evaluate_params(params, train, 2, objective="ibs", seed=seed)
         assert got == pytest.approx(np.mean(baseline), abs=1e-12)
 
