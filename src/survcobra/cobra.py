@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, _event_counts, kaplan_meier, product_limit
+from .curves import StepCurve, _event_counts, evaluate, kaplan_meier, product_limit
 from .data import DatasetSplit, SurvivalDataset, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
@@ -219,6 +219,15 @@ def _aggregate(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need
         _predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
         for i in range(distances.shape[1])
     ]
+
+
+def _survival_rows(curves, pop_km: StepCurve, times, pop_row=None) -> np.ndarray:
+    """`survival[i, k]`: aggregated curve i at `times[k]`.  Every fallback
+    (a curve that `is` `pop_km`) takes one shared evaluation of the
+    population KM, `pop_row` when given."""
+    if pop_row is None:
+        pop_row = evaluate(pop_km, times)
+    return np.stack([pop_row if c is pop_km else evaluate(c, times) for c in curves])
 
 
 def predict_cobra(model: CobraModel, x) -> StepCurve:

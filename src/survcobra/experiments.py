@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cobra import CobraParams, fit_cobra, predict_cobra_batch
-from .curves import evaluate
+from .cobra import CobraParams, _survival_rows, fit_cobra, predict_cobra_batch
 from .data import (
     SurvivalDataset,
     SyntheticConfig,
@@ -104,21 +103,28 @@ class ExperimentConfig:
                 raise ConfigError(f"'params' needs keys epsilon, alpha, l_fraction (missing {sorted(missing)})")
         if search is not None and "trials" not in search:
             raise ConfigError("'search' needs a 'trials' entry")
-        queries = int(raw.get("queries", 100))
-        if queries < 1:
-            raise ConfigError(f"queries must be at least 1, got {queries}")
+        counts = {}
+        for key, default, least in (
+            ("queries", 100, 1),
+            ("folds", 5, 2),
+            ("inner_folds", 3, 2),
+            ("dcal_bins", 10, 2),
+        ):
+            counts[key] = int(raw.get(key, default))
+            if counts[key] < least:
+                raise ConfigError(f"{key} must be at least {least}, got {counts[key]}")
+        dcal_level = float(raw.get("dcal_level", 0.05))
+        if not 0.0 < dcal_level < 1.0:
+            raise ConfigError(f"dcal_level must lie strictly between 0 and 1, got {dcal_level}")
 
         return ExperimentConfig(
             dataset=dataset,
             roster=roster,
             fixed_params=fixed,
             search=search,
-            folds=int(raw.get("folds", 5)),
-            inner_folds=int(raw.get("inner_folds", 3)),
             seed=int(raw.get("seed", 0)),
-            queries=queries,
-            dcal_bins=int(raw.get("dcal_bins", 10)),
-            dcal_level=float(raw.get("dcal_level", 0.05)),
+            dcal_level=dcal_level,
+            **counts,
             out_dir=str(raw.get("out_dir", "survcobra-out")),
             jobs=1,
         )
@@ -205,7 +211,8 @@ def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
     params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
     ensemble = fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id))
     curves = predict_cobra_batch(ensemble, test.x)
-    rows[PROPOSED] = _report(np.stack([evaluate(c, test.time) for c in curves]), test, cfg, fold_id)
+    survival = _survival_rows(curves, ensemble.population_km, test.time)
+    rows[PROPOSED] = _report(survival, test, cfg, fold_id)
     return rows
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cobra import CobraParams, _aggregate, _fit_stack
+from .cobra import CobraParams, _aggregate, _fit_stack, _survival_rows
 from .curves import evaluate
 from .data import SurvivalDataset, kfold_split
 from .exceptions import ConvergenceError, TuningError
@@ -75,6 +75,7 @@ class _PreparedFold:
     distances: np.ndarray  # (machines, n_validation, n_calibration)
     d_l: SurvivalDataset
     pop_km: object
+    pop_row: np.ndarray  # pop_km at val_times, shared by every fallback
     val_times: np.ndarray
     val_events: np.ndarray
 
@@ -90,8 +91,9 @@ def _prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
         try:
             stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
             distances = stack.query_distances(fold_val.x)
+            pop_row = evaluate(stack.pop_km, fold_val.time)
             cache[key] = _PreparedFold(
-                distances, stack.split.d_l, stack.pop_km, fold_val.time, fold_val.event
+                distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
             )
         except (ValueError, ConvergenceError) as exc:
             cache[key] = exc
@@ -105,7 +107,7 @@ def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str
     curves = _aggregate(
         prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count
     )
-    survival = np.stack([evaluate(c, prepared.val_times) for c in curves])
+    survival = _survival_rows(curves, prepared.pop_km, prepared.val_times, prepared.pop_row)
     if objective == "ibs":
         return integrated_brier(survival, prepared.val_times, prepared.val_events)
     return -concordance_td(survival, prepared.val_times, prepared.val_events)

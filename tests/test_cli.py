@@ -106,6 +106,23 @@ class TestBench:
         cfg.write_text(json.dumps(raw))
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dcal_level", 2.0),
+            ("dcal_level", 0.0),
+            ("dcal_bins", 1),
+            ("folds", 1),
+            ("inner_folds", 1),
+        ],
+    )
+    def test_out_of_range_setting_exits_one_naming_its_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"survcobra: error: {key} must ")
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

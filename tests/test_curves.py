@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survcobra.curves import (
     CUMULATIVE,
@@ -12,6 +14,8 @@ from survcobra.curves import (
     nelson_aalen,
     product_limit,
 )
+
+from helpers import slow_km
 
 
 def random_survival_curve(rng, max_jumps=8):
@@ -108,6 +112,24 @@ class TestKaplanMeier:
         events[0] = 1
         perm = rng.permutation(25)
         assert kaplan_meier(times, events) == kaplan_meier(times[perm], events[perm])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.integers(0, 1)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_property_kaplan_meier_matches_sequential_oracle(records):
+    # few distinct times, so events tie with events and with censorings
+    times, events = map(list, zip(*records))
+    assume(any(events))
+    curve = kaplan_meier(times, events)
+    oracle_times, oracle_values = slow_km(times, events)
+    assert curve.times.tolist() == oracle_times
+    assert curve.values.tolist() == oracle_values
 
 
 class TestNelsonAalen:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from survcobra.curves import StepCurve, censoring_km, evaluate, kaplan_meier
 from survcobra.metrics import (
@@ -9,6 +10,7 @@ from survcobra.metrics import (
     brier_censored,
     concordance_td,
     d_calibration,
+    d_calibration_masses,
     integrated_brier,
 )
 
@@ -279,12 +281,35 @@ class TestDCalibration:
         with pytest.raises(ValueError):
             d_calibration(np.full((1, 1), 0.5), [1.0], [1], bins=1)
 
+    @pytest.mark.parametrize("bins", [2, 5, 10, 20])
+    def test_pvalue_is_the_chi_square_survival_function(self, bins):
+        # the package computes the p-value without scipy.stats; it must equal
+        # chi2.sf bit for bit on seeded, perfectly and badly calibrated inputs
+        n = 50 * bins
+        times = np.arange(1.0, n + 1.0)
+        everyone = np.ones(n, dtype=int)
+        cases = [
+            (np.diag(np.tile((np.arange(bins) + 0.5) / bins, n // bins)), everyone),
+            (np.ones((n, n)), everyone),
+        ]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            cases.append((rng.uniform(size=(n, n)), rng.integers(0, 2, size=n)))
+        pvalues = []
+        for survival, events in cases:
+            expected = n / bins
+            masses = d_calibration_masses(survival, times, events, bins)
+            stat = float(((masses - expected) ** 2 / expected).sum())
+            pvalue = d_calibration(survival, times, events, bins=bins)[1]
+            assert pvalue == float(chi2.sf(stat, bins - 1))
+            pvalues.append(pvalue)
+        assert pvalues[0] == 1.0  # equal masses: the statistic is 0
+        assert pvalues[1] < 1e-10  # every mass in the top bin
+
 
 def _masses(probabilities, events, bins):
     """Bin masses via the production path, with each record's prediction at
     its own time (the diagonal) pinned at p."""
-    from survcobra.metrics import d_calibration_masses
-
     survival = np.diag(np.asarray(probabilities, dtype=float))
     times = np.ones(len(probabilities))
     return d_calibration_masses(survival, times, events, bins=bins)
@@ -322,6 +347,17 @@ class TestMetricReport:
 
 
 TIMES = st.sampled_from([0.5, 1.0, 1.5, 2.0])  # few values, so times tie
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 9))
+def test_property_integrated_brier_lies_in_unit_interval(data, n):
+    values = st.floats(0.0, 1.0, allow_nan=False)
+    survival = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    times = np.array(data.draw(st.lists(TIMES, min_size=n, max_size=n)))
+    events = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    assume(np.unique(times[events == 1]).size >= 2)
+    assert 0.0 <= integrated_brier(survival, times, events) <= 1.0
 
 
 @settings(max_examples=25, deadline=None)
