@@ -150,6 +150,35 @@ def product_limit(times, events) -> StepCurve:
     return StepCurve(u, np.cumprod(1.0 - d / r) if u.size else u, SURVIVAL)
 
 
+def product_limit_rows(times, events, grid) -> np.ndarray:
+    """`evaluate(product_limit(times[i], events[i]), grid)` for every row i
+    of (rows, m) member arrays, bitwise, from one cumulative product.
+
+    The rows share the distinct event times u of the whole batch.  Where a
+    row has no event at u[j] its factor is exactly 1.0, so its cumulative
+    product at each of its own event times is the one `product_limit`
+    forms.  Members are counted at their last at-risk event time, so the
+    at-risk counts are a reverse cumulative sum of those counts.
+    """
+    t = np.asarray(times, dtype=float)
+    is_event = np.asarray(events) == 1
+    g = np.asarray(grid, dtype=float)
+    if np.any(g < 0.0):
+        raise ValueError("evaluation times must be nonnegative")
+    u = np.unique(t[is_event])
+    rows, k = t.shape[0], u.size
+    if k == 0:
+        return np.ones((rows, g.size))
+    last = np.searchsorted(u, t, side="right") - 1  # -1: gone before the first event
+    cell = last + (np.arange(rows) * k)[:, None]
+    at_risk = np.bincount(cell[last >= 0], minlength=rows * k).reshape(rows, k)
+    r = np.cumsum(at_risk[:, ::-1], axis=1)[:, ::-1].astype(float)
+    d = np.bincount(cell[is_event], minlength=rows * k).reshape(rows, k).astype(float)
+    surv = np.cumprod(1.0 - np.divide(d, r, out=np.zeros_like(d), where=d > 0.0), axis=1)
+    idx = np.searchsorted(u, g, side="right") - 1
+    return np.where(idx < 0, 1.0, surv[:, np.maximum(idx, 0)])
+
+
 def kaplan_meier(times, events) -> StepCurve:
     """Kaplan-Meier estimate of the survival function.
 

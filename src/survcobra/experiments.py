@@ -101,8 +101,10 @@ class ExperimentConfig:
             missing = {"epsilon", "alpha", "l_fraction"} - set(fixed)
             if missing:
                 raise ConfigError(f"'params' needs keys epsilon, alpha, l_fraction (missing {sorted(missing)})")
-        if search is not None and "trials" not in search:
-            raise ConfigError("'search' needs a 'trials' entry")
+        if search is not None:
+            if "trials" not in search:
+                raise ConfigError("'search' needs a 'trials' entry")
+            _json_integer("search.trials", search["trials"])
         counts = {}
         for key, default, least in (
             ("queries", 100, 1),
@@ -110,10 +112,13 @@ class ExperimentConfig:
             ("inner_folds", 3, 2),
             ("dcal_bins", 10, 2),
         ):
-            counts[key] = int(raw.get(key, default))
+            counts[key] = _json_integer(key, raw.get(key, default))
             if counts[key] < least:
                 raise ConfigError(f"{key} must be at least {least}, got {counts[key]}")
-        dcal_level = float(raw.get("dcal_level", 0.05))
+        dcal_level = raw.get("dcal_level", 0.05)
+        if isinstance(dcal_level, bool) or not isinstance(dcal_level, (int, float)):
+            raise ConfigError(f"dcal_level must be a number, got {dcal_level!r}")
+        dcal_level = float(dcal_level)
         if not 0.0 < dcal_level < 1.0:
             raise ConfigError(f"dcal_level must lie strictly between 0 and 1, got {dcal_level}")
 
@@ -122,7 +127,7 @@ class ExperimentConfig:
             roster=roster,
             fixed_params=fixed,
             search=search,
-            seed=int(raw.get("seed", 0)),
+            seed=_json_integer("seed", raw.get("seed", 0)),
             dcal_level=dcal_level,
             **counts,
             out_dir=str(raw.get("out_dir", "survcobra-out")),
@@ -142,6 +147,14 @@ class ExperimentConfig:
                 raise ConfigError("--jobs must be at least 1")
             updates["jobs"] = int(jobs)
         return replace(self, **updates) if updates else self
+
+
+def _json_integer(key: str, value) -> int:
+    """`value` when it is a JSON integer; `json` reads 2.0 as a float and
+    `true` as a bool, and both are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path) -> tuple[ExperimentConfig, dict]:
@@ -193,14 +206,18 @@ def _resolve_params(cfg: ExperimentConfig, train: SurvivalDataset, tune_seed: in
             float(p["epsilon"]), float(p["alpha"]), float(p["l_fraction"]), cfg.roster
         )
         return params, None
-    search_cfg = cfg.search
-    space = SearchSpace(
-        trials=int(search_cfg["trials"]),
-        objective=str(search_cfg.get("objective", "ibs")),
-        seed=tune_seed,
-    )
-    best, trace = random_search(space, train, inner_folds=cfg.inner_folds, roster=cfg.roster)
+    best, trace = _search(cfg, train, tune_seed)
     return best.params, (best, trace)
+
+
+def _search(cfg: ExperimentConfig, train: SurvivalDataset, seed: int):
+    """`random_search` over the config's search section: (best, trace)."""
+    space = SearchSpace(
+        trials=cfg.search["trials"],
+        objective=str(cfg.search.get("objective", "ibs")),
+        seed=seed,
+    )
+    return random_search(space, train, inner_folds=cfg.inner_folds, roster=cfg.roster)
 
 
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
@@ -333,14 +350,7 @@ def write_relevance_reports(cfg: ExperimentConfig, feature_names, study, curves,
 def run_tune(cfg: ExperimentConfig):
     if cfg.search is None:
         raise ConfigError("the tune command needs a 'search' section")
-    data = load_dataset(cfg)
-    space = SearchSpace(
-        trials=int(cfg.search["trials"]),
-        objective=str(cfg.search.get("objective", "ibs")),
-        seed=derive_seed(cfg.seed, 3),
-    )
-    best, trace = random_search(space, data, inner_folds=cfg.inner_folds, roster=cfg.roster)
-    return best, trace
+    return _search(cfg, load_dataset(cfg), derive_seed(cfg.seed, 3))
 
 
 def write_tune_reports(cfg: ExperimentConfig, best, trace, out: Path):

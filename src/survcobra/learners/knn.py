@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, evaluate, product_limit
+from ..curves import StepCurve, product_limit, product_limit_rows
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel, standardize_fit
 
@@ -51,9 +51,8 @@ class KNNSurvivalModel(BaseSurvivalModel):
         out = np.empty((x.shape[0], grid.size))
         size = max(1, _NEIGHBOR_CHUNK_BYTES // (self.z.size * 8))
         for start in range(0, x.shape[0], size):
-            rows = self._neighbor_rows(x[start : start + size])
-            for i, nb in enumerate(rows, start):
-                out[i] = evaluate(product_limit(self.times[nb], self.events[nb]), grid)
+            nb = self._neighbor_rows(x[start : start + size])
+            out[start : start + size] = product_limit_rows(self.times[nb], self.events[nb], grid)
         return out
 
 

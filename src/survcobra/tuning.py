@@ -6,7 +6,8 @@ average the objective (time-averaged Brier score, or negative
 concordance).  Machine fits depend only on (fold, l_fraction), never on
 epsilon or alpha, so they are cached and shared across trials; the seeds
 they use derive from (seed, l_fraction) alone, which makes the cached
-results identical to per-trial refits.
+results identical to per-trial refits.  Within a fold, trials whose
+(epsilon, alpha) select the same proximity sets share one scored objective.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class TrialResult:
 class _PreparedFold:
     """Distances and outcomes needed to score (epsilon, alpha) on one fold."""
 
-    distances: np.ndarray  # (machines, n_validation, n_calibration)
+    distances: np.ndarray  # (machines, n_validation, n_calibration), sorted on machines
     d_l: SurvivalDataset
     pop_km: object
     pop_row: np.ndarray  # pop_km at val_times, shared by every fallback
@@ -84,23 +85,32 @@ def _stack_seed(seed: int, l_fraction: float) -> int:
     return derive_seed(seed, 1, int(round(l_fraction * 1e9)))
 
 
-def _prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
-    key = (fold_idx, l_fraction)
+def _cached(cache, key, compute, errors):
+    """`compute()` once per key; an exception of type `errors` is cached
+    and raised again on every later lookup."""
     if key not in cache:
-        fold_train, fold_val = folds[fold_idx]
         try:
-            stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
-            distances = stack.query_distances(fold_val.x)
-            pop_row = evaluate(stack.pop_km, fold_val.time)
-            cache[key] = _PreparedFold(
-                distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
-            )
-        except (ValueError, ConvergenceError) as exc:
+            cache[key] = compute()
+        except errors as exc:
             cache[key] = exc
-    prepared = cache[key]
-    if isinstance(prepared, Exception):
-        raise prepared
-    return prepared
+    value = cache[key]
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
+    def prepare():
+        fold_train, fold_val = folds[fold_idx]
+        stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
+        distances = stack.query_distances(fold_val.x)
+        distances.sort(axis=0)  # the member mask counts machines, so order is free
+        pop_row = evaluate(stack.pop_km, fold_val.time)
+        return _PreparedFold(
+            distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
+        )
+
+    return _cached(cache, (fold_idx, l_fraction), prepare, (ValueError, ConvergenceError))
 
 
 def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str) -> float:
@@ -113,12 +123,29 @@ def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str
     return -concordance_td(survival, prepared.val_times, prepared.val_events)
 
 
+def _scored_objective(prepared, fold_idx, params, objective, cache) -> float:
+    """`_fold_objective`, scored once per distinct member mask of a fold.
+
+    With the distances sorted on the machine axis the mask is
+    `distances[need - 1] <= epsilon`, which is fixed by how many entries of
+    that order statistic lie within epsilon.  An empty or a full mask is
+    the same for every need.
+    """
+    need = params.consensus_count
+    order = prepared.distances[need - 1]
+    rank = int(np.count_nonzero(order <= params.epsilon))
+    key = (fold_idx, params.l_fraction, need if 0 < rank < order.size else None, rank)
+    return _cached(cache, key, lambda: _fold_objective(prepared, params, objective), ValueError)
+
+
 def _evaluate(params, folds, seed, objective, cache):
     values = tuple(
-        _fold_objective(
+        _scored_objective(
             _prepare_fold(folds, i, params.roster, params.l_fraction, seed, cache),
+            i,
             params,
             objective,
+            cache,
         )
         for i in range(len(folds))
     )

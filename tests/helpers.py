@@ -26,6 +26,22 @@ def slow_km(times, events):
     return out_t, out_v
 
 
+def slow_na(times, events):
+    """Sequential Nelson-Aalen sum of d/r: returns (jump_times, values) lists."""
+    times = list(map(float, times))
+    events = list(map(int, events))
+    uniq = sorted({t for t, e in zip(times, events) if e == 1})
+    out_t, out_v = [], []
+    h = 0.0
+    for u in uniq:
+        d = sum(1 for t, e in zip(times, events) if e == 1 and t == u)
+        r = sum(1 for t in times if t >= u)
+        h += d / r
+        out_t.append(u)
+        out_v.append(h)
+    return out_t, out_v
+
+
 def slow_logrank(times_a, events_a, times_b, events_b):
     """Two-sample log-rank chi-square statistic by explicit counting."""
     times = list(times_a) + list(times_b)

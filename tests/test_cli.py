@@ -123,6 +123,26 @@ class TestBench:
         assert capsys.readouterr().err.startswith(f"survcobra: error: {key} must ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("folds", 2.7),
+            ("inner_folds", "two"),
+            ("queries", True),
+            ("dcal_bins", 10.0),
+            ("seed", "7"),
+            ("dcal_level", "0.05"),
+            ("dcal_level", False),
+        ],
+    )
+    def test_mistyped_setting_exits_one_naming_its_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        kind = "a number" if key == "dcal_level" else "an integer"
+        assert capsys.readouterr().err.startswith(f"survcobra: error: {key} must be {kind}, got ")
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -186,6 +206,20 @@ class TestTune:
         out = tmp_path / "out"
         assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "trials.csv").read_text().strip().splitlines()) == 2
+
+
+    @pytest.mark.parametrize("trials", [2.5, "4", True])
+    def test_mistyped_trials_exit_one_naming_the_key(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path / "cfg.json")
+        raw = json.loads(cfg.read_text())
+        del raw["params"]
+        raw["search"] = {"trials": trials}
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("survcobra: error: search.trials must be an integer, got ")
+        assert not out.exists()
 
 
 class TestSimulate:

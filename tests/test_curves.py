@@ -13,9 +13,17 @@ from survcobra.curves import (
     kaplan_meier,
     nelson_aalen,
     product_limit,
+    product_limit_rows,
 )
 
-from helpers import slow_km
+from helpers import slow_km, slow_na
+
+# few distinct times, so events tie with events and with censorings
+TIED_RECORDS = st.lists(
+    st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.integers(0, 1)),
+    min_size=1,
+    max_size=20,
+)
 
 
 def random_survival_curve(rng, max_jumps=8):
@@ -115,21 +123,64 @@ class TestKaplanMeier:
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    records=st.lists(
-        st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.integers(0, 1)),
-        min_size=1,
-        max_size=20,
-    )
-)
+@given(records=TIED_RECORDS)
 def test_property_kaplan_meier_matches_sequential_oracle(records):
-    # few distinct times, so events tie with events and with censorings
     times, events = map(list, zip(*records))
     assume(any(events))
     curve = kaplan_meier(times, events)
     oracle_times, oracle_values = slow_km(times, events)
     assert curve.times.tolist() == oracle_times
     assert curve.values.tolist() == oracle_values
+
+
+@settings(max_examples=25, deadline=None)
+@given(records=TIED_RECORDS)
+def test_property_nelson_aalen_matches_sequential_oracle(records):
+    times, events = map(list, zip(*records))
+    curve = nelson_aalen(times, events)
+    oracle_times, oracle_values = slow_na(times, events)
+    assert curve.times.tolist() == oracle_times
+    assert curve.values.tolist() == oracle_values
+
+
+@settings(max_examples=30, deadline=None)
+@given(records=TIED_RECORDS, members=st.sampled_from(["one", "all", "some"]), data=st.data())
+def test_property_product_limit_rows_match_per_row_curves(records, members, data):
+    # each row is a k-member set drawn from the records, as a neighbourhood
+    # is; k = 1 and k = n are drawn on purpose, and the grid reaches before
+    # the first event and past the last
+    times, events = (np.array(v) for v in zip(*records))
+    n = times.size
+    k = {"one": 1, "all": n}.get(members) or data.draw(st.integers(1, n))
+    orders = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    rows = np.array(orders)[:, :k]
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0])
+    got = product_limit_rows(times[rows], events[rows], grid)
+    assert got.shape == (rows.shape[0], grid.size)
+    for row, nb in zip(got, rows):
+        expected = evaluate(product_limit(times[nb], events[nb]), grid)
+        assert row.tobytes() == expected.tobytes()
+        if not events[nb].any():
+            assert np.all(row == 1.0)
+
+
+class TestProductLimitRows:
+    def test_hand_rows(self):
+        times = np.array([[1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 4.0, 5.0]])
+        events = np.array([[1, 1, 0, 1], [0, 1, 1, 0]])
+        got = product_limit_rows(times, events, [0.0, 1.0, 2.0, 3.0, 4.0, 6.0])
+        # row 0: 3/4 at 1, times 2/3 at 2 (the censoring at 2 is at risk), 0 at 3
+        assert np.allclose(got[0], [1.0, 0.75, 0.5, 0.0, 0.0, 0.0])
+        # row 1: 3/4 at 2, times 1/2 at 4
+        assert np.allclose(got[1], [1.0, 1.0, 0.75, 0.75, 0.375, 0.375])
+
+    def test_no_event_anywhere_is_constant_one(self):
+        got = product_limit_rows(np.ones((3, 2)), np.zeros((3, 2), dtype=int), [0.0, 2.0])
+        assert np.array_equal(got, np.ones((3, 2)))
+
+    def test_negative_grid_rejected(self):
+        with pytest.raises(ValueError):
+            product_limit_rows(np.ones((1, 2)), np.ones((1, 2), dtype=int), [-1.0])
 
 
 class TestNelsonAalen:

@@ -85,6 +85,36 @@ class TestKNNSurvival:
         for i, q in enumerate(queries):
             assert np.array_equal(values[i], evaluate(model.predict_curve(q), grid))
 
+    def test_predict_values_builds_no_per_row_curve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, 30, p=2)
+        model = fit_knn_survival(ds, k=4)
+        queries = rng.uniform(size=(6, 2))
+        grid = np.unique(np.concatenate(([0.0], ds.time)))
+        expected = model.predict_values(queries, grid)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("predict_values built a per-row product_limit curve")
+
+        monkeypatch.setattr(knn, "product_limit", refuse)
+        with pytest.raises(AssertionError):
+            model.predict_curve(queries[0])  # the patch is live
+        assert np.array_equal(model.predict_values(queries, grid), expected)
+
+    @pytest.mark.parametrize("k", [1, 30])
+    def test_predict_values_at_extreme_k(self, k):
+        rng = np.random.default_rng(5)
+        ds = random_dataset(rng, 30, p=2)
+        model = fit_knn_survival(ds, k=k)
+        queries = rng.uniform(size=(5, 2))
+        grid = np.unique(np.concatenate(([0.0], ds.time, [9.0])))
+        values = model.predict_values(queries, grid)
+        for i, q in enumerate(queries):
+            assert values[i].tobytes() == evaluate(model.predict_curve(q), grid).tobytes()
+        if k == ds.n:
+            population = evaluate(kaplan_meier(ds.time, ds.event), grid)
+            assert np.array_equal(values, np.tile(population, (5, 1)))
+
     def test_default_k_is_sqrt_n(self):
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, 30, p=2)

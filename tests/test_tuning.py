@@ -8,7 +8,8 @@ from survcobra.exceptions import TuningError
 from survcobra.learners import LearnerSpec
 from survcobra.metrics import concordance_td, integrated_brier
 from survcobra.seeds import derive_seed
-from survcobra.tuning import SearchSpace, evaluate_params, random_search
+from survcobra import tuning
+from survcobra.tuning import SearchSpace, _evaluate, draw_trials, evaluate_params, random_search
 
 from test_metrics import survival_array
 
@@ -76,8 +77,6 @@ class TestEvaluateParams:
         base = generate_synthetic(SyntheticConfig(n=40, censor_fraction=0.2, dim=4, seed=5))
         copy = SurvivalDataset(base.x, base.time, base.event, base.feature_names)
         params = CobraParams(0.1, 0.5, 0.5, ROSTER)
-        from survcobra.tuning import _evaluate
-
         folds = [(base, copy), (copy, base)]
         _, fold_values = _evaluate(params, folds, seed=3, objective="ibs", cache={})
         assert fold_values[0] == pytest.approx(fold_values[1], abs=1e-12)
@@ -153,3 +152,98 @@ class TestRandomSearch:
             random_search(space, train, inner_folds=2, roster=bad_roster)
         assert len(err.value.trace) == 3
         assert all(t.failed for t in err.value.trace)
+
+
+class TestObjectiveMemo:
+    """Trials whose (epsilon, alpha) give a fold the same proximity sets
+    share one scored objective."""
+
+    def test_trace_equals_scoring_every_trial_afresh(self):
+        train = small_train(seed=9)
+        space = SearchSpace(trials=12, seed=5, epsilon_range=(1e-3, 0.9), l_fraction_choices=(0.4, 0.6))
+        _, trace = random_search(space, train, inner_folds=2, roster=ROSTER)
+        folds = kfold_split(train, 2, derive_seed(space.seed, 0))
+        for result in trace:
+            value, fold_values = _evaluate(result.params, folds, space.seed, space.objective, cache={})
+            assert np.array(result.fold_values).tobytes() == np.array(fold_values).tobytes()
+            assert np.float64(result.objective_value).tobytes() == np.float64(value).tobytes()
+
+    def test_each_distinct_member_mask_is_scored_once(self, monkeypatch):
+        train = small_train(seed=10)
+        # most log-uniform draws on (1e-300, 0.9) select the same sets
+        space = SearchSpace(trials=16, seed=3, l_fraction_choices=(0.5,))
+        calls = []
+        score = tuning._fold_objective
+
+        def counted(prepared, params, objective):
+            calls.append(params)
+            return score(prepared, params, objective)
+
+        monkeypatch.setattr(tuning, "_fold_objective", counted)
+        random_search(space, train, inner_folds=2, roster=ROSTER)
+
+        # the distinct masks, from the definition on unsorted distances; an
+        # empty or a full mask is the same objective at every consensus count
+        folds = kfold_split(train, 2, derive_seed(space.seed, 0))
+        draws = draw_trials(space, ROSTER)
+        stack_seed = derive_seed(space.seed, 1, int(round(0.5 * 1e9)))
+        distinct = set()
+        for i, (fold_train, fold_val) in enumerate(folds):
+            model = fit_cobra(fold_train, draws[0], stack_seed)
+            distances = model.stack.query_distances(fold_val.x)
+            for params in draws:
+                need = params.consensus_count
+                mask = (distances <= params.epsilon).sum(axis=0) >= need
+                trivial = not mask.any() or mask.all()
+                distinct.add((i, None if trivial else need, mask.tobytes()))
+        assert len(calls) == len(distinct) < space.trials * len(folds)
+
+    def test_equal_counts_at_other_consensus_counts_are_kept_apart(self, monkeypatch):
+        # few distinct distances, so the count within epsilon often matches
+        # across consensus counts while the member masks differ; the stand-in
+        # objective encodes the mask, and an empty or full mask counts once
+        def mask_of(prepared, params):
+            return (prepared.distances <= params.epsilon).sum(axis=0) >= params.consensus_count
+
+        def code(mask):
+            return float(mask.ravel() @ (2 ** np.arange(mask.size)))
+
+        calls = []
+        monkeypatch.setattr(
+            tuning,
+            "_fold_objective",
+            lambda prepared, params, objective: calls.append(params) or code(mask_of(prepared, params)),
+        )
+        roster = ROSTER + (LearnerSpec("cox_ridge", {"penalty": 1.0}),)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            distances = np.sort(rng.choice([0.0, 0.1, 0.2, 0.3], size=(3, 2, 3)), axis=0)
+            prepared = tuning._PreparedFold(distances, None, None, None, None, None)
+            cache, distinct = {}, set()
+            calls.clear()
+            for _ in range(10):
+                epsilon = float(rng.choice([0.05, 0.1, 0.15, 0.2, 0.25, 0.35]))
+                params = CobraParams(epsilon, float(rng.choice([0.2, 0.6, 1.0])), 0.5, roster)
+                mask = mask_of(prepared, params)
+                trivial = not mask.any() or mask.all()
+                distinct.add((None if trivial else params.consensus_count, mask.tobytes()))
+                assert tuning._scored_objective(prepared, 0, params, "ibs", cache) == code(mask)
+            assert len(calls) == len(distinct)
+
+    def test_failing_objective_replays_its_message_on_a_hit(self, monkeypatch):
+        train = small_train(seed=11)
+        calls = []
+
+        def failing(prepared, params, objective):
+            calls.append(params)
+            raise ValueError(f"objective failed on call {len(calls)}")
+
+        monkeypatch.setattr(tuning, "_fold_objective", failing)
+        # one consensus count, and every epsilon below every nonzero distance
+        space = SearchSpace(
+            trials=5, seed=3, epsilon_range=(1e-300, 1e-200), alpha_choices=(1.0,), l_fraction_choices=(0.5,)
+        )
+        with pytest.raises(TuningError) as err:
+            random_search(space, train, inner_folds=2, roster=ROSTER)
+        assert len(calls) == 1
+        assert [t.error for t in err.value.trace] == ["objective failed on call 1"] * space.trials
