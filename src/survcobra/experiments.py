@@ -97,6 +97,9 @@ class ExperimentConfig:
         search = raw.get("search")
         if (fixed is None) == (search is None):
             raise ConfigError("supply exactly one of 'params' and 'search'")
+        for key, section in (("params", fixed), ("search", search)):
+            if section is not None and not isinstance(section, dict):
+                raise ConfigError(f"{key} must be a JSON object, got {section!r}")
         if fixed is not None:
             missing = {"epsilon", "alpha", "l_fraction"} - set(fixed)
             if missing:
@@ -115,10 +118,7 @@ class ExperimentConfig:
             counts[key] = _json_integer(key, raw.get(key, default))
             if counts[key] < least:
                 raise ConfigError(f"{key} must be at least {least}, got {counts[key]}")
-        dcal_level = raw.get("dcal_level", 0.05)
-        if isinstance(dcal_level, bool) or not isinstance(dcal_level, (int, float)):
-            raise ConfigError(f"dcal_level must be a number, got {dcal_level!r}")
-        dcal_level = float(dcal_level)
+        dcal_level = _json_number("dcal_level", raw.get("dcal_level", 0.05))
         if not 0.0 < dcal_level < 1.0:
             raise ConfigError(f"dcal_level must lie strictly between 0 and 1, got {dcal_level}")
 
@@ -157,6 +157,13 @@ def _json_integer(key: str, value) -> int:
     return value
 
 
+def _json_number(key: str, value) -> float:
+    """`value` as a float when it is a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_config(path) -> tuple[ExperimentConfig, dict]:
     """The validated config and the parsed JSON it came from."""
     try:
@@ -173,10 +180,12 @@ def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
         seed = spec.get("seed")
         return generate_synthetic(
             SyntheticConfig(
-                n=int(spec.get("n", 2000)),
-                censor_fraction=float(spec.get("censor_fraction", 0.4)),
-                dim=int(spec.get("dim", 9)),
-                seed=int(seed) if seed is not None else derive_seed(cfg.seed, 0),
+                n=_json_integer("dataset.n", spec.get("n", 2000)),
+                censor_fraction=_json_number(
+                    "dataset.censor_fraction", spec.get("censor_fraction", 0.4)
+                ),
+                dim=_json_integer("dataset.dim", spec.get("dim", 9)),
+                seed=derive_seed(cfg.seed, 0) if seed is None else _json_integer("dataset.seed", seed),
             )
         )
     path = spec.get("path")

@@ -23,6 +23,7 @@ from .base import BaseSurvivalModel, dataset_arrays, standardize_fit
 
 MAX_OUTER_ITER = 100
 COEF_TOL = 1e-7
+_CURVATURE_BUDGET_BYTES = 8 * 2**20
 
 
 def _risk_structure(times, events):
@@ -70,20 +71,36 @@ class _PartialLikelihood:
         return self._sx_events - self.d @ mu
 
     def curvature(self, beta) -> np.ndarray:
-        """Negative Hessian of the log partial likelihood (PSD)."""
+        """Negative Hessian of the log partial likelihood (PSD): the sum over
+        event times of d_k times the risk set's weighted covariance
+        V_k = S2_k / W_k - mu_k mu_k^T, where S2_k is the suffix sum of
+        w x x^T from the first record at risk.
+
+        The w x x^T terms are built in row blocks from the last row back,
+        each block's suffix sum seeded with the one carried from the block
+        after it.  So S2 is the same sequential sum whatever the block size,
+        and each (rows, p, p) temporary holds about `_CURVATURE_BUDGET_BYTES`
+        at most, not n p^2 floats.
+        """
         _, _, w, rev_w = self._weights(beta)
         rev_wx = np.cumsum((w[:, None] * self.xs)[::-1], axis=0)[::-1]
-        h = np.zeros((self.p, self.p))
-        s2 = np.zeros((self.p, self.p))
-        boundary = np.append(self.pos, self.n)
-        for k in range(self.u.size - 1, -1, -1):
-            lo, hi = boundary[k], boundary[k + 1]
-            if hi > lo:
-                chunk = self.xs[lo:hi]
-                s2 += (w[lo:hi, None] * chunk).T @ chunk
-            wk = rev_w[self.pos[k]]
-            mu = rev_wx[self.pos[k]] / wk
-            h += self.d[k] * (s2 / wk - np.outer(mu, mu))
+        wk = rev_w[self.pos]
+        mu = rev_wx[self.pos] / wk[:, None]
+        p = self.p
+        h = np.zeros((p, p))
+        carry = np.zeros((1, p, p))
+        block = max(1, _CURVATURE_BUDGET_BYTES // (8 * p * p))
+        hi = self.n
+        while hi > self.pos[0]:
+            lo = max(hi - block, self.pos[0])
+            chunk = self.xs[lo:hi]
+            terms = (w[lo:hi, None, None] * chunk[:, :, None]) * chunk[:, None, :]
+            s2 = np.cumsum(np.concatenate([carry, terms[::-1]]), axis=0)[:0:-1]
+            carry = s2[:1]
+            ks = slice(*np.searchsorted(self.pos, [lo, hi]))
+            v = s2[self.pos[ks] - lo] / wk[ks, None, None] - mu[ks, :, None] * mu[ks, None, :]
+            h += np.einsum("k,kij->ij", self.d[ks], v)
+            hi = lo
         return h
 
     def eta_derivatives(self, beta):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..curves import StepCurve, evaluate
+from ..curves import StepCurve
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 from .tree import fit_survival_tree_arrays
@@ -34,8 +34,7 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
         grid = np.asarray(grid, dtype=float)
         total = np.zeros((x.shape[0], grid.size))
         for tree in self.trees:
-            leaf_values = np.stack([evaluate(c, grid) for c in tree.leaf_curves])
-            total += leaf_values[tree.leaf_ids(x)]
+            total += tree.predict_values(x, grid)
         return total / len(self.trees)
 
 

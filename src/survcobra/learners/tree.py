@@ -2,17 +2,24 @@
 
 Each internal node stores the (feature, threshold) pair maximizing the
 two-sample log-rank statistic among candidate thresholds (midpoints
-between consecutive distinct feature values); each leaf stores the
-product-limit curve of its records.  Growth stops at `max_depth`, when a
-child would fall below `min_leaf`, or when no split has a positive
-statistic.
+between consecutive distinct feature values).  Growth stops at
+`max_depth`, when a child would fall below `min_leaf`, or when no split
+has a positive statistic.
+
+A tree ranks its training records once against its own distinct event
+times, so every node reads its event and at-risk counts from two
+`bincount`s of those ranks.  A leaf's curve is the product-limit curve of
+its records, formed from the counts its node already holds.  The leaves
+are kept in three flat arrays: the tree's event times `u`, the ascending
+keys leaf * len(u) + column of every leaf's jumps, and the survival value
+after each jump.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, _event_counts, evaluate, product_limit
+from ..curves import StepCurve
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 
@@ -54,8 +61,8 @@ def _best_split_for_feature(fvals, at_risk, events, weights, min_leaf):
     observed = np.cumsum(events[order])[cut - 1]
     expected = n1 @ dr
     variance = n1 @ w1 - np.einsum("qt,t,qt->q", n1, w2, n1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        stat = np.where(variance > 1e-12, (observed - expected) ** 2 / variance, -np.inf)
+    stat = np.full(cut.size, -np.inf)
+    np.divide((observed - expected) ** 2, variance, out=stat, where=variance > 1e-12)
     best = int(np.argmax(stat))
     if not np.isfinite(stat[best]) or stat[best] <= 0.0:
         return None
@@ -64,11 +71,18 @@ def _best_split_for_feature(fvals, at_risk, events, weights, min_leaf):
 
 
 class SurvivalTreeModel(BaseSurvivalModel):
-    """Fitted survival tree: a binary partition with one curve per leaf."""
+    """Fitted survival tree: a binary partition with one curve per leaf.
 
-    def __init__(self, root, leaf_curves, n_features, max_depth, min_leaf):
+    Leaf `l` jumps at `u[jump_keys[j] - l * len(u)]` to `jump_values[j]`
+    for the j with `l * len(u) <= jump_keys[j] < (l + 1) * len(u)`.
+    """
+
+    def __init__(self, root, u, jump_keys, jump_values, n_leaves, n_features, max_depth, min_leaf):
         self.root = root
-        self.leaf_curves = leaf_curves
+        self.u = u
+        self.jump_keys = jump_keys
+        self.jump_values = jump_values
+        self.n_leaves = n_leaves
         self.n_features = n_features
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -103,48 +117,26 @@ class SurvivalTreeModel(BaseSurvivalModel):
         node = self.root
         while not node.is_leaf:
             node = node.left if x[node.feature] <= node.threshold else node.right
-        return self.leaf_curves[node.leaf_id]
+        start = node.leaf_id * self.u.size
+        lo, hi = np.searchsorted(self.jump_keys, [start, start + self.u.size])
+        return StepCurve(self.u[self.jump_keys[lo:hi] - start], self.jump_values[lo:hi])
 
     def predict_values(self, x, grid) -> np.ndarray:
         grid = np.asarray(grid, dtype=float)
-        leaf_values = np.stack([evaluate(c, grid) for c in self.leaf_curves])
-        return leaf_values[self.leaf_ids(x)]
-
-
-def _grow(x, times, events, depth, max_depth, min_leaf, mtry, rng, leaves):
-    def make_leaf():
-        leaves.append(product_limit(times, events.astype(int)))
-        return _Node(leaf_id=len(leaves) - 1)
-
-    n, p = x.shape
-    if depth >= max_depth or n < 2 * min_leaf:
-        return make_leaf()
-    u, d, r = _event_counts(times, events)
-    if u.size == 0:
-        return make_leaf()
-    at_risk = (times[:, None] >= u[None, :]).astype(np.int8)
-    dr = d / r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c2 = np.where(r > 1, (r - d) / (r - 1), 0.0)
-    w1 = dr * c2
-    w2 = w1 / r
-    if rng is None or mtry >= p:
-        candidates = range(p)
-    else:
-        candidates = np.sort(rng.choice(p, size=mtry, replace=False))
-    best = None
-    for f in candidates:
-        found = _best_split_for_feature(x[:, f], at_risk, events, (dr, w1, w2), min_leaf)
-        if found is not None and (best is None or found[0] > best[0]):
-            best = (found[0], int(f), found[1])
-    if best is None:
-        return make_leaf()
-    _, feature, threshold = best
-    mask = x[:, feature] <= threshold
-    node = _Node(feature=feature, threshold=threshold)
-    node.left = _grow(x[mask], times[mask], events[mask], depth + 1, max_depth, min_leaf, mtry, rng, leaves)
-    node.right = _grow(x[~mask], times[~mask], events[~mask], depth + 1, max_depth, min_leaf, mtry, rng, leaves)
-    return node
+        if np.any(grid < 0.0):
+            raise ValueError("evaluation times must be nonnegative")
+        ids = self.leaf_ids(x)
+        if self.jump_keys.size == 0:
+            return np.ones((ids.size, grid.size))
+        # each leaf's last jump at or before each grid point: one search over
+        # (leaf, column) keys; no key, or a key of an earlier leaf, means no
+        # jump yet (pos -1 reads the last key, and `pos >= 0` discards it)
+        start = (np.arange(self.n_leaves) * self.u.size)[:, None]
+        col = np.searchsorted(self.u, grid, side="right") - 1
+        pos = np.searchsorted(self.jump_keys, start + col, side="right") - 1
+        own = (pos >= 0) & (self.jump_keys[pos] >= start)
+        leaf_values = np.where(own, self.jump_values[pos], 1.0)
+        return leaf_values[ids]
 
 
 def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=None, rng=None):
@@ -153,10 +145,59 @@ def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=N
     x = np.atleast_2d(np.asarray(x, dtype=float))
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
-    leaves: list[StepCurve] = []
-    mtry = x.shape[1] if mtry is None else int(mtry)
-    root = _grow(x, times, events, 0, max_depth, min_leaf, mtry, rng, leaves)
-    return SurvivalTreeModel(root, leaves, x.shape[1], max_depth, min_leaf)
+    is_event = events == 1
+    u = np.unique(times[is_event])
+    k = u.size
+    last = np.searchsorted(u, times, side="right") - 1  # -1: gone before the first event
+    n, p = x.shape
+    mtry = p if mtry is None else int(mtry)
+    keys: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+
+    def best_split(rows, ranks, cols, d, r):
+        """(feature, threshold) of the node's best split over `mtry` sampled
+        features, or None when no split has a positive statistic."""
+        at_risk = (ranks[:, None] >= cols).astype(np.int8)
+        dr = d / r
+        c2 = np.divide(r - d, r - 1, out=np.zeros_like(r), where=r > 1)
+        w1 = dr * c2
+        w2 = w1 / r
+        if rng is None or mtry >= p:
+            candidates = range(p)
+        else:
+            candidates = np.sort(rng.choice(p, size=mtry, replace=False))
+        best = None
+        for f in candidates:
+            found = _best_split_for_feature(x[rows, f], at_risk, events[rows], (dr, w1, w2), min_leaf)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (found[0], int(f), found[1])
+        return None if best is None else best[1:]
+
+    def grow(rows, depth):
+        # the node's product-limit counts at its own event times `cols`:
+        # the integers `curves._event_counts` gives on the node's records
+        ranks = last[rows]
+        d = np.bincount(ranks[is_event[rows]], minlength=k)
+        cols = np.flatnonzero(d)
+        r = np.cumsum(np.bincount(ranks[ranks >= 0], minlength=k)[::-1])[::-1][cols].astype(float)
+        d = d[cols].astype(float)
+        split = None
+        if depth < max_depth and rows.size >= 2 * min_leaf and cols.size:
+            split = best_split(rows, ranks, cols, d, r)
+        if split is None:
+            keys.append(len(keys) * k + cols)
+            values.append(np.cumprod(1.0 - d / r))
+            return _Node(leaf_id=len(keys) - 1)
+        feature, threshold = split
+        mask = x[rows, feature] <= threshold
+        node = _Node(feature=feature, threshold=threshold)
+        node.left = grow(rows[mask], depth + 1)
+        node.right = grow(rows[~mask], depth + 1)
+        return node
+
+    root = grow(np.arange(n), 0)
+    jump_keys, jump_values = np.concatenate(keys), np.concatenate(values)
+    return SurvivalTreeModel(root, u, jump_keys, jump_values, len(keys), p, max_depth, min_leaf)
 
 
 def fit_survival_tree(data: SurvivalDataset, max_depth: int = 10, min_leaf: int = 15) -> SurvivalTreeModel:

@@ -119,3 +119,35 @@ def oracle_cobra_curve(model, x):
         times = [float(t) for t in d_l.time]
         events = [int(e) for e in d_l.event]
     return slow_km(times, events)
+
+
+def slow_curvature(x, times, events, beta):
+    """Negative Hessian of the Breslow log partial likelihood, one distinct
+    event time at a time: records sorted by time join the risk-set sums
+    block by block from the last event time back, and each event time adds
+    d_k times the risk set's weighted covariance S2/W - mu mu^T."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events)
+    order = np.argsort(times, kind="stable")
+    xs, ys, es = x[order], times[order], events[order]
+    eta = xs @ np.asarray(beta, dtype=float)
+    w = np.exp(eta - eta.max())
+    u = sorted(set(ys[es == 1].tolist()))
+    pos = np.searchsorted(ys, u, side="left")
+    p = x.shape[1]
+    h = np.zeros((p, p))
+    s2 = np.zeros((p, p))
+    s1 = np.zeros(p)
+    s0 = 0.0
+    boundary = np.append(pos, ys.size)
+    for k in range(len(u) - 1, -1, -1):
+        lo, hi = boundary[k], boundary[k + 1]
+        for i in range(lo, hi):
+            s2 += w[i] * np.outer(xs[i], xs[i])
+            s1 += w[i] * xs[i]
+            s0 += w[i]
+        d = float(np.sum((ys == u[k]) & (es == 1)))
+        mu = s1 / s0
+        h += d * (s2 / s0 - np.outer(mu, mu))
+    return h

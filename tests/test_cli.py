@@ -143,6 +143,41 @@ class TestBench:
         assert capsys.readouterr().err.startswith(f"survcobra: error: {key} must be {kind}, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("search", 5), ("search", [{"trials": 2}]), ("params", 5), ("params", "x")]
+    )
+    def test_non_object_section_exits_one_naming_its_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json")
+        raw = json.loads(cfg.read_text())
+        del raw["params"]
+        raw[key] = value
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"survcobra: error: {key} must be a JSON object, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 120.9),
+            ("dim", 4.5),
+            ("seed", "3"),
+            ("n", True),
+            ("censor_fraction", "0.3"),
+            ("censor_fraction", False),
+        ],
+    )
+    def test_mistyped_dataset_setting_exits_one_naming_its_key(self, tmp_path, capsys, key, value):
+        dataset = {"kind": "synthetic", "n": 150, "censor_fraction": 0.3, "dim": 4, key: value}
+        cfg = write_config(tmp_path / "cfg.json", dataset=dataset)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        kind = "a number" if key == "censor_fraction" else "an integer"
+        err = capsys.readouterr().err
+        assert err.startswith(f"survcobra: error: dataset.{key} must be {kind}, got ")
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

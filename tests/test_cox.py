@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from survcobra.learners import (
     cox_log_partial_likelihood,
     fit_cox,
 )
+from survcobra.learners import cox
 from survcobra.seeds import derive_seed
-from helpers import random_dataset
+from helpers import random_dataset, slow_curvature
 
 
 def fd_gradient(x, times, events, beta, h=1e-5):
@@ -73,6 +76,52 @@ class TestGradient:
             analytic = cox_gradient(ds.x, ds.time, ds.event, beta)
             numeric = fd_gradient(ds.x, ds.time, ds.event, beta)
             assert np.max(np.abs(analytic - numeric)) < 1e-6
+
+
+def tied_sample(rng, n, p):
+    """Standard-normal covariates with integer times, so most event times are tied."""
+    x = rng.normal(size=(n, p))
+    times = rng.integers(1, max(2, n // 4), size=n).astype(float)
+    events = (rng.uniform(size=n) < 0.6).astype(float)
+    events[0] = 1.0
+    return x, times, events
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("p", [1, 3, 9])
+    @pytest.mark.parametrize("scale", [0.3, 8.0])  # 8.0: |beta . x| in the tens
+    def test_matches_slow_oracle(self, p, scale):
+        rng = np.random.default_rng(p)
+        for _ in range(5):
+            x, times, events = tied_sample(rng, int(rng.integers(2, 80)), p)
+            beta = rng.normal(scale=scale, size=p)
+            got = cox._PartialLikelihood(x, times, events).curvature(beta)
+            want = slow_curvature(x, times, events, beta)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_row_blocks_carry_the_suffix_sum(self):
+        rng = np.random.default_rng(2)
+        x, times, events = tied_sample(rng, 60, 3)
+        beta = rng.normal(size=3)
+        pl = cox._PartialLikelihood(x, times, events)
+        whole = pl.curvature(beta)
+        for rows in (1, 7):
+            with mock.patch.object(cox, "_CURVATURE_BUDGET_BYTES", rows * 8 * 3 * 3):
+                assert np.allclose(pl.curvature(beta), whole, rtol=1e-13, atol=0.0)
+
+    def test_matches_central_difference_of_gradient(self):
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for p in (1, 3, 9):
+            x, times, events = tied_sample(rng, 50, p)
+            beta = rng.normal(scale=0.5, size=p)
+            curvature = cox._PartialLikelihood(x, times, events).curvature(beta)
+            for j in range(p):
+                step = np.eye(p)[j] * h
+                up = cox_gradient(x, times, events, beta + step)
+                down = cox_gradient(x, times, events, beta - step)
+                numeric = -(up - down) / (2 * h)
+                assert np.allclose(curvature[:, j], numeric, rtol=1e-5, atol=1e-6)
 
 
 class TestRidge:

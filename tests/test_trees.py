@@ -1,10 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from survcobra.curves import evaluate, kaplan_meier
-from survcobra.data import SurvivalDataset
+from survcobra.curves import evaluate, kaplan_meier, product_limit
+from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.learners import fit_random_survival_forest, fit_survival_tree
+from survcobra.learners.tree import fit_survival_tree_arrays
 from helpers import all_splits_logrank, random_dataset, slow_logrank
+
+# (feature, threshold) of every split in preorder, for the first three trees
+# of the forest in `test_split_sequences_are_pinned`
+PINNED_SPLITS = [
+    [
+        (3, 0.191885868641763),
+        (2, 0.7175917389281351),
+        (1, 0.8849770608186331),
+        (2, 0.5248195183386672),
+        (3, 0.6432067011129989),
+        (3, 0.4317094597487268),
+        (2, 0.7948097607719922),
+    ],
+    [
+        (0, 0.7844607859885081),
+        (0, 0.11238565695121278),
+        (2, 0.5062238203476539),
+        (2, 0.3599649934590512),
+        (2, 0.21835741682778637),
+        (1, 0.5775864741257599),
+        (2, 0.7938904363928367),
+        (0, 0.31692184844520327),
+        (1, 0.5285427269515717),
+    ],
+    [
+        (3, 0.3558121325383561),
+        (3, 0.2709586012972668),
+        (3, 0.1884298631537759),
+        (0, 0.6518520593519398),
+        (0, 0.9255826739221105),
+        (3, 0.40542781357535784),
+        (0, 0.6130682040132629),
+        (2, 0.23275155791517382),
+        (1, 0.5600593212304972),
+    ],
+]
+
+# records on a coarse grid of covariates and times, so ties in both, and
+# censoring at event times, are common
+TREE_SAMPLES = st.integers(1, 24).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), min_size=n, max_size=n),
+        st.lists(st.integers(1, 6), min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    )
+)
 
 
 def clustered_dataset(rng, n_per_side=20):
@@ -182,3 +231,35 @@ class TestRandomSurvivalForest:
         ds = random_dataset(rng, 20, p=2)
         with pytest.raises(ValueError):
             fit_random_survival_forest(ds, n_trees=2, mtry=5)
+
+
+def preorder(node):
+    if node.is_leaf:
+        return []
+    return [(node.feature, node.threshold)] + preorder(node.left) + preorder(node.right)
+
+
+def test_split_sequences_are_pinned():
+    data = generate_synthetic(SyntheticConfig(n=120, censor_fraction=0.4, dim=4, seed=3))
+    forest = fit_random_survival_forest(data, n_trees=3, min_leaf=10, seed=5)
+    assert [preorder(tree.root) for tree in forest.trees] == PINNED_SPLITS
+
+
+@settings(max_examples=40, deadline=None)
+@given(sample=TREE_SAMPLES, max_depth=st.integers(1, 4), min_leaf=st.integers(1, 4))
+@example(sample=([[0, 0]] * 4, [2, 2, 3, 5], [0, 0, 0, 0]), max_depth=3, min_leaf=1)  # no event
+@example(sample=([[0, 0], [0, 0], [3, 1], [3, 1]], [1, 2, 4, 4], [1, 1, 0, 0]), max_depth=2, min_leaf=1)
+def test_property_leaves_are_product_limit_curves_of_their_records(sample, max_depth, min_leaf):
+    x, times, events = (np.array(v, dtype=float) for v in sample)
+    tree = fit_survival_tree_arrays(x, times, events.astype(int), max_depth, min_leaf)
+    ids = tree.leaf_ids(x)
+    assert set(ids.tolist()) == set(range(tree.n_leaves))
+    for leaf in range(tree.n_leaves):
+        rows = np.flatnonzero(ids == leaf)
+        assert tree.predict_curve(x[rows[0]]) == product_limit(times[rows], events[rows])
+    # before the first event, on and between the event times, past the last
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 9.0])
+    queries = np.array([[a, b] for a in range(-1, 5) for b in range(-1, 5)], dtype=float)
+    values = tree.predict_values(queries, grid)
+    for q, row in zip(queries, values):
+        assert np.array_equal(row, evaluate(tree.predict_curve(q), grid))
