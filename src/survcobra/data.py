@@ -157,13 +157,14 @@ def _round_half_up(value: float) -> int:
 
 
 def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
-    """Load a fully numeric CSV (comma-separated, header row, UTF-8).
+    """Load a fully numeric CSV (comma-separated, header row, UTF-8 with or
+    without a byte-order mark).
 
     All columns other than `time_col` and `event_col` become features in
     header order.  Rows are reported 1-based (excluding the header) in
     error messages.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -219,8 +220,9 @@ class RawTable:
 
 
 def load_raw_csv(path) -> RawTable:
-    """Read a CSV into string cells for `preprocess` (mixed-type input)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a CSV (UTF-8 with or without a byte-order mark) into string
+    cells for `preprocess` (mixed-type input)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

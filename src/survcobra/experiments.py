@@ -164,6 +164,13 @@ def _json_number(key: str, value) -> float:
     return float(value)
 
 
+def _json_strings(key: str, value) -> list[str]:
+    """`value` when it is a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{key} must be an array of strings, got {value!r}")
+    return value
+
+
 def load_config(path) -> tuple[ExperimentConfig, dict]:
     """The validated config and the parsed JSON it came from."""
     try:
@@ -199,8 +206,8 @@ def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
         table = load_raw_csv(path)
         return preprocess(
             table,
-            numeric=spec.get("numeric", []),
-            categorical=spec.get("categorical", []),
+            numeric=_json_strings("dataset.numeric", spec.get("numeric", [])),
+            categorical=_json_strings("dataset.categorical", spec.get("categorical", [])),
             time_col=time_col,
             event_col=event_col,
         )

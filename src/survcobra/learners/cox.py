@@ -64,17 +64,28 @@ class _PartialLikelihood:
         log_w = np.log(rev_w[self.pos]) + shift
         return event_term - float(self.d @ log_w)
 
-    def gradient(self, beta) -> np.ndarray:
+    def _risk_moments(self, beta):
+        """Weights, risk-set totals W_k and weighted risk-set means mu_k at
+        each distinct event time."""
         _, _, w, rev_w = self._weights(beta)
         rev_wx = np.cumsum((w[:, None] * self.xs)[::-1], axis=0)[::-1]
-        mu = rev_wx[self.pos] / rev_w[self.pos][:, None]
+        wk = rev_w[self.pos]
+        return w, wk, rev_wx[self.pos] / wk[:, None]
+
+    def gradient(self, beta) -> np.ndarray:
+        _, _, mu = self._risk_moments(beta)
         return self._sx_events - self.d @ mu
 
     def curvature(self, beta) -> np.ndarray:
-        """Negative Hessian of the log partial likelihood (PSD): the sum over
-        event times of d_k times the risk set's weighted covariance
-        V_k = S2_k / W_k - mu_k mu_k^T, where S2_k is the suffix sum of
-        w x x^T from the first record at risk.
+        return self.gradient_and_curvature(beta)[1]
+
+    def gradient_and_curvature(self, beta):
+        """The gradient and the curvature from one pass over the risk sets.
+
+        The curvature is the negative Hessian of the log partial likelihood
+        (PSD): the sum over event times of d_k times the risk set's weighted
+        covariance V_k = S2_k / W_k - mu_k mu_k^T, where S2_k is the suffix
+        sum of w x x^T from the first record at risk.
 
         The w x x^T terms are built in row blocks from the last row back,
         each block's suffix sum seeded with the one carried from the block
@@ -82,10 +93,7 @@ class _PartialLikelihood:
         and each (rows, p, p) temporary holds about `_CURVATURE_BUDGET_BYTES`
         at most, not n p^2 floats.
         """
-        _, _, w, rev_w = self._weights(beta)
-        rev_wx = np.cumsum((w[:, None] * self.xs)[::-1], axis=0)[::-1]
-        wk = rev_w[self.pos]
-        mu = rev_wx[self.pos] / wk[:, None]
+        w, wk, mu = self._risk_moments(beta)
         p = self.p
         h = np.zeros((p, p))
         carry = np.zeros((1, p, p))
@@ -101,7 +109,7 @@ class _PartialLikelihood:
             v = s2[self.pos[ks] - lo] / wk[ks, None, None] - mu[ks, :, None] * mu[ks, None, :]
             h += np.einsum("k,kij->ij", self.d[ks], v)
             hi = lo
-        return h
+        return self._sx_events - self.d @ mu, h
 
     def eta_derivatives(self, beta):
         """Per-record gradient and (nonnegative) diagonal curvature of the
@@ -146,12 +154,14 @@ def _soft_threshold(value: float, cut: float) -> float:
     return 0.0
 
 
-def _newton_ridge(pl: _PartialLikelihood, lam: float):
-    beta = np.zeros(pl.p)
+def _newton_ridge(pl: _PartialLikelihood, lam: float, start=None):
+    """Newton ascent on the ridge objective from `start` (zero by default)."""
+    beta = np.zeros(pl.p) if start is None else start
     trace = [pl.value(beta) - 0.5 * lam * float(beta @ beta)]
     for _ in range(MAX_OUTER_ITER):
-        grad = pl.gradient(beta) - lam * beta
-        hess = pl.curvature(beta) + lam * np.eye(pl.p)
+        grad, curvature = pl.gradient_and_curvature(beta)
+        grad = grad - lam * beta
+        hess = curvature + lam * np.eye(pl.p)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -183,9 +193,14 @@ def _newton_ridge(pl: _PartialLikelihood, lam: float):
     return beta, tuple(trace)
 
 
-def _coordinate_descent_lasso(pl: _PartialLikelihood, lam: float):
-    beta = np.zeros(pl.p)
+def _coordinate_descent_lasso(pl: _PartialLikelihood, lam: float, start=None):
+    """Cyclic coordinate descent on the lasso objective's local quadratic
+    approximation from `start` (zero by default).  The coordinate sweeps
+    run on Python floats (the same double arithmetic as numpy scalars, at
+    less cost per coordinate) and on contiguous copies of the columns."""
+    beta = np.zeros(pl.p) if start is None else start
     xs = pl.xs
+    columns = list(np.ascontiguousarray(xs.T))
     trace = [pl.value(beta) - lam * float(np.abs(beta).sum())]
     for _ in range(MAX_OUTER_ITER):
         eta, g, h = pl.eta_derivatives(beta)
@@ -194,24 +209,25 @@ def _coordinate_descent_lasso(pl: _PartialLikelihood, lam: float):
         active = h > 1e-12
         z = np.where(active, eta + np.divide(g, h, out=np.zeros_like(g), where=active), eta)
         w = np.where(active, h, 0.0)
-        denom = (w[:, None] * xs * xs).sum(axis=0)
-        candidate = beta.copy()
-        resid = z - xs @ candidate
+        denom = (w[:, None] * xs * xs).sum(axis=0).tolist()
+        candidate = beta.tolist()
+        resid = z - xs @ beta
         for _ in range(1000):
             biggest = 0.0
-            for j in range(pl.p):
-                if denom[j] <= 0.0:
+            for j, column in enumerate(columns):
+                dj = denom[j]
+                if dj <= 0.0:
                     continue
                 old = candidate[j]
-                rho = float(w @ (xs[:, j] * resid)) + denom[j] * old
-                new = _soft_threshold(rho, lam) / denom[j]
+                rho = float(w @ (column * resid)) + dj * old
+                new = _soft_threshold(rho, lam) / dj
                 if new != old:
-                    resid += xs[:, j] * (old - new)
+                    resid += column * (old - new)
                     candidate[j] = new
                     biggest = max(biggest, abs(new - old))
             if biggest < 1e-9:
                 break
-        direction = candidate - beta
+        direction = np.array(candidate) - beta
         scale = 1.0
         current = trace[-1]
         for _ in range(40):
@@ -292,33 +308,60 @@ def breslow_baseline(model: CoxModel, data: SurvivalDataset) -> StepCurve:
     return _breslow_from_arrays(model.beta_standardized, z, data.time, data.event.astype(float))
 
 
-def _cv_penalty(data: SurvivalDataset, penalty_kind: str, folds: int, seed: int) -> float:
-    """Pick the penalty by cross-validated held-out log partial likelihood
-    over a 10-point log grid anchored at the zero-coefficient gradient."""
+def _standardized(data: SurvivalDataset):
+    """`data`'s covariates standardized by its own column means and sds,
+    with its times, event flags, means and sds."""
     x, times, events = dataset_arrays(data)
     mean, sd = standardize_fit(x)
-    z = (x - mean) / sd
-    lam_max = float(np.max(np.abs(cox_gradient(z, times, events, np.zeros(x.shape[1])))))
+    return (x - mean) / sd, times, events, mean, sd
+
+
+def _cv_penalty(data: SurvivalDataset, penalty_kind: str, folds: int, seed: int) -> float:
+    """Pick the penalty by cross-validated held-out log partial likelihood
+    over a 10-point log grid anchored at the zero-coefficient gradient.
+
+    Each fold's training and held-out likelihoods are built once.  The grid
+    is walked from the strongest penalty down, and each fold's solver starts
+    from that fold's coefficients at the last penalty that fitted every
+    fold (pathwise warm starts, as in glmnet); a penalty that fails leaves
+    the starts as they were.  Warm starts move the path's iterates only
+    within the solver tolerance, and `fit_cox` refits cold at the penalty
+    chosen here.
+    """
+    z, times, events, _, _ = _standardized(data)
+    lam_max = float(np.max(np.abs(cox_gradient(z, times, events, np.zeros(z.shape[1])))))
     if lam_max == 0.0:
         lam_max = 1.0
     grid = lam_max * np.logspace(0.0, -4.0, 10)
-    pairs = kfold_split(data, folds, seed)
+    solve = _newton_ridge if penalty_kind == "ridge" else _coordinate_descent_lasso
+    no_fit = f"no penalty in the CV grid produced a fit (grid max {lam_max:g})"
+    paths = []
+    for train, test in kfold_split(data, folds, seed):
+        z, times, events, mean, sd = _standardized(train)
+        try:
+            # held out: covariates centred by the training means, scored
+            # with coefficients in feature units
+            held_out = _PartialLikelihood(test.x - mean, test.time, test.event.astype(float))
+            paths.append((_PartialLikelihood(z, times, events), held_out, sd))
+        except ValueError:  # a part without events fails at every penalty
+            raise ConvergenceError(no_fit) from None
+    starts = [None] * len(paths)
     best_lam, best_score = None, -np.inf
     for lam in grid:  # descending: ties prefer the stronger penalty
-        score = 0.0
+        lam = float(lam)
+        score, betas = 0.0, []
         try:
-            for train, test in pairs:
-                model = fit_cox(train, penalty_kind, float(lam))
-                held_out = cox_log_partial_likelihood(
-                    test.x - model.feature_means, test.time, test.event, model.beta
-                )
-                score += held_out
+            for (train_pl, held_out, sd), start in zip(paths, starts):
+                beta, _ = solve(train_pl, lam, start)
+                score += held_out.value(beta / sd)
+                betas.append(beta)
         except (ConvergenceError, ValueError):
             continue
+        starts = betas
         if score > best_score:
-            best_score, best_lam = score, float(lam)
+            best_score, best_lam = score, lam
     if best_lam is None:
-        raise ConvergenceError(f"no penalty in the CV grid produced a fit (grid max {lam_max:g})")
+        raise ConvergenceError(no_fit)
     return best_lam
 
 
@@ -341,9 +384,7 @@ def fit_cox(
         raise ValueError("penalty must be nonnegative")
     if penalty is None:
         penalty = _cv_penalty(data, penalty_kind, cv_folds, cv_seed)
-    x, times, events = dataset_arrays(data)
-    mean, sd = standardize_fit(x)
-    z = (x - mean) / sd
+    z, times, events, mean, sd = _standardized(data)
     pl = _PartialLikelihood(z, times, events)
     if penalty_kind == "ridge":
         beta_std, trace = _newton_ridge(pl, float(penalty))

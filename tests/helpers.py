@@ -7,7 +7,8 @@ a second derivation, not against themselves.
 
 import numpy as np
 
-from survcobra.data import SurvivalDataset
+from survcobra.data import SurvivalDataset, kfold_split
+from survcobra.exceptions import ConvergenceError
 
 
 def slow_km(times, events):
@@ -151,3 +152,35 @@ def slow_curvature(x, times, events, beta):
         mu = s1 / s0
         h += d * (s2 / s0 - np.outer(mu, mu))
     return h
+
+
+def slow_cv_penalty(data, penalty_kind, folds=3, seed=0):
+    """The Cox penalty CV as a cold loop: every (penalty, fold) pair is a
+    fresh `fit_cox` from zero coefficients, scored by the public held-out
+    log partial likelihood.  A penalty fails when any fold raises."""
+    from survcobra.learners import cox_gradient, cox_log_partial_likelihood, fit_cox
+
+    x = data.x
+    sd = x.std(axis=0)
+    z = (x - x.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+    zero = np.zeros(x.shape[1])
+    lam_max = float(np.max(np.abs(cox_gradient(z, data.time, data.event, zero))))
+    if lam_max == 0.0:
+        lam_max = 1.0
+    pairs = kfold_split(data, folds, seed)
+    best_lam, best_score = None, -np.inf
+    for lam in lam_max * np.logspace(0.0, -4.0, 10):
+        score = 0.0
+        try:
+            for train, test in pairs:
+                model = fit_cox(train, penalty_kind, float(lam))
+                score += cox_log_partial_likelihood(
+                    test.x - model.feature_means, test.time, test.event, model.beta
+                )
+        except (ConvergenceError, ValueError):
+            continue
+        if score > best_score:
+            best_score, best_lam = score, float(lam)
+    if best_lam is None:
+        raise ConvergenceError(f"no penalty in the CV grid produced a fit (grid max {lam_max:g})")
+    return best_lam

@@ -36,6 +36,26 @@ def read(path):
     return Path(path).read_bytes()
 
 
+def csv_dataset(tmp_path, bom=False, infinite=None, **columns):
+    """A 60-row CSV with columns time, a, b, event, and its dataset section;
+    `infinite` names a column whose fifth cell becomes `inf`."""
+    rng = np.random.default_rng(0)
+    lines = ["time,a,b,event"]
+    for i in range(60):
+        cells = {
+            "time": f"{rng.uniform(0.1, 5.0):.6f}",
+            "a": f"{rng.uniform():.6f}",
+            "b": f"{rng.uniform():.6f}",
+            "event": str(int(rng.uniform() < 0.7)),
+        }
+        if i == 4 and infinite is not None:
+            cells[infinite] = "inf"
+        lines.append(",".join(cells.values()))
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(("\ufeff" if bom else "") + "\n".join(lines) + "\n", encoding="utf-8")
+    return {"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event", **columns}
+
+
 class TestBench:
     def test_writes_all_reports_and_covers_all_models(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -176,6 +196,42 @@ class TestBench:
         kind = "a number" if key == "censor_fraction" else "an integer"
         err = capsys.readouterr().err
         assert err.startswith(f"survcobra: error: dataset.{key} must be {kind}, got ")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("numeric", 5),
+            ("numeric", "a"),
+            ("numeric", ["a", 1]),
+            ("categorical", {"b": 1}),
+            ("categorical", [None]),
+        ],
+    )
+    def test_mistyped_csv_column_list_exits_one_naming_its_key(self, tmp_path, capsys, key, value):
+        dataset = csv_dataset(tmp_path, numeric=["a", "b"])
+        dataset[key] = value
+        cfg = write_config(tmp_path / "cfg.json", dataset=dataset)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"survcobra: error: dataset.{key} must be an array of strings, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_csv_with_byte_order_mark_runs(self, tmp_path, declared):
+        dataset = csv_dataset(tmp_path, bom=True, **({"numeric": ["a", "b"]} if declared else {}))
+        cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=FAST_ROSTER[:1])
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("column", ["time", "a"])
+    def test_infinite_csv_cell_exits_one(self, tmp_path, capsys, column):
+        dataset = csv_dataset(tmp_path, infinite=column)
+        cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=FAST_ROSTER[:1])
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("survcobra: error: ")
         assert not out.exists()
 
     def test_seed_override_changes_results(self, tmp_path):

@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from survcobra.learners import (
 )
 from survcobra.learners import cox
 from survcobra.seeds import derive_seed
-from helpers import random_dataset, slow_curvature
+import helpers
+from helpers import random_dataset, slow_curvature, slow_cv_penalty
 
 
 def fd_gradient(x, times, events, beta, h=1e-5):
@@ -262,3 +264,153 @@ class TestPenaltyCV:
         model = fit_cox(ds, "ridge")
         assert model.penalty > 0.0
         assert model.n_features == 3
+
+
+def cv_sample(seed, n, p, censor):
+    """Proportional-hazards data on a coarse time grid (many tied times)
+    with about `censor` of the records censored."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p)
+    beta = rng.normal(size=p) * (rng.uniform(size=p) < 0.6) / x.std(axis=0)
+    times = np.ceil(rng.exponential(np.exp(-(x @ beta))) * 5.0) / 5.0 + 0.2
+    events = (rng.uniform(size=n) >= censor).astype(int)
+    events[0] = 1
+    return SurvivalDataset(x, times, events, [f"v{j}" for j in range(p)])
+
+
+# (seed, n, p, censored share); the chosen grid index runs from 0 to 5
+CV_CASES = [
+    (1, 60, 3, 0.7),
+    (2, 60, 5, 0.2),
+    (3, 80, 4, 0.5),
+    (4, 100, 2, 0.7),
+    (5, 120, 6, 0.4),
+    (6, 150, 3, 0.3),
+    (7, 200, 5, 0.6),
+    (8, 90, 9, 0.5),
+]
+
+
+class TestPenaltyPath:
+    """The warm-started CV path chooses exactly the penalty of the cold loop,
+    and the final fit stays the cold fit at that penalty."""
+
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    def test_chooses_the_cold_loop_penalty(self, kind):
+        for seed, n, p, censor in CV_CASES:
+            ds = cv_sample(seed, n, p, censor)
+            assert cox._cv_penalty(ds, kind, 3, seed) == slow_cv_penalty(ds, kind, 3, seed)
+
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    def test_default_fit_is_the_cold_fit_at_the_chosen_penalty(self, kind):
+        ds = cv_sample(11, 120, 4, 0.5)
+        chosen = fit_cox(ds, kind)
+        cold = fit_cox(ds, kind, penalty=chosen.penalty)
+        assert np.array_equal(chosen.beta_standardized, cold.beta_standardized)
+        assert np.array_equal(chosen.beta, cold.beta)
+        assert chosen.baseline_cumhaz == cold.baseline_cumhaz
+        assert chosen.objective_trace == cold.objective_trace
+
+    def test_solver_iterates_are_pinned(self):
+        # literals from the zero-start solvers with numpy-scalar coordinate
+        # sweeps; the solver loops must reproduce them bit for bit
+        rng = np.random.default_rng(909)
+        x = rng.normal(size=(70, 3))
+        times = rng.integers(1, 25, size=70).astype(float)
+        events = (rng.uniform(size=70) < 0.6).astype(int)
+        ds = SurvivalDataset(x, times, events, ["a", "b", "c"])
+        ridge = fit_cox(ds, "ridge", penalty=0.5)
+        assert ridge.beta_standardized.tolist() == [
+            0.16047611362117314, 0.03825877298869943, 0.08707073223971809
+        ]
+        assert ridge.objective_trace == (
+            -135.3506350777629, -134.73870883591135, -134.7384194966326,
+            -134.73841949652297, -134.73841949652288,
+        )
+        lasso = fit_cox(ds, "lasso", penalty=2.0)
+        assert lasso.beta_standardized.tolist() == [0.10058122643551007, 0.0, 0.02002960572489711]
+        assert lasso.objective_trace == (
+            -135.3506350777629, -135.11476637487556, -135.1145090010885,
+            -135.1145087438184, -135.11450874354892, -135.11450874354864,
+            -135.1145087435486,
+        )
+
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    def test_each_fold_starts_from_its_fit_at_the_last_penalty_that_fitted(self, kind):
+        # the second fold fails at the third penalty, so the whole penalty
+        # fails and the fourth starts from the second's fits
+        name = "_newton_ridge" if kind == "ridge" else "_coordinate_descent_lasso"
+        solver = getattr(cox, name)
+        calls, fits = [], {}
+
+        def spy(pl, lam, start=None):
+            calls.append((pl, lam, start))
+            if len(calls) == 8:
+                raise ConvergenceError("injected")
+            fits[id(pl), lam] = solver(pl, lam, start)[0]
+            return fits[id(pl), lam], ()
+
+        with mock.patch.object(cox, name, spy):
+            cox._cv_penalty(cv_sample(5, 120, 6, 0.4), kind, 3, 5)
+        failed = calls[7][1]
+        assert len(calls) == 29 and len({lam for _, lam, _ in calls}) == 10
+        for pl, lam, start in calls:
+            fitted = [other for _, other, _ in calls if other > lam and other != failed]
+            if fitted:
+                assert start is fits[id(pl), min(fitted)]
+            else:
+                assert start is None
+
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    def test_warm_start_reaches_the_cold_optimum(self, kind):
+        ds = cv_sample(12, 100, 4, 0.4)
+        z, times, events, _, _ = cox._standardized(ds)
+        pl = cox._PartialLikelihood(z, times, events)
+        solve = cox._newton_ridge if kind == "ridge" else cox._coordinate_descent_lasso
+        cold, _ = solve(pl, 1.0)
+        warm, trace = solve(pl, 1.0, solve(pl, 4.0)[0])
+        assert np.all(np.diff(trace) >= -1e-9)
+        assert np.max(np.abs(warm - cold)) < 1e-5
+
+
+def _fold(x, times, events):
+    """A CV part as the plain arrays the likelihoods read; a
+    `SurvivalDataset` cannot hold a part without events."""
+    return SimpleNamespace(x=x, time=times, event=np.asarray(events))
+
+
+class TestPenaltyCVEdges:
+    """A CV part without events fails at every penalty, on the path as in
+    the cold loop."""
+
+    @pytest.mark.parametrize("part", ["train", "held_out"])
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    def test_part_without_events_fails_every_penalty(self, part, kind):
+        ds = cv_sample(13, 30, 2, 0.3)
+        events = ds.event.copy()
+        if part == "train":
+            events[:20] = 0
+        else:
+            events[20:] = 0
+        train = _fold(ds.x[:20], ds.time[:20], events[:20])
+        test = _fold(ds.x[20:], ds.time[20:], events[20:])
+        pairs = [(train, test)] * 3
+        with mock.patch.object(cox, "kfold_split", return_value=pairs), mock.patch.object(
+            helpers, "kfold_split", return_value=pairs
+        ):
+            with pytest.raises(ConvergenceError) as fast:
+                cox._cv_penalty(ds, kind, 3, 0)
+            with pytest.raises(ConvergenceError) as slow:
+                slow_cv_penalty(ds, kind, 3, 0)
+        assert str(fast.value).startswith("no penalty in the CV grid produced a fit (grid max ")
+        assert str(fast.value) == str(slow.value)
+
+    def test_fold_without_events_is_rejected_by_the_split(self):
+        # through `kfold_split` such a part is never built: the dataset of
+        # an event-free part raises before any penalty is tried
+        x = np.random.default_rng(4).normal(size=(30, 2))
+        events = np.zeros(30, dtype=int)
+        events[0] = 1
+        ds = SurvivalDataset(x, np.arange(1.0, 31.0), events, ["a", "b"])
+        with pytest.raises(ValueError, match="at least one observed event"):
+            fit_cox(ds, "ridge")

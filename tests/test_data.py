@@ -98,6 +98,53 @@ class TestLoadCsv:
             load_csv(p, "time", "event")
 
 
+def _table_bytes(header, rows, bom, newline):
+    text = newline.join(",".join(line) for line in [header, *rows]) + newline
+    return ("\ufeff" if bom else "").encode() + text.encode("utf-8")
+
+
+def _load_raw(path, covariates):
+    table = load_raw_csv(path)
+    return preprocess(table, numeric=covariates, categorical=[], time_col="time", event_col="event")
+
+
+_cell = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), p=st.integers(1, 3))
+def test_property_csv_round_trip_ignores_bom_and_line_ends(tmp_path_factory, data, n, p):
+    names = [f"x{j}" for j in range(p)]
+    header = data.draw(st.permutations([*names, "time", "event"]))
+    covariates = [h for h in header if h in names]
+    x = data.draw(st.lists(st.lists(_cell, min_size=p, max_size=p), min_size=n, max_size=n))
+    times = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n))
+    events = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    events[0] = 1
+    cells = [
+        dict(zip(covariates, map(repr, xi)), time=repr(t), event=str(e))
+        for xi, t, e in zip(x, times, events)
+    ]
+    rows = [[row[h] for h in header] for row in cells]
+    want = SurvivalDataset(x, times, events, covariates)
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    for bom in (False, True):
+        for newline in ("\n", "\r\n"):
+            path.write_bytes(_table_bytes(header, rows, bom, newline))
+            assert load_csv(path, "time", "event") == want
+            assert _load_raw(path, covariates) == want
+    # an infinite time or covariate is rejected by both loaders
+    i = data.draw(st.integers(0, n - 1))
+    col = data.draw(st.sampled_from([*covariates, "time"]))
+    cells[i][col] = data.draw(st.sampled_from(["inf", "-inf", "Infinity"]))
+    bad = [[row[h] for h in header] for row in cells]
+    path.write_bytes(_table_bytes(header, bad, data.draw(st.booleans()), "\n"))
+    with pytest.raises(ValueError):
+        load_csv(path, "time", "event")
+    with pytest.raises(ValueError):
+        _load_raw(path, covariates)
+
+
 class TestPreprocess:
     def test_mean_imputation(self):
         table = RawTable(
