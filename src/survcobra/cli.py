@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         cfg, raw = load_config(args.config)
         cfg = cfg.with_overrides(seed=args.seed, out_dir=args.out, jobs=args.jobs)
         if args.seed is not None:  # run.json echoes the effective seed
-            raw["seed"] = int(args.seed)
+            raw["seed"] = args.seed
         out = Path(cfg.out_dir)
 
         if args.command == "bench":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +38,28 @@ from .tuning import SearchSpace, random_search
 PROPOSED = "proposed"
 
 
+_CONFIG_KEYS = (
+    "dataset", "roster", "params", "search", "folds", "inner_folds", "seed",
+    "queries", "dcal_bins", "dcal_level", "out_dir",
+)
+_DATASET_KEYS = {  # kind: (allowed keys, required keys, each a JSON string)
+    "synthetic": (("kind", "n", "censor_fraction", "dim", "seed"), ()),
+    "csv": (
+        ("kind", "path", "time_col", "event_col", "numeric", "categorical"),
+        ("path", "time_col", "event_col"),
+    ),
+}
+_PARAMS_KEYS = ("epsilon", "alpha", "l_fraction")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
     dataset: dict
     roster: tuple[LearnerSpec, ...]
-    fixed_params: dict | None
-    search: dict | None
+    params: CobraParams | None
+    search: SearchSpace | None
     folds: int
     inner_folds: int
     seed: int
@@ -57,29 +71,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("the config root must be a JSON object")
-        known = {
-            "dataset",
-            "roster",
-            "params",
-            "search",
-            "folds",
-            "inner_folds",
-            "seed",
-            "queries",
-            "dcal_bins",
-            "dcal_level",
-            "out_dir",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or "kind" not in dataset:
-            raise ConfigError("config needs a 'dataset' object with a 'kind'")
-        if dataset["kind"] not in ("synthetic", "csv"):
-            raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {dataset['kind']!r}")
+        _check_keys("config", raw, _CONFIG_KEYS, required=("dataset",))
+        dataset = raw["dataset"]
+        kind = dataset.get("kind") if isinstance(dataset, dict) else None
+        if kind not in ("synthetic", "csv"):
+            raise ConfigError(f"dataset must be a JSON object of kind 'synthetic' or 'csv', got {dataset!r}")
+        allowed, required = _DATASET_KEYS[kind]
+        _check_keys("dataset", dataset, allowed, required)
+        for key in required:
+            _json_string(f"dataset.{key}", dataset[key])
 
         roster_cfg = raw.get("roster")
         if roster_cfg is None:
@@ -92,22 +92,21 @@ class ExperimentConfig:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid roster entry: {exc}") from exc
+            if not roster:
+                raise ConfigError("roster needs at least one learner")
 
-        fixed = raw.get("params")
-        search = raw.get("search")
-        if (fixed is None) == (search is None):
+        fixed, space = raw.get("params"), raw.get("search")
+        if (fixed is None) == (space is None):
             raise ConfigError("supply exactly one of 'params' and 'search'")
-        for key, section in (("params", fixed), ("search", search)):
-            if section is not None and not isinstance(section, dict):
-                raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+        params = search = None
         if fixed is not None:
-            missing = {"epsilon", "alpha", "l_fraction"} - set(fixed)
-            if missing:
-                raise ConfigError(f"'params' needs keys epsilon, alpha, l_fraction (missing {sorted(missing)})")
-        if search is not None:
-            if "trials" not in search:
-                raise ConfigError("'search' needs a 'trials' entry")
-            _json_integer("search.trials", search["trials"])
+            _check_keys("params", fixed, _PARAMS_KEYS, required=_PARAMS_KEYS)
+            numbers = {key: _json_number(f"params.{key}", value) for key, value in fixed.items()}
+            params = _parsed("params", CobraParams, roster=roster, **numbers)
+        else:
+            _check_keys("search", space, ("trials", "objective"), required=("trials",))
+            _json_integer("search.trials", space["trials"])
+            search = _parsed("search", SearchSpace, **space)
         counts = {}
         for key, default, least in (
             ("queries", 100, 1),
@@ -125,28 +124,48 @@ class ExperimentConfig:
         return ExperimentConfig(
             dataset=dataset,
             roster=roster,
-            fixed_params=fixed,
+            params=params,
             search=search,
             seed=_json_integer("seed", raw.get("seed", 0)),
             dcal_level=dcal_level,
             **counts,
-            out_dir=str(raw.get("out_dir", "survcobra-out")),
+            out_dir=_json_string("out_dir", raw.get("out_dir", "survcobra-out")),
             jobs=1,
         )
 
     def with_overrides(self, seed=None, out_dir=None, jobs=None) -> "ExperimentConfig":
-        from dataclasses import replace
-
         updates = {}
         if seed is not None:
-            updates["seed"] = int(seed)
+            updates["seed"] = seed
         if out_dir is not None:
-            updates["out_dir"] = str(out_dir)
+            updates["out_dir"] = out_dir
         if jobs is not None:
-            if int(jobs) < 1:
+            if jobs < 1:
                 raise ConfigError("--jobs must be at least 1")
-            updates["jobs"] = int(jobs)
+            updates["jobs"] = jobs
         return replace(self, **updates) if updates else self
+
+
+def _check_keys(section: str, raw, allowed, required=()):
+    """Reject `raw` unless it is a JSON object whose keys are all in
+    `allowed` and include every key of `required`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {unknown}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"{section} needs keys {', '.join(required)} (missing {missing})")
+
+
+def _parsed(section: str, build, **fields):
+    """`build(**fields)`, its `ValueError` re-raised as a `ConfigError` that
+    names the key: the messages of the built types start with the field."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _json_integer(key: str, value) -> int:
@@ -162,6 +181,13 @@ def _json_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _json_string(key: str, value) -> str:
+    """`value` when it is a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _json_strings(key: str, value) -> list[str]:
@@ -195,13 +221,7 @@ def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
                 seed=derive_seed(cfg.seed, 0) if seed is None else _json_integer("dataset.seed", seed),
             )
         )
-    path = spec.get("path")
-    if not path:
-        raise ConfigError("csv dataset needs a 'path'")
-    time_col = spec.get("time_col")
-    event_col = spec.get("event_col")
-    if not time_col or not event_col:
-        raise ConfigError("csv dataset needs 'time_col' and 'event_col'")
+    path, time_col, event_col = spec["path"], spec["time_col"], spec["event_col"]
     if "numeric" in spec or "categorical" in spec:
         table = load_raw_csv(path)
         return preprocess(
@@ -216,24 +236,15 @@ def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
 
 def _resolve_params(cfg: ExperimentConfig, train: SurvivalDataset, tune_seed: int):
     """Fixed params from the config, or the best triple of a fresh search."""
-    if cfg.fixed_params is not None:
-        p = cfg.fixed_params
-        params = CobraParams(
-            float(p["epsilon"]), float(p["alpha"]), float(p["l_fraction"]), cfg.roster
-        )
-        return params, None
+    if cfg.params is not None:
+        return cfg.params, None
     best, trace = _search(cfg, train, tune_seed)
     return best.params, (best, trace)
 
 
 def _search(cfg: ExperimentConfig, train: SurvivalDataset, seed: int):
     """`random_search` over the config's search section: (best, trace)."""
-    space = SearchSpace(
-        trials=cfg.search["trials"],
-        objective=str(cfg.search.get("objective", "ibs")),
-        seed=seed,
-    )
-    return random_search(space, train, inner_folds=cfg.inner_folds, roster=cfg.roster)
+    return random_search(replace(cfg.search, seed=seed), train, inner_folds=cfg.inner_folds, roster=cfg.roster)
 
 
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
@@ -388,7 +399,7 @@ def write_tune_reports(cfg: ExperimentConfig, best, trace, out: Path):
         "epsilon": best.params.epsilon,
         "alpha": best.params.alpha,
         "l_fraction": best.params.l_fraction,
-        "objective": cfg.search.get("objective", "ibs") if cfg.search else "ibs",
+        "objective": cfg.search.objective,
         "objective_value": best.objective_value,
         "trial": best.trial_index,
         "trials": len(trace),

@@ -7,7 +7,9 @@ deterministic given the spec (forests carry an explicit seed).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping
 
 from ..data import SurvivalDataset
@@ -37,36 +39,39 @@ __all__ = [
     "LEARNER_KINDS",
 ]
 
-#: Allowed hyperparameters and their validators, per learner kind.
-_HYPERPARAMS = {
-    "survival_tree": {
-        "max_depth": lambda v: int(v) >= 1,
-        "min_leaf": lambda v: int(v) >= 1,
-    },
-    "random_survival_forest": {
-        "n_trees": lambda v: int(v) >= 1,
-        "mtry": lambda v: v is None or int(v) >= 1,
-        "min_leaf": lambda v: int(v) >= 1,
-        "max_depth": lambda v: int(v) >= 1,
-        "seed": lambda v: True,
-        "bootstrap": lambda v: isinstance(v, bool),
-    },
-    "cox_ridge": {
-        "penalty": lambda v: v is None or float(v) >= 0.0,
-        "cv_folds": lambda v: int(v) >= 2,
-        "cv_seed": lambda v: True,
-    },
-    "cox_lasso": {
-        "penalty": lambda v: v is None or float(v) >= 0.0,
-        "cv_folds": lambda v: int(v) >= 2,
-        "cv_seed": lambda v: True,
-    },
-    "knn_survival": {
-        "k": lambda v: v is None or int(v) >= 1,
-    },
+#: Per learner kind: the fit function, and each hyperparameter's JSON type
+#: (int, float for any JSON number, or bool) and least value.  The defaults
+#: live only in the fit signatures; a hyperparameter may be null exactly
+#: where its default there is None.
+_COX_HYPERPARAMS = {"penalty": (float, 0.0), "cv_folds": (int, 2), "cv_seed": (int, 0)}
+_KINDS = {
+    "survival_tree": (fit_survival_tree, {"max_depth": (int, 1), "min_leaf": (int, 1)}),
+    "random_survival_forest": (
+        fit_random_survival_forest,
+        {
+            "n_trees": (int, 1),
+            "mtry": (int, 1),
+            "min_leaf": (int, 1),
+            "max_depth": (int, 1),
+            "seed": (int, 0),
+            "bootstrap": (bool, None),
+        },
+    ),
+    "cox_ridge": (partial(fit_cox, penalty_kind="ridge"), _COX_HYPERPARAMS),
+    "cox_lasso": (partial(fit_cox, penalty_kind="lasso"), _COX_HYPERPARAMS),
+    "knn_survival": (fit_knn_survival, {"k": (int, 1)}),
 }
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 
-LEARNER_KINDS = tuple(_HYPERPARAMS)
+LEARNER_KINDS = tuple(_KINDS)
+
+
+def _is_json(value, json_type) -> bool:
+    """Whether `value` has `json_type`: `true` is only a boolean, and an
+    integer is also a number."""
+    if isinstance(value, bool) or json_type is bool:
+        return isinstance(value, bool) and json_type is bool
+    return isinstance(value, (int, float) if json_type is float else int)
 
 
 @dataclass(frozen=True)
@@ -77,18 +82,23 @@ class LearnerSpec:
     hyperparameters: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _HYPERPARAMS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}; choose from {LEARNER_KINDS}")
-        allowed = _HYPERPARAMS[self.kind]
+        builder, allowed = _KINDS[self.kind]
+        defaults = inspect.signature(builder).parameters
         for key, value in self.hyperparameters.items():
             if key not in allowed:
                 raise ValueError(f"{self.kind}: unknown hyperparameter {key!r}")
-            if not allowed[key](value):
-                raise ValueError(f"{self.kind}: hyperparameter {key}={value!r} out of range")
+            json_type, least = allowed[key]
+            if value is None and defaults[key].default is None:
+                continue
+            if not _is_json(value, json_type):
+                raise ValueError(
+                    f"{self.kind}: hyperparameter {key} must be {_JSON_TYPE_NAMES[json_type]}, got {value!r}"
+                )
+            if least is not None and not value >= least:
+                raise ValueError(f"{self.kind}: hyperparameter {key}={value!r} out of range (least {least})")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
-
-    def get(self, key, default=None):
-        return self.hyperparameters.get(key, default)
 
 
 def fit(spec: LearnerSpec, data: SurvivalDataset) -> BaseSurvivalModel:
@@ -97,42 +107,11 @@ def fit(spec: LearnerSpec, data: SurvivalDataset) -> BaseSurvivalModel:
     A solver that fails to converge raises `ConvergenceError` naming
     `spec.kind` as its learner.
     """
+    builder, _ = _KINDS[spec.kind]
     try:
-        return _fit(spec, data)
+        return builder(data, **spec.hyperparameters)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), exc.trace, learner=spec.kind) from exc
-
-
-def _fit(spec: LearnerSpec, data: SurvivalDataset) -> BaseSurvivalModel:
-    hp = spec.get
-    if spec.kind == "survival_tree":
-        return fit_survival_tree(
-            data, max_depth=int(hp("max_depth", 10)), min_leaf=int(hp("min_leaf", 15))
-        )
-    if spec.kind == "random_survival_forest":
-        mtry = hp("mtry")
-        return fit_random_survival_forest(
-            data,
-            n_trees=int(hp("n_trees", 100)),
-            mtry=None if mtry is None else int(mtry),
-            min_leaf=int(hp("min_leaf", 15)),
-            seed=int(hp("seed", 0)),
-            max_depth=int(hp("max_depth", 10)),
-            bootstrap=bool(hp("bootstrap", True)),
-        )
-    if spec.kind in ("cox_ridge", "cox_lasso"):
-        penalty = hp("penalty")
-        return fit_cox(
-            data,
-            "ridge" if spec.kind == "cox_ridge" else "lasso",
-            penalty=None if penalty is None else float(penalty),
-            cv_folds=int(hp("cv_folds", 3)),
-            cv_seed=int(hp("cv_seed", 0)),
-        )
-    if spec.kind == "knn_survival":
-        k = hp("k")
-        return fit_knn_survival(data, k=None if k is None else int(k))
-    raise AssertionError(f"unreachable kind {spec.kind!r}")
 
 
 def default_roster(seed: int = 0) -> tuple[LearnerSpec, ...]:

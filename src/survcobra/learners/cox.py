@@ -76,9 +76,6 @@ class _PartialLikelihood:
         _, _, mu = self._risk_moments(beta)
         return self._sx_events - self.d @ mu
 
-    def curvature(self, beta) -> np.ndarray:
-        return self.gradient_and_curvature(beta)[1]
-
     def gradient_and_curvature(self, beta):
         """The gradient and the curvature from one pass over the risk sets.
 
@@ -335,8 +332,12 @@ def _cv_penalty(data: SurvivalDataset, penalty_kind: str, folds: int, seed: int)
     grid = lam_max * np.logspace(0.0, -4.0, 10)
     solve = _newton_ridge if penalty_kind == "ridge" else _coordinate_descent_lasso
     no_fit = f"no penalty in the CV grid produced a fit (grid max {lam_max:g})"
+    try:
+        pairs = kfold_split(data, folds, seed)
+    except ValueError as exc:
+        raise ValueError(f"cox_{penalty_kind} penalty CV: {folds}-fold split (cv_seed {seed}): {exc}") from exc
     paths = []
-    for train, test in kfold_split(data, folds, seed):
+    for train, test in pairs:
         z, times, events, mean, sd = _standardized(train)
         try:
             # held out: covariates centred by the training means, scored

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survcobra import experiments
+from survcobra import cobra, experiments, learners
 from survcobra.cli import main
 from survcobra.exceptions import ConvergenceError
+
+REPO = Path(__file__).resolve().parents[1]
 
 FAST_ROSTER = [
     {"kind": "survival_tree", "max_depth": 3, "min_leaf": 5},
@@ -264,6 +266,116 @@ class TestBench:
         monkeypatch.setattr(experiments, "load_dataset", load_once)
         results = experiments.run_bench(cfg.with_overrides(jobs=2))
         assert [r.fold_id for r in results["proposed"]] == [0, 1, 2]
+
+
+def roster_with(index, **hyperparameters):
+    """FAST_ROSTER with entry `index` updated by `hyperparameters`."""
+    roster = [dict(entry) for entry in FAST_ROSTER]
+    roster[index].update(hyperparameters)
+    return roster
+
+
+PARAMS = {"alpha": 0.6, "l_fraction": 0.4}
+
+
+class TestConfigRejectedBeforeAnyFit:
+    """Each bad value exits 1 naming its key, before a learner is fit and
+    before any report is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def fit(*_args, **_kwargs):
+            raise AssertionError("a learner was fit before the config was rejected")
+
+        for module in (learners, cobra, experiments):
+            monkeypatch.setattr(module, "fit", fit)
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("bench", {"params": {"epsilon": [0.05], **PARAMS}}, "params.epsilon must be a number, got [0.05]"),
+            ("bench", {"params": {"epsilon": "0.05", **PARAMS}}, "params.epsilon must be a number, got '0.05'"),
+            ("bench", {"params": {"epsilon": 0.05, "alpha": 1.5, "l_fraction": 0.4}}, "params.alpha must lie in (0, 1]"),
+            (
+                "bench",
+                {"roster": roster_with(2, cv_seed=None)},
+                "cox_ridge: hyperparameter cv_seed must be an integer, got None",
+            ),
+            (
+                "bench",
+                {"roster": roster_with(1, seed=None)},
+                "random_survival_forest: hyperparameter seed must be an integer, got None",
+            ),
+            (
+                "bench",
+                {"roster": roster_with(0, max_depth=2.7)},
+                "survival_tree: hyperparameter max_depth must be an integer, got 2.7",
+            ),
+            (
+                "bench",
+                {"roster": roster_with(1, n_trees=True)},
+                "random_survival_forest: hyperparameter n_trees must be an integer, got True",
+            ),
+            ("bench", {"roster": roster_with(4, k="abc")}, "knn_survival: hyperparameter k must be an integer, got 'abc'"),
+            (
+                "tune",
+                {"params": None, "search": {"trials": 2, "objectve": "ibs"}},
+                "unknown search keys: ['objectve']",
+            ),
+            (
+                "tune",
+                {"params": None, "search": {"trials": 2, "objective": "auc"}},
+                "search.objective must be one of",
+            ),
+            (
+                "bench",
+                {"dataset": {"kind": "synthetic", "n": 150, "censor_frac": 0.3, "dim": 4}},
+                "unknown dataset keys: ['censor_frac']",
+            ),
+            (
+                "bench",
+                {"dataset": {"kind": "csv", "path": ["data.csv"], "time_col": "time", "event_col": "event"}},
+                "dataset.path must be a string, got ['data.csv']",
+            ),
+            ("bench", {"out_dir": 5}, "out_dir must be a string, got 5"),
+        ],
+    )
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, command, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("survcobra: error: ")
+        assert message in err
+        assert not out.exists()
+
+
+def test_cox_cv_fold_without_events_exits_one_naming_the_split(tmp_path, capsys):
+    # two events in 60 rows: at seed 1 each outer half holds one, so the
+    # 3-fold penalty CV over a 30-row training half has parts without any
+    rng = np.random.default_rng(0)
+    rows = [f"{rng.uniform(0.1, 5.0):.6f},{rng.uniform():.6f},{int(i < 2)}" for i in range(60)]
+    csv_path = tmp_path / "rare.csv"
+    csv_path.write_text("time,a,event\n" + "\n".join(rows) + "\n")
+    dataset = {"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"}
+    cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=[{"kind": "cox_ridge"}], folds=2, seed=1)
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("survcobra: error: cox_ridge penalty CV: 3-fold split (cv_seed 0): ")
+    assert err.rstrip().endswith("at least one observed event")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("benchmarks/configs/*.json")),
+    ids=lambda p: str(p.relative_to(REPO)),
+)
+def test_shipped_config_loads(path):
+    cfg, raw = experiments.load_config(path)
+    assert (cfg.params is None) == ("params" not in raw)
+    assert (cfg.search is None) == ("search" not in raw)
 
 
 class TestTune:

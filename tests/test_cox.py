@@ -97,7 +97,7 @@ class TestCurvature:
         for _ in range(5):
             x, times, events = tied_sample(rng, int(rng.integers(2, 80)), p)
             beta = rng.normal(scale=scale, size=p)
-            got = cox._PartialLikelihood(x, times, events).curvature(beta)
+            got = cox._PartialLikelihood(x, times, events).gradient_and_curvature(beta)[1]
             want = slow_curvature(x, times, events, beta)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -106,10 +106,10 @@ class TestCurvature:
         x, times, events = tied_sample(rng, 60, 3)
         beta = rng.normal(size=3)
         pl = cox._PartialLikelihood(x, times, events)
-        whole = pl.curvature(beta)
+        whole = pl.gradient_and_curvature(beta)[1]
         for rows in (1, 7):
             with mock.patch.object(cox, "_CURVATURE_BUDGET_BYTES", rows * 8 * 3 * 3):
-                assert np.allclose(pl.curvature(beta), whole, rtol=1e-13, atol=0.0)
+                assert np.allclose(pl.gradient_and_curvature(beta)[1], whole, rtol=1e-13, atol=0.0)
 
     def test_matches_central_difference_of_gradient(self):
         rng = np.random.default_rng(5)
@@ -117,7 +117,7 @@ class TestCurvature:
         for p in (1, 3, 9):
             x, times, events = tied_sample(rng, 50, p)
             beta = rng.normal(scale=0.5, size=p)
-            curvature = cox._PartialLikelihood(x, times, events).curvature(beta)
+            curvature = cox._PartialLikelihood(x, times, events).gradient_and_curvature(beta)[1]
             for j in range(p):
                 step = np.eye(p)[j] * h
                 up = cox_gradient(x, times, events, beta + step)
