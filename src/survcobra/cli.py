@@ -59,10 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg, raw = load_config(args.config)
-        cfg = cfg.with_overrides(seed=args.seed, out_dir=args.out, jobs=args.jobs)
-        if args.seed is not None:  # run.json echoes the effective seed
-            raw["seed"] = args.seed
+        cfg, raw = load_config(args.config, seed=args.seed)  # run.json echoes the effective seed
+        cfg = cfg.with_overrides(out_dir=args.out, jobs=args.jobs)
         out = Path(cfg.out_dir)
 
         if args.command == "bench":

@@ -157,54 +157,38 @@ def _round_half_up(value: float) -> int:
 
 
 def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
-    """Load a fully numeric CSV (comma-separated, header row, UTF-8 with or
-    without a byte-order mark).
-
-    All columns other than `time_col` and `event_col` become features in
-    header order.  Rows are reported 1-based (excluding the header) in
-    error messages.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header")
-        for col in (time_col, event_col):
-            if col not in header:
-                raise ValueError(f"{path}: missing required column {col!r}")
-        t_idx = header.index(time_col)
-        e_idx = header.index(event_col)
-        feature_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
-        feature_names = [header[i] for i in feature_idx]
-
-        rows, times, events = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
-            try:
-                t = float(row[t_idx])
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum}: non-numeric time {row[t_idx]!r}") from None
-            if not math.isfinite(t) or t <= 0.0:
-                raise ValueError(f"{path}: row {rownum}: time must be positive, got {row[t_idx]!r}")
-            try:
-                e = float(row[e_idx])
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum}: non-numeric event flag {row[e_idx]!r}") from None
-            if e not in (0.0, 1.0):
-                raise ValueError(f"{path}: row {rownum}: event flag must be 0 or 1, got {row[e_idx]!r}")
-            try:
-                feats = [float(row[i]) for i in feature_idx]
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum}: non-numeric feature value") from None
-            rows.append(feats)
-            times.append(t)
-            events.append(int(e))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return SurvivalDataset(np.array(rows, dtype=float), times, events, feature_names)
+    """Load a fully numeric CSV read by `load_raw_csv`.  All columns other
+    than `time_col` and `event_col` become features in header order, and a
+    missing cell is a non-numeric value.  Rows are reported 1-based
+    (excluding the header) in error messages."""
+    table = load_raw_csv(path)
+    for col in (time_col, event_col):
+        if col not in table.columns:
+            raise ValueError(f"{path}: missing required column {col!r}")
+    t_idx, e_idx = table.columns.index(time_col), table.columns.index(event_col)
+    feature_idx = [i for i in range(len(table.columns)) if i not in (t_idx, e_idx)]
+    rows, times, events = [], [], []
+    for rownum, row in enumerate(table.rows, start=1):
+        try:
+            t = float(row[t_idx])
+        except ValueError:
+            raise ValueError(f"{path}: row {rownum}: non-numeric time {row[t_idx]!r}") from None
+        if not math.isfinite(t) or t <= 0.0:
+            raise ValueError(f"{path}: row {rownum}: time must be positive, got {row[t_idx]!r}")
+        try:
+            e = float(row[e_idx])
+        except ValueError:
+            raise ValueError(f"{path}: row {rownum}: non-numeric event flag {row[e_idx]!r}") from None
+        if e not in (0.0, 1.0):
+            raise ValueError(f"{path}: row {rownum}: event flag must be 0 or 1, got {row[e_idx]!r}")
+        try:
+            rows.append([float(row[i]) for i in feature_idx])
+        except ValueError:
+            raise ValueError(f"{path}: row {rownum}: non-numeric feature value") from None
+        times.append(t)
+        events.append(int(e))
+    names = [table.columns[i] for i in feature_idx]
+    return SurvivalDataset(np.array(rows, dtype=float), times, events, names)
 
 
 @dataclass(frozen=True)
@@ -220,23 +204,25 @@ class RawTable:
 
 
 def load_raw_csv(path) -> RawTable:
-    """Read a CSV (UTF-8 with or without a byte-order mark) into string
-    cells for `preprocess` (mixed-type input)."""
+    """Read a CSV (comma-separated, header row, UTF-8 with or without a
+    byte-order mark) into stripped string cells; the one check of the file
+    format for both loaders."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        if len(set(header)) != len(header):
+        columns = tuple(h.strip() for h in header)
+        if len(set(columns)) != len(columns):
             raise ValueError(f"{path}: duplicate column names in header")
         rows = []
         for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: row {rownum} has {len(row)} cells, expected {len(columns)}")
             rows.append(tuple(cell.strip() for cell in row))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return RawTable(tuple(h.strip() for h in header), tuple(rows))
+    return RawTable(columns, tuple(rows))
 
 
 def _is_missing(cell: str) -> bool:
@@ -331,6 +317,7 @@ def kfold_split(data: SurvivalDataset, folds: int, seed: int):
 
     The first ``n mod folds`` folds receive one extra test record.  Returns
     a list of (train, test) dataset pairs, deterministic for a fixed seed.
+    An event-free part is rejected as "fold 2 of 3, test part: ...".
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -345,7 +332,8 @@ def kfold_split(data: SurvivalDataset, folds: int, seed: int):
         size = base + (1 if fold < extra else 0)
         test_idx = np.sort(perm[start : start + size])
         train_idx = np.sort(np.concatenate((perm[:start], perm[start + size :])))
-        pairs.append((data.subset(train_idx), data.subset(test_idx)))
+        name = f"fold {fold + 1} of {folds}"
+        pairs.append((_part(data, train_idx, f"{name}, training"), _part(data, test_idx, f"{name}, test")))
         start += size
     return pairs
 
@@ -365,9 +353,17 @@ def cobra_split(train: SurvivalDataset, l_fraction: float, seed: int) -> Dataset
         raise ValueError(f"degenerate split: n={n}, l_fraction={l_fraction} gives k={k}, l={l}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    d_l = train.subset(np.sort(perm[:l]))
-    d_k = train.subset(np.sort(perm[l:]))
+    d_l = _part(train, np.sort(perm[:l]), "calibration")
+    d_k = _part(train, np.sort(perm[l:]), "machine-training")
     return DatasetSplit(d_k=d_k, d_l=d_l, seed=seed)
+
+
+def _part(data: SurvivalDataset, indices, name: str) -> SurvivalDataset:
+    """`data.subset(indices)`, its `ValueError` prefixed with the part's name."""
+    try:
+        return data.subset(indices)
+    except ValueError as exc:
+        raise ValueError(f"{name} part: {exc}") from exc
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> SurvivalDataset:

@@ -42,21 +42,26 @@ _CONFIG_KEYS = (
     "dataset", "roster", "params", "search", "folds", "inner_folds", "seed",
     "queries", "dcal_bins", "dcal_level", "out_dir",
 )
-_DATASET_KEYS = {  # kind: (allowed keys, required keys, each a JSON string)
-    "synthetic": (("kind", "n", "censor_fraction", "dim", "seed"), ()),
-    "csv": (
-        ("kind", "path", "time_col", "event_col", "numeric", "categorical"),
-        ("path", "time_col", "event_col"),
-    ),
-}
 _PARAMS_KEYS = ("epsilon", "alpha", "l_fraction")
+
+
+@dataclass(frozen=True)
+class CsvDataset:
+    """A CSV dataset section.  With `numeric` or `categorical` declared the
+    file goes through `preprocess`; with neither it is read by `load_csv`."""
+
+    path: str
+    time_col: str
+    event_col: str
+    numeric: tuple[str, ...] | None = None
+    categorical: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
-    dataset: dict
+    dataset: SyntheticConfig | CsvDataset
     roster: tuple[LearnerSpec, ...]
     params: CobraParams | None
     search: SearchSpace | None
@@ -72,14 +77,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, _CONFIG_KEYS, required=("dataset",))
-        dataset = raw["dataset"]
-        kind = dataset.get("kind") if isinstance(dataset, dict) else None
-        if kind not in ("synthetic", "csv"):
-            raise ConfigError(f"dataset must be a JSON object of kind 'synthetic' or 'csv', got {dataset!r}")
-        allowed, required = _DATASET_KEYS[kind]
-        _check_keys("dataset", dataset, allowed, required)
-        for key in required:
-            _json_string(f"dataset.{key}", dataset[key])
+        seed = _json_integer("seed", raw.get("seed", 0))
+        dataset = _parse_dataset(raw["dataset"], seed)
 
         roster_cfg = raw.get("roster")
         if roster_cfg is None:
@@ -126,17 +125,15 @@ class ExperimentConfig:
             roster=roster,
             params=params,
             search=search,
-            seed=_json_integer("seed", raw.get("seed", 0)),
+            seed=seed,
             dcal_level=dcal_level,
             **counts,
             out_dir=_json_string("out_dir", raw.get("out_dir", "survcobra-out")),
             jobs=1,
         )
 
-    def with_overrides(self, seed=None, out_dir=None, jobs=None) -> "ExperimentConfig":
+    def with_overrides(self, out_dir=None, jobs=None) -> "ExperimentConfig":
         updates = {}
-        if seed is not None:
-            updates["seed"] = seed
         if out_dir is not None:
             updates["out_dir"] = out_dir
         if jobs is not None:
@@ -190,48 +187,61 @@ def _json_string(key: str, value) -> str:
     return value
 
 
-def _json_strings(key: str, value) -> list[str]:
-    """`value` when it is a JSON array of strings."""
+def _json_strings(key: str, value) -> tuple[str, ...]:
+    """`value` as a tuple when it is a JSON array of strings."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ConfigError(f"{key} must be an array of strings, got {value!r}")
-    return value
+    return tuple(value)
 
 
-def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """The validated config and the parsed JSON it came from."""
+_DATASET_KEYS = {  # kind: ({key: its JSON type}, required keys)
+    "synthetic": (dict(n=_json_integer, censor_fraction=_json_number, dim=_json_integer, seed=_json_integer), ()),
+    "csv": (
+        dict(path=_json_string, time_col=_json_string, event_col=_json_string,
+             numeric=_json_strings, categorical=_json_strings),
+        ("path", "time_col", "event_col"),
+    ),
+}
+
+
+def _parse_dataset(dataset, master_seed: int) -> SyntheticConfig | CsvDataset:
+    """The typed dataset section.  A synthetic dataset without its own seed
+    (or with seed null) is drawn with `derive_seed(master_seed, 0)`."""
+    kind = dataset.get("kind") if isinstance(dataset, dict) else None
+    if kind not in _DATASET_KEYS:
+        raise ConfigError(f"dataset must be a JSON object of kind 'synthetic' or 'csv', got {dataset!r}")
+    types, required = _DATASET_KEYS[kind]
+    _check_keys("dataset", dataset, ("kind", *types), required)
+    fields = {key: value for key, value in dataset.items() if key != "kind"}
+    if kind == "synthetic":
+        fields = {"n": 2000, "censor_fraction": 0.4, **fields}
+        if fields.get("seed") is None:
+            fields["seed"] = derive_seed(master_seed, 0)
+    typed = {key: types[key](f"dataset.{key}", value) for key, value in fields.items()}
+    return _parsed("dataset", SyntheticConfig if kind == "synthetic" else CsvDataset, **typed)
+
+
+def load_config(path, seed=None) -> tuple[ExperimentConfig, dict]:
+    """The validated config and the parsed JSON it came from; `seed`, when
+    given, replaces the master seed in both."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     return ExperimentConfig.from_dict(raw), raw
 
 
 def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
     spec = cfg.dataset
-    if spec["kind"] == "synthetic":
-        seed = spec.get("seed")
-        return generate_synthetic(
-            SyntheticConfig(
-                n=_json_integer("dataset.n", spec.get("n", 2000)),
-                censor_fraction=_json_number(
-                    "dataset.censor_fraction", spec.get("censor_fraction", 0.4)
-                ),
-                dim=_json_integer("dataset.dim", spec.get("dim", 9)),
-                seed=derive_seed(cfg.seed, 0) if seed is None else _json_integer("dataset.seed", seed),
-            )
-        )
-    path, time_col, event_col = spec["path"], spec["time_col"], spec["event_col"]
-    if "numeric" in spec or "categorical" in spec:
-        table = load_raw_csv(path)
-        return preprocess(
-            table,
-            numeric=_json_strings("dataset.numeric", spec.get("numeric", [])),
-            categorical=_json_strings("dataset.categorical", spec.get("categorical", [])),
-            time_col=time_col,
-            event_col=event_col,
-        )
-    return load_csv(path, time_col, event_col)
+    if isinstance(spec, SyntheticConfig):
+        return generate_synthetic(spec)
+    if spec.numeric is None and spec.categorical is None:
+        return load_csv(spec.path, spec.time_col, spec.event_col)
+    return preprocess(load_raw_csv(spec.path), numeric=spec.numeric or (), categorical=spec.categorical or (),
+                      time_col=spec.time_col, event_col=spec.event_col)
 
 
 def _resolve_params(cfg: ExperimentConfig, train: SurvivalDataset, tune_seed: int):
@@ -281,7 +291,10 @@ def run_bench(cfg: ExperimentConfig) -> dict:
     fold's datasets, so every fold sees the data loaded once here.
     """
     data = load_dataset(cfg)
-    trains, tests = zip(*kfold_split(data, cfg.folds, derive_seed(cfg.seed, 1)))
+    try:
+        trains, tests = zip(*kfold_split(data, cfg.folds, derive_seed(cfg.seed, 1)))
+    except ValueError as exc:
+        raise ValueError(f"outer {cfg.folds}-fold split: {exc}") from exc
     fold_args = (trains, tests, [cfg] * cfg.folds, range(cfg.folds))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -292,9 +305,7 @@ def run_bench(cfg: ExperimentConfig) -> dict:
 
 
 def _dataset_label(cfg: ExperimentConfig) -> str:
-    if cfg.dataset["kind"] == "synthetic":
-        return "synthetic"
-    return Path(cfg.dataset["path"]).stem
+    return "synthetic" if isinstance(cfg.dataset, SyntheticConfig) else Path(cfg.dataset.path).stem
 
 
 def write_bench_reports(cfg: ExperimentConfig, results: dict, out: Path):

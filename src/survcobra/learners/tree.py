@@ -87,15 +87,6 @@ class SurvivalTreeModel(BaseSurvivalModel):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
 
-    @property
-    def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
     def leaf_ids(self, x) -> np.ndarray:
         """Leaf index for each row of `x`."""
         x = self._check_matrix(x)

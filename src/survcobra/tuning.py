@@ -201,7 +201,10 @@ def random_search(
         roster = default_roster()
     roster = tuple(roster)
     draws = draw_trials(space, roster)
-    folds = kfold_split(train, inner_folds, derive_seed(space.seed, 0))
+    try:
+        folds = kfold_split(train, inner_folds, derive_seed(space.seed, 0))
+    except ValueError as exc:
+        raise ValueError(f"tuning inner {inner_folds}-fold split: {exc}") from exc
     results: list[TrialResult | None] = [None] * space.trials
 
     # group by l_fraction so at most inner_folds fitted stacks stay cached

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from survcobra import cobra, experiments, learners
 from survcobra.cli import main
+from survcobra.data import SyntheticConfig
 from survcobra.exceptions import ConvergenceError
+from survcobra.seeds import derive_seed
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -338,6 +341,17 @@ class TestConfigRejectedBeforeAnyFit:
                 "dataset.path must be a string, got ['data.csv']",
             ),
             ("bench", {"out_dir": 5}, "out_dir must be a string, got 5"),
+            ("bench", {"dataset": {"kind": "synthetic", "n": 0}}, "dataset.n must be at least 1"),
+            (
+                "bench",
+                {"dataset": {"kind": "synthetic", "n": 150, "censor_fraction": 0.3, "dim": 3}},
+                "dataset.dim must be at least 4",
+            ),
+            (
+                "simulate",
+                {"dataset": {"kind": "synthetic", "n": 150, "censor_fraction": 1.0}},
+                "dataset.censor_fraction must lie in [0, 1)",
+            ),
         ],
     )
     def test_exits_one_naming_the_key(self, tmp_path, capsys, command, overrides, message):
@@ -350,20 +364,43 @@ class TestConfigRejectedBeforeAnyFit:
         assert not out.exists()
 
 
-def test_cox_cv_fold_without_events_exits_one_naming_the_split(tmp_path, capsys):
-    # two events in 60 rows: at seed 1 each outer half holds one, so the
-    # 3-fold penalty CV over a 30-row training half has parts without any
+def rare_event_dataset(tmp_path):
+    """A 60-row CSV with two events, and its dataset section: three folds
+    always leave one part without any."""
     rng = np.random.default_rng(0)
     rows = [f"{rng.uniform(0.1, 5.0):.6f},{rng.uniform():.6f},{int(i < 2)}" for i in range(60)]
     csv_path = tmp_path / "rare.csv"
     csv_path.write_text("time,a,event\n" + "\n".join(rows) + "\n")
-    dataset = {"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"}
+    return {"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"}
+
+
+def test_cox_cv_fold_without_events_exits_one_naming_the_split(tmp_path, capsys):
+    # at seed 1 each outer half holds one event, so the 3-fold penalty CV
+    # over a 30-row training half has parts without any
+    dataset = rare_event_dataset(tmp_path)
     cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=[{"kind": "cox_ridge"}], folds=2, seed=1)
     out = tmp_path / "out"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("survcobra: error: cox_ridge penalty CV: 3-fold split (cv_seed 0): ")
+    assert err.startswith("survcobra: error: cox_ridge penalty CV: 3-fold split (cv_seed 0): fold ")
     assert err.rstrip().endswith("at least one observed event")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, split",
+    [
+        ("bench", {"folds": 3}, "outer 3-fold split"),
+        ("tune", {"params": None, "search": {"trials": 2}, "inner_folds": 3}, "tuning inner 3-fold split"),
+    ],
+)
+def test_event_free_fold_exits_one_naming_the_split_and_part(tmp_path, capsys, command, overrides, split):
+    cfg = write_config(tmp_path / "cfg.json", dataset=rare_event_dataset(tmp_path), **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    pattern = rf"survcobra: error: {split}: fold [123] of 3, (test|training) part: a dataset needs at least one observed event\n"
+    assert re.fullmatch(pattern, err)
     assert not out.exists()
 
 
@@ -376,6 +413,16 @@ def test_shipped_config_loads(path):
     cfg, raw = experiments.load_config(path)
     assert (cfg.params is None) == ("params" not in raw)
     assert (cfg.search is None) == ("search" not in raw)
+
+
+def test_seed_override_reaches_the_derived_dataset_seed(tmp_path):
+    # a synthetic dataset without its own seed is drawn from the master seed,
+    # so --seed is applied to the raw config before it is parsed
+    path = write_config(tmp_path / "cfg.json")
+    cfg, raw = experiments.load_config(path, seed=5)
+    assert (cfg.seed, raw["seed"]) == (5, 5)
+    assert cfg.dataset == SyntheticConfig(n=150, censor_fraction=0.3, dim=4, seed=derive_seed(5, 0))
+    assert experiments.load_config(path)[0].dataset.seed == derive_seed(7, 0)
 
 
 class TestTune:

@@ -97,6 +97,33 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="positive"):
             load_csv(p, "time", "event")
 
+    def test_empty_feature_cell_names_row(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        write_csv(p, ["x1", "time", "event"], [[0.5, 1.0, 1], ["", 2.0, 0]])
+        with pytest.raises(ValueError, match=r"row 2: non-numeric feature value$"):
+            load_csv(p, "time", "event")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file, expected a header row"),
+        ("a,a,time,event\n1,2,3,1\n", "duplicate column names in header"),
+        # stripped, "a " would read column "a" twice and lose its own cells
+        ("a,a ,time,event\n1,5,1.0,1\n2,6,2.0,0\n", "duplicate column names in header"),
+        ("a,time,event\n1,2,1\n1,2\n", "row 2 has 2 cells, expected 3"),
+        ("a,time,event\n", "no data rows"),
+    ],
+    ids=["empty", "duplicate", "duplicate-after-strip", "ragged", "header-only"],
+)
+def test_both_loaders_reject_a_bad_file_alike(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    for load in (lambda: load_csv(path, "time", "event"), lambda: load_raw_csv(path)):
+        with pytest.raises(ValueError) as err:
+            load()
+        assert str(err.value) == f"{path}: {message}"
+
 
 def _table_bytes(header, rows, bom, newline):
     text = newline.join(",".join(line) for line in [header, *rows]) + newline
