@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="experiment config (JSON)")
         cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--jobs", type=int, default=None, help="parallel workers (bench folds)")
+        cmd.add_argument("--jobs", type=int, default=1, help="parallel workers (bench folds)")
     return parser
 
 
@@ -60,11 +60,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, raw = load_config(args.config, seed=args.seed)  # run.json echoes the effective seed
-        cfg = cfg.with_overrides(out_dir=args.out, jobs=args.jobs)
-        out = Path(cfg.out_dir)
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be at least 1")
+        out = Path(cfg.out_dir if args.out is None else args.out)
 
         if args.command == "bench":
-            results = run_bench(cfg)
+            results = run_bench(cfg, args.jobs)
             write_bench_reports(cfg, results, out)
             write_run_metadata(cfg, "bench", raw, out, extra={"folds": cfg.folds})
         elif args.command == "tune":

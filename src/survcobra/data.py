@@ -117,7 +117,6 @@ class DatasetSplit:
 
     d_k: SurvivalDataset
     d_l: SurvivalDataset
-    seed: int
 
     @property
     def k(self) -> int:
@@ -355,7 +354,7 @@ def cobra_split(train: SurvivalDataset, l_fraction: float, seed: int) -> Dataset
     perm = rng.permutation(n)
     d_l = _part(train, np.sort(perm[:l]), "calibration")
     d_k = _part(train, np.sort(perm[l:]), "machine-training")
-    return DatasetSplit(d_k=d_k, d_l=d_l, seed=seed)
+    return DatasetSplit(d_k=d_k, d_l=d_l)
 
 
 def _part(data: SurvivalDataset, indices, name: str) -> SurvivalDataset:

@@ -72,7 +72,6 @@ class ExperimentConfig:
     dcal_bins: int
     dcal_level: float
     out_dir: str
-    jobs: int
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -129,18 +128,7 @@ class ExperimentConfig:
             dcal_level=dcal_level,
             **counts,
             out_dir=_json_string("out_dir", raw.get("out_dir", "survcobra-out")),
-            jobs=1,
         )
-
-    def with_overrides(self, out_dir=None, jobs=None) -> "ExperimentConfig":
-        updates = {}
-        if out_dir is not None:
-            updates["out_dir"] = out_dir
-        if jobs is not None:
-            if jobs < 1:
-                raise ConfigError("--jobs must be at least 1")
-            updates["jobs"] = jobs
-        return replace(self, **updates) if updates else self
 
 
 def _check_keys(section: str, raw, allowed, required=()):
@@ -284,11 +272,12 @@ def _report(survival, test, cfg, fold_id) -> MetricReport:
     )
 
 
-def run_bench(cfg: ExperimentConfig) -> dict:
+def run_bench(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Outer cross-validation over all models; returns {model: [MetricReport]}.
 
-    With `cfg.jobs > 1` the folds run in a process pool that receives each
-    fold's datasets, so every fold sees the data loaded once here.
+    With `jobs > 1` the folds run in a process pool of at most one worker
+    per fold that receives each fold's datasets, so every fold sees the
+    data loaded once here.
     """
     data = load_dataset(cfg)
     try:
@@ -296,8 +285,8 @@ def run_bench(cfg: ExperimentConfig) -> dict:
     except ValueError as exc:
         raise ValueError(f"outer {cfg.folds}-fold split: {exc}") from exc
     fold_args = (trains, tests, [cfg] * cfg.folds, range(cfg.folds))
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.folds)) as pool:
             fold_rows = list(pool.map(_fold_metrics, *fold_args))
     else:
         fold_rows = list(map(_fold_metrics, *fold_args))

@@ -114,11 +114,11 @@ def fit(spec: LearnerSpec, data: SurvivalDataset) -> BaseSurvivalModel:
         raise ConvergenceError(str(exc), exc.trace, learner=spec.kind) from exc
 
 
-def default_roster(seed: int = 0) -> tuple[LearnerSpec, ...]:
+def default_roster() -> tuple[LearnerSpec, ...]:
     """The five-model roster with conventional defaults."""
     return (
         LearnerSpec("survival_tree"),
-        LearnerSpec("random_survival_forest", {"seed": seed}),
+        LearnerSpec("random_survival_forest"),
         LearnerSpec("cox_ridge"),
         LearnerSpec("cox_lasso"),
         LearnerSpec("knn_survival"),

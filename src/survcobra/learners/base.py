@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..curves import StepCurve
-from ..data import SurvivalDataset
 
 
 class BaseSurvivalModel:
@@ -17,17 +16,15 @@ class BaseSurvivalModel:
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
-            raise ValueError(
-                f"covariate vector has shape {x.shape}, expected ({self.n_features},)"
-            )
-        return x
+            raise ValueError(f"covariate vector has shape {x.shape}, expected ({self.n_features},)")
+        return self._check_matrix(x)[0]
 
     def _check_matrix(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(
-                f"covariate matrix has shape {x.shape}, expected (*, {self.n_features})"
-            )
+            raise ValueError(f"covariate matrix has shape {x.shape}, expected (*, {self.n_features})")
+        if not np.isfinite(x).all():
+            raise ValueError("covariates must be finite (no NaN or infinity)")
         return x
 
     def predict_curve(self, x) -> StepCurve:
@@ -49,7 +46,3 @@ def standardize_fit(x: np.ndarray):
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     return mean, sd
-
-
-def dataset_arrays(data: SurvivalDataset):
-    return data.x, data.time, data.event.astype(float)

@@ -19,7 +19,7 @@ import numpy as np
 from ..curves import CUMULATIVE, StepCurve
 from ..data import SurvivalDataset, kfold_split
 from ..exceptions import ConvergenceError
-from .base import BaseSurvivalModel, dataset_arrays, standardize_fit
+from .base import BaseSurvivalModel, standardize_fit
 
 MAX_OUTER_ITER = 100
 COEF_TOL = 1e-7
@@ -122,11 +122,6 @@ class _PartialLikelihood:
         g = self.es - w * a
         h = np.maximum(w * a - w * w * b, 0.0)
         return eta, g, h
-
-    def unsort(self, values):
-        out = np.empty_like(values)
-        out[self.order] = values
-        return out
 
 
 def cox_log_partial_likelihood(x, times, events, beta) -> float:
@@ -308,9 +303,8 @@ def breslow_baseline(model: CoxModel, data: SurvivalDataset) -> StepCurve:
 def _standardized(data: SurvivalDataset):
     """`data`'s covariates standardized by its own column means and sds,
     with its times, event flags, means and sds."""
-    x, times, events = dataset_arrays(data)
-    mean, sd = standardize_fit(x)
-    return (x - mean) / sd, times, events, mean, sd
+    mean, sd = standardize_fit(data.x)
+    return (data.x - mean) / sd, data.time, data.event.astype(float), mean, sd
 
 
 def _cv_penalty(data: SurvivalDataset, penalty_kind: str, folds: int, seed: int) -> float:

@@ -20,10 +20,6 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
         self.trees = trees
         self.n_features = n_features
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
     def predict_curve(self, x) -> StepCurve:
         x = self._check_vector(x)
         grid = np.unique(np.concatenate([tree.predict_curve(x).times for tree in self.trees]))

@@ -77,15 +77,13 @@ class SurvivalTreeModel(BaseSurvivalModel):
     for the j with `l * len(u) <= jump_keys[j] < (l + 1) * len(u)`.
     """
 
-    def __init__(self, root, u, jump_keys, jump_values, n_leaves, n_features, max_depth, min_leaf):
+    def __init__(self, root, u, jump_keys, jump_values, n_leaves, n_features):
         self.root = root
         self.u = u
         self.jump_keys = jump_keys
         self.jump_values = jump_values
         self.n_leaves = n_leaves
         self.n_features = n_features
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
 
     def leaf_ids(self, x) -> np.ndarray:
         """Leaf index for each row of `x`."""
@@ -188,7 +186,7 @@ def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=N
 
     root = grow(np.arange(n), 0)
     jump_keys, jump_values = np.concatenate(keys), np.concatenate(values)
-    return SurvivalTreeModel(root, u, jump_keys, jump_values, len(keys), p, max_depth, min_leaf)
+    return SurvivalTreeModel(root, u, jump_keys, jump_values, len(keys), p)
 
 
 def fit_survival_tree(data: SurvivalDataset, max_depth: int = 10, min_leaf: int = 15) -> SurvivalTreeModel:

@@ -28,28 +28,40 @@ def _design(features) -> np.ndarray:
     return np.column_stack([np.ones(features.shape[0]), features])
 
 
+def _penalty(p: int, l2: float) -> np.ndarray:
+    """Ridge weight per coefficient; the intercept (first) is unpenalized."""
+    ridge = np.full(p, float(l2))
+    ridge[0] = 0.0
+    return ridge
+
+
+def _objective(x, y, ridge, beta) -> float:
+    """Bernoulli log-likelihood of design `x` minus 0.5 * sum(ridge * beta**2)."""
+    eta = x @ beta
+    return float((y * eta - np.logaddexp(0.0, eta)).sum()) - 0.5 * float(ridge @ (beta * beta))
+
+
+def _gradient(x, y, ridge, beta):
+    """(gradient of `_objective`, fitted probabilities at `beta`)."""
+    sigma = expit(x @ beta)
+    return x.T @ (y - sigma) - ridge * beta, sigma
+
+
 def logistic_penalized_loglik(features, labels, l2, coefficients) -> float:
     """Bernoulli log-likelihood minus the ridge term (intercept unpenalized).
 
     `coefficients` holds the intercept first.
     """
     x = _design(features)
-    y = np.asarray(labels, dtype=float)
-    beta = np.asarray(coefficients, dtype=float)
-    eta = x @ beta
-    loglik = float((y * eta - np.logaddexp(0.0, eta)).sum())
-    return loglik - 0.5 * float(l2) * float(beta[1:] @ beta[1:])
+    return _objective(x, np.asarray(labels, dtype=float), _penalty(x.shape[1], l2),
+                      np.asarray(coefficients, dtype=float))
 
 
 def logistic_gradient(features, labels, l2, coefficients) -> np.ndarray:
     """Analytic gradient of `logistic_penalized_loglik`."""
     x = _design(features)
-    y = np.asarray(labels, dtype=float)
-    beta = np.asarray(coefficients, dtype=float)
-    sigma = expit(x @ beta)
-    grad = x.T @ (y - sigma)
-    grad[1:] -= float(l2) * beta[1:]
-    return grad
+    return _gradient(x, np.asarray(labels, dtype=float), _penalty(x.shape[1], l2),
+                     np.asarray(coefficients, dtype=float))[0]
 
 
 def _irls(x, y, l2):
@@ -57,22 +69,11 @@ def _irls(x, y, l2):
 
     Returns (coefficients, objective trace); the trace is non-decreasing.
     """
-    n, p = x.shape
-    beta = np.zeros(p)
-    ridge = np.zeros(p)
-    ridge[1:] = l2
-
-    def objective(b):
-        eta = x @ b
-        return float((y * eta - np.logaddexp(0.0, eta)).sum()) - 0.5 * float(
-            ridge @ (b * b)
-        )
-
-    trace = [objective(beta)]
+    beta = np.zeros(x.shape[1])
+    ridge = _penalty(x.shape[1], l2)
+    trace = [_objective(x, y, ridge, beta)]
     for _ in range(MAX_ITER):
-        eta = x @ beta
-        sigma = expit(eta)
-        grad = x.T @ (y - sigma) - ridge * beta
+        grad, sigma = _gradient(x, y, ridge, beta)
         weights = sigma * (1.0 - sigma)
         hess = (x.T * weights) @ x + np.diag(ridge)
         try:
@@ -85,7 +86,7 @@ def _irls(x, y, l2):
         current = trace[-1]
         for _ in range(40):
             candidate = beta + scale * step
-            value = objective(candidate)
+            value = _objective(x, y, ridge, candidate)
             if np.isfinite(value) and value >= current - 1e-12:
                 break
             scale *= 0.5

@@ -152,6 +152,14 @@ def _evaluate(params, folds, seed, objective, cache):
     return float(np.mean(values)), values
 
 
+def _inner_folds(train: SurvivalDataset, inner_folds: int, seed: int):
+    """The tuning folds of `train`; a failed split names itself."""
+    try:
+        return kfold_split(train, inner_folds, derive_seed(seed, 0))
+    except ValueError as exc:
+        raise ValueError(f"tuning inner {inner_folds}-fold split: {exc}") from exc
+
+
 def evaluate_params(
     params: CobraParams,
     train: SurvivalDataset,
@@ -161,15 +169,14 @@ def evaluate_params(
 ) -> float:
     """Mean objective of one parameter triple under inner cross-validation.
 
-    Folds come from `kfold_split(train, inner_folds, derive_seed(seed, 0))`
-    and each fold's ensemble is fit with seed
+    Folds come from `kfold_split` with seed `derive_seed(seed, 0)`, and
+    each fold's ensemble is fit with seed
     `derive_seed(seed, 1, round(l_fraction * 1e9))`, so scores are exactly
     reproducible from (params, train, inner_folds, objective, seed).
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    folds = kfold_split(train, inner_folds, derive_seed(seed, 0))
-    return _evaluate(params, folds, seed, objective, cache={})[0]
+    return _evaluate(params, _inner_folds(train, inner_folds, seed), seed, objective, cache={})[0]
 
 
 def draw_trials(space: SearchSpace, roster) -> list[CobraParams]:
@@ -201,10 +208,7 @@ def random_search(
         roster = default_roster()
     roster = tuple(roster)
     draws = draw_trials(space, roster)
-    try:
-        folds = kfold_split(train, inner_folds, derive_seed(space.seed, 0))
-    except ValueError as exc:
-        raise ValueError(f"tuning inner {inner_folds}-fold split: {exc}") from exc
+    folds = _inner_folds(train, inner_folds, space.seed)
     results: list[TrialResult | None] = [None] * space.trials
 
     # group by l_fraction so at most inner_folds fitted stacks stay cached

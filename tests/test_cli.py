@@ -267,7 +267,37 @@ class TestBench:
 
         # forked workers inherit the patch, so a reload there fails too
         monkeypatch.setattr(experiments, "load_dataset", load_once)
-        results = experiments.run_bench(cfg.with_overrides(jobs=2))
+        results = experiments.run_bench(cfg, jobs=2)
+        assert [r.fold_id for r in results["proposed"]] == [0, 1, 2]
+
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path / "cfg.json"), tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 1
+        assert capsys.readouterr().err == "survcobra: error: --jobs must be at least 1\n"
+        assert not out.exists()
+
+    def test_pool_has_at_most_one_worker_per_fold(self, tmp_path, monkeypatch):
+        cfg, _ = experiments.load_config(write_config(tmp_path / "cfg.json"))
+        asked = []
+
+        class InlinePool:
+            """Records the pool size and runs the folds in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        results = experiments.run_bench(cfg, jobs=8)
+        assert asked == [cfg.folds] == [3]
         assert [r.fold_id for r in results["proposed"]] == [0, 1, 2]
 
 

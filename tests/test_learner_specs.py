@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from survcobra.cobra import CobraParams, fit_cobra, predict_cobra
 from survcobra.curves import SURVIVAL, evaluate
 from survcobra.learners import LEARNER_KINDS, BaseSurvivalModel, LearnerSpec, default_roster, fit
+from survcobra.relevance import relevance_study
 from helpers import random_dataset
 
 SPECS = [
@@ -59,3 +61,24 @@ class TestPredictContract:
         model = fit(spec, ds)
         with pytest.raises(ValueError, match="shape"):
             model.predict_curve(np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", [spec.kind for spec in SPECS] + ["predict_cobra", "relevance_study"])
+def test_non_finite_covariates_rejected(target, bad):
+    # every learner checks its covariates, and the ensemble's distance pass
+    # runs through those checks
+    ds = random_dataset(np.random.default_rng(0), 40, p=3)
+    query = np.array([0.5, bad, 0.5])
+    if target in LEARNER_KINDS:
+        model = fit(SPECS[LEARNER_KINDS.index(target)], ds)
+        calls = [lambda: model.predict_curve(query), lambda: model.predict_values(query[None, :], [0.5, 1.0])]
+    else:
+        ensemble = fit_cobra(ds, CobraParams(0.2, 0.5, 0.5, tuple(SPECS)), seed=0)
+        if target == "predict_cobra":
+            calls = [lambda: predict_cobra(ensemble, query)]
+        else:
+            calls = [lambda: relevance_study(ensemble, query[None, :])]
+    for call in calls:
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            call()

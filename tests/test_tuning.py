@@ -247,3 +247,13 @@ class TestObjectiveMemo:
             random_search(space, train, inner_folds=2, roster=ROSTER)
         assert len(calls) == 1
         assert [t.error for t in err.value.trace] == ["objective failed on call 1"] * space.trials
+
+
+def test_evaluate_params_names_an_event_free_inner_split():
+    # two events in 30 rows: three inner folds leave a part without any
+    rng = np.random.default_rng(0)
+    events = (np.arange(30) < 2).astype(int)
+    data = SurvivalDataset(rng.uniform(size=(30, 2)), rng.uniform(0.1, 5.0, 30), events, ["a", "b"])
+    pattern = r"tuning inner 3-fold split: fold [123] of 3, (test|training) part: a dataset needs at least one observed event"
+    with pytest.raises(ValueError, match=pattern):
+        evaluate_params(CobraParams(0.1, 0.5, 0.5, ROSTER), data, inner_folds=3)
