@@ -27,6 +27,13 @@ class BaseSurvivalModel:
             raise ValueError("covariates must be finite (no NaN or infinity)")
         return x
 
+    @staticmethod
+    def _check_grid(grid) -> np.ndarray:
+        grid = np.asarray(grid, dtype=float)
+        if np.any(grid < 0.0):
+            raise ValueError("evaluation times must be nonnegative")
+        return grid
+
     def predict_curve(self, x) -> StepCurve:
         raise NotImplementedError
 

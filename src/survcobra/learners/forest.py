@@ -26,11 +26,10 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
         return StepCurve(grid, self.predict_values(x[None, :], grid)[0])
 
     def predict_values(self, x, grid) -> np.ndarray:
-        x = self._check_matrix(x)
-        grid = np.asarray(grid, dtype=float)
+        x, grid = self._check_matrix(x), self._check_grid(grid)
         total = np.zeros((x.shape[0], grid.size))
         for tree in self.trees:
-            total += tree.predict_values(x, grid)
+            total += tree._values(x, grid)
         return total / len(self.trees)
 
 

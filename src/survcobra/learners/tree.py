@@ -7,12 +7,12 @@ between consecutive distinct feature values).  Growth stops at
 has a positive statistic.
 
 A tree ranks its training records once against its own distinct event
-times, so every node reads its event and at-risk counts from two
-`bincount`s of those ranks.  A leaf's curve is the product-limit curve of
-its records, formed from the counts its node already holds.  The leaves
-are kept in three flat arrays: the tree's event times `u`, the ascending
-keys leaf * len(u) + column of every leaf's jumps, and the survival value
-after each jump.
+times, so every node reads its event counts from a `bincount` of those
+ranks and its at-risk counts from a search of them in sorted order.  A
+leaf's curve is the product-limit curve of its records, formed from the
+counts its node already holds.  The leaves are kept in three flat arrays:
+the tree's event times `u`, the ascending keys leaf * len(u) + column of
+every leaf's jumps, and the survival value after each jump.
 """
 
 from __future__ import annotations
@@ -39,35 +39,49 @@ class _Node:
         return self.leaf_id >= 0
 
 
-def _best_split_for_feature(fvals, at_risk, events, weights, min_leaf):
-    """Best log-rank statistic over all admissible thresholds of one feature.
+# a node with fewer rows than this holds its cumulative counts exactly in
+# int16; larger nodes count in int32
+_INT16_ROWS = 2**15
 
-    `at_risk` is the node's record-by-event-time at-risk indicator, and
-    `weights` packs the per-event-time coefficients of the statistic:
-    (d/r, d(r-d)/(r(r-1)) terms) precomputed once per node.
-    """
-    dr, w1, w2 = weights
-    order = np.argsort(fvals, kind="stable")
-    fs = fvals[order]
-    n = fs.size
-    lo, hi = min_leaf, n - min_leaf
-    if lo > hi:
-        return None
-    cut = np.flatnonzero(fs[1:] > fs[:-1]) + 1  # split "first q records left"
-    cut = cut[(cut >= lo) & (cut <= hi)]
-    if cut.size == 0:
-        return None
-    n1 = np.cumsum(at_risk[order], axis=0, dtype=np.int32)[cut - 1].astype(float)
-    observed = np.cumsum(events[order])[cut - 1]
-    expected = n1 @ dr
-    variance = n1 @ w1 - np.einsum("qt,t,qt->q", n1, w2, n1)
-    stat = np.full(cut.size, -np.inf)
-    np.divide((observed - expected) ** 2, variance, out=stat, where=variance > 1e-12)
-    best = int(np.argmax(stat))
-    if not np.isfinite(stat[best]) or stat[best] <= 0.0:
-        return None
-    q = int(cut[best])
-    return float(stat[best]), float(0.5 * (fs[q - 1] + fs[q]))
+
+def _best_split(xt, is_event, rows, ranks, cols, d, r, candidates, min_leaf):
+    """(statistic, feature, threshold) of the node's best log-rank split over
+    the `candidates` rows of `xt` (features by records), or None when no
+    split has a positive statistic.  The node's at-risk indicator at its
+    event times `cols`, with its event flags as a last column, is built once;
+    per feature, one gather and one cumulative sum give the left part's
+    at-risk counts N1 and observed events at every admissible cut."""
+    at_ev = np.empty((rows.size, cols.size + 1), dtype=np.int8)
+    np.greater_equal(ranks[:, None], cols, out=at_ev[:, :-1])
+    at_ev[:, -1] = is_event[rows]
+    dr = d / r
+    c2 = (r - d) / np.maximum(r - 1.0, 1.0)  # r = 1 forces d = 1, so c2 = 0 there
+    w1 = dr * c2
+    w2 = w1 / r
+    lo, hi = min_leaf, rows.size - min_leaf
+    dtype = np.int16 if rows.size < _INT16_ROWS else np.int32
+    unset = np.full(hi, -np.inf)  # the statistic of a cut with variance <= 1e-12
+    best = None
+    for f in candidates:
+        fvals = xt[f].take(rows)
+        order = fvals.argsort(kind="stable")
+        fs = fvals[order]
+        cut = (fs[lo : hi + 1] > fs[lo - 1 : hi]).nonzero()[0] + (lo - 1)  # last row on the left
+        if cut.size == 0:
+            continue
+        cum = np.add.accumulate(at_ev.take(order[:hi], axis=0), axis=0, dtype=dtype)
+        counts = cum.take(cut, axis=0)  # each cut's left part: N1, then its events
+        n1 = counts[:, :-1].astype(float)
+        diff = counts[:, -1] - n1 @ dr
+        variance = n1 @ w1 - np.einsum("qt,t,qt->q", n1, w2, n1)
+        stat = unset[: cut.size].copy()
+        np.divide(diff * diff, variance, out=stat, where=variance > 1e-12)
+        i = stat.argmax()
+        top = float(stat[i])
+        if 0.0 < top < np.inf and (best is None or top > best[0]):
+            q = cut[i]
+            best = (top, int(f), 0.5 * (float(fs[q]) + float(fs[q + 1])))
+    return best
 
 
 class SurvivalTreeModel(BaseSurvivalModel):
@@ -87,7 +101,9 @@ class SurvivalTreeModel(BaseSurvivalModel):
 
     def leaf_ids(self, x) -> np.ndarray:
         """Leaf index for each row of `x`."""
-        x = self._check_matrix(x)
+        return self._leaf_ids(self._check_matrix(x))
+
+    def _leaf_ids(self, x) -> np.ndarray:
         out = np.empty(x.shape[0], dtype=np.int64)
 
         def assign(node, rows):
@@ -111,10 +127,12 @@ class SurvivalTreeModel(BaseSurvivalModel):
         return StepCurve(self.u[self.jump_keys[lo:hi] - start], self.jump_values[lo:hi])
 
     def predict_values(self, x, grid) -> np.ndarray:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(grid < 0.0):
-            raise ValueError("evaluation times must be nonnegative")
-        ids = self.leaf_ids(x)
+        grid = self._check_grid(grid)
+        return self._values(self._check_matrix(x), grid)
+
+    def _values(self, x, grid) -> np.ndarray:
+        """`predict_values` on a checked covariate matrix and grid."""
+        ids = self._leaf_ids(x)
         if self.jump_keys.size == 0:
             return np.ones((ids.size, grid.size))
         # each leaf's last jump at or before each grid point: one search over
@@ -131,10 +149,14 @@ class SurvivalTreeModel(BaseSurvivalModel):
 def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=None, rng=None):
     """Grow a tree from raw arrays (used directly by the forest, where
     bootstrap samples may lack events entirely)."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be at least 1")
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    xt = np.ascontiguousarray(x.T)
     times = np.asarray(times, dtype=float)
-    events = np.asarray(events)
-    is_event = events == 1
+    is_event = np.asarray(events) == 1
     u = np.unique(times[is_event])
     k = u.size
     last = np.searchsorted(u, times, side="right") - 1  # -1: gone before the first event
@@ -143,42 +165,27 @@ def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=N
     keys: list[np.ndarray] = []
     values: list[np.ndarray] = []
 
-    def best_split(rows, ranks, cols, d, r):
-        """(feature, threshold) of the node's best split over `mtry` sampled
-        features, or None when no split has a positive statistic."""
-        at_risk = (ranks[:, None] >= cols).astype(np.int8)
-        dr = d / r
-        c2 = np.divide(r - d, r - 1, out=np.zeros_like(r), where=r > 1)
-        w1 = dr * c2
-        w2 = w1 / r
-        if rng is None or mtry >= p:
-            candidates = range(p)
-        else:
-            candidates = np.sort(rng.choice(p, size=mtry, replace=False))
-        best = None
-        for f in candidates:
-            found = _best_split_for_feature(x[rows, f], at_risk, events[rows], (dr, w1, w2), min_leaf)
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], int(f), found[1])
-        return None if best is None else best[1:]
-
     def grow(rows, depth):
         # the node's product-limit counts at its own event times `cols`:
         # the integers `curves._event_counts` gives on the node's records
         ranks = last[rows]
         d = np.bincount(ranks[is_event[rows]], minlength=k)
-        cols = np.flatnonzero(d)
-        r = np.cumsum(np.bincount(ranks[ranks >= 0], minlength=k)[::-1])[::-1][cols].astype(float)
+        cols = d.nonzero()[0]
+        r = (rows.size - np.sort(ranks).searchsorted(cols)).astype(float)
         d = d[cols].astype(float)
         split = None
         if depth < max_depth and rows.size >= 2 * min_leaf and cols.size:
-            split = best_split(rows, ranks, cols, d, r)
+            if rng is None or mtry >= p:
+                candidates = range(p)
+            else:
+                candidates = np.sort(rng.choice(p, size=mtry, replace=False))
+            split = _best_split(xt, is_event, rows, ranks, cols, d, r, candidates, min_leaf)
         if split is None:
             keys.append(len(keys) * k + cols)
             values.append(np.cumprod(1.0 - d / r))
             return _Node(leaf_id=len(keys) - 1)
-        feature, threshold = split
-        mask = x[rows, feature] <= threshold
+        _, feature, threshold = split
+        mask = xt[feature].take(rows) <= threshold
         node = _Node(feature=feature, threshold=threshold)
         node.left = grow(rows[mask], depth + 1)
         node.right = grow(rows[~mask], depth + 1)
@@ -191,8 +198,4 @@ def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=N
 
 def fit_survival_tree(data: SurvivalDataset, max_depth: int = 10, min_leaf: int = 15) -> SurvivalTreeModel:
     """Fit a survival tree with exhaustive log-rank split search."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be at least 1")
     return fit_survival_tree_arrays(data.x, data.time, data.event, max_depth, min_leaf)

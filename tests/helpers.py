@@ -81,6 +81,50 @@ def all_splits_logrank(x, times, events, min_leaf):
     return results
 
 
+def reference_best_split_for_feature(fvals, at_risk, events, weights, min_leaf):
+    """The tree's former per-feature split search, kept verbatim as a
+    reference: every cut is computed and then masked, and the events are
+    gathered and summed apart from the at-risk counts."""
+    dr, w1, w2 = weights
+    order = np.argsort(fvals, kind="stable")
+    fs = fvals[order]
+    n = fs.size
+    lo, hi = min_leaf, n - min_leaf
+    if lo > hi:
+        return None
+    cut = np.flatnonzero(fs[1:] > fs[:-1]) + 1  # split "first q records left"
+    cut = cut[(cut >= lo) & (cut <= hi)]
+    if cut.size == 0:
+        return None
+    n1 = np.cumsum(at_risk[order], axis=0, dtype=np.int32)[cut - 1].astype(float)
+    observed = np.cumsum(events[order])[cut - 1]
+    expected = n1 @ dr
+    variance = n1 @ w1 - np.einsum("qt,t,qt->q", n1, w2, n1)
+    stat = np.full(cut.size, -np.inf)
+    np.divide((observed - expected) ** 2, variance, out=stat, where=variance > 1e-12)
+    best = int(np.argmax(stat))
+    if not np.isfinite(stat[best]) or stat[best] <= 0.0:
+        return None
+    q = int(cut[best])
+    return float(stat[best]), float(0.5 * (fs[q - 1] + fs[q]))
+
+
+def reference_node_split(x, events, rows, ranks, cols, d, r, candidates, min_leaf):
+    """The tree's former node loop over `candidates`, kept verbatim apart
+    from the feature draw: (statistic, feature, threshold) or None."""
+    at_risk = (ranks[:, None] >= cols).astype(np.int8)
+    dr = d / r
+    c2 = np.divide(r - d, r - 1, out=np.zeros_like(r), where=r > 1)
+    w1 = dr * c2
+    w2 = w1 / r
+    best = None
+    for f in candidates:
+        found = reference_best_split_for_feature(x[rows, f], at_risk, events[rows], (dr, w1, w2), min_leaf)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(f), found[1])
+    return best
+
+
 def random_dataset(rng, n, p=2, event_rate=0.7, scale=3.0):
     """Small random censored dataset guaranteed to contain an event."""
     x = rng.uniform(size=(n, p))

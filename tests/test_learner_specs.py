@@ -62,6 +62,14 @@ class TestPredictContract:
         with pytest.raises(ValueError, match="shape"):
             model.predict_curve(np.zeros(5))
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_negative_grid_rejected(self, spec):
+        # the forest checks the grid once for all its trees
+        ds = random_dataset(np.random.default_rng(0), 25, p=3)
+        model = fit(spec, ds)
+        with pytest.raises(ValueError, match="evaluation times must be nonnegative"):
+            model.predict_values(ds.x[:4], [0.0, -0.5, 1.0])
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("target", [spec.kind for spec in SPECS] + ["predict_cobra", "relevance_study"])
