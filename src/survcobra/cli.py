@@ -67,18 +67,18 @@ def main(argv=None) -> int:
         if args.command == "bench":
             results = run_bench(cfg, args.jobs)
             write_bench_reports(cfg, results, out)
-            write_run_metadata(cfg, "bench", raw, out, extra={"folds": cfg.folds})
+            extra = {"folds": cfg.folds}
         elif args.command == "tune":
             best, trace = run_tune(cfg)
             write_tune_reports(cfg, best, trace, out)
-            write_run_metadata(cfg, "tune", raw, out, extra={"trials": len(trace)})
+            extra = {"trials": len(trace)}
         else:
             model, params, study, curves, tuning = _RELEVANCE_RUNNERS[args.command](cfg)
-            names = model.split.d_l.feature_names
-            write_relevance_reports(cfg, names, study, curves, out)
+            write_relevance_reports(cfg, model.split.d_l.feature_names, study, curves, out)
             if tuning is not None:
-                write_tune_reports(cfg, tuning[0], tuning[1], out)
-            write_run_metadata(cfg, args.command, raw, out, extra=_params_extra(params))
+                write_tune_reports(cfg, *tuning, out)
+            extra = {"epsilon": params.epsilon, "alpha": params.alpha, "l_fraction": params.l_fraction}
+        write_run_metadata(cfg, args.command, raw, out, extra=extra)
     except (ConfigError, OSError, ValueError, TuningError) as exc:
         print(f"survcobra: error: {exc}", file=sys.stderr)
         return 1
@@ -90,14 +90,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 2
     return 0
-
-
-def _params_extra(params) -> dict:
-    return {
-        "epsilon": params.epsilon,
-        "alpha": params.alpha,
-        "l_fraction": params.l_fraction,
-    }
 
 
 if __name__ == "__main__":

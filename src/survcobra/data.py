@@ -149,6 +149,8 @@ class SyntheticConfig:
             raise ValueError("censor_fraction must lie in [0, 1)")
         if self.dim < 4:
             raise ValueError("dim must be at least 4 (the link rule reads four covariates)")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
 
 
 def _round_half_up(value: float) -> int:

@@ -3,9 +3,10 @@
 Every runner derives all randomness from the config's master seed through
 `derive_seed` with fixed purpose indices (0: dataset generation,
 1: outer folds, 2: ensemble fits, 3: tuning, 4: query draws), collects its
-results fully in memory, and only then writes the report files, so a
-failing run leaves no partial outputs and a repeated run reproduces every
-file byte for byte.
+results fully in memory, and only then writes the report files one by one:
+a run that fails while computing leaves no outputs (one that fails while
+writing can leave a partial set), and a repeated run reproduces every file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .data import (
     load_raw_csv,
     preprocess,
 )
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ConvergenceError
 from .learners import LearnerSpec, default_roster, fit
 from .metrics import MetricReport, concordance_td, d_calibration, integrated_brier
 from .relevance import relevance_study
@@ -247,14 +248,17 @@ def _search(cfg: ExperimentConfig, train: SurvivalDataset, seed: int):
 
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
     """Metric reports for the five standalone learners and the ensemble."""
-    rows = {}
-    for spec in cfg.roster:
-        rows[spec.kind] = _report(fit(spec, train).predict_values(test.x, test.time), test, cfg, fold_id)
-    params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
-    ensemble = fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id))
-    curves = predict_cobra_batch(ensemble, test.x)
-    survival = _survival_rows(curves, ensemble.population_km, test.time)
-    rows[PROPOSED] = _report(survival, test, cfg, fold_id)
+    try:
+        rows = {}
+        for spec in cfg.roster:
+            rows[spec.kind] = _report(fit(spec, train).predict_values(test.x, test.time), test, cfg, fold_id)
+        params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
+        ensemble = fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id))
+        curves = predict_cobra_batch(ensemble, test.x)
+        survival = _survival_rows(curves, ensemble.population_km, test.time)
+        rows[PROPOSED] = _report(survival, test, cfg, fold_id)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"outer fold {fold_id + 1} of {cfg.folds}: {exc}", exc.trace, exc.learner) from exc
     return rows
 
 
@@ -299,25 +303,21 @@ def _dataset_label(cfg: ExperimentConfig) -> str:
 
 def write_bench_reports(cfg: ExperimentConfig, results: dict, out: Path):
     label = _dataset_label(cfg)
-    fold_ids = list(range(cfg.folds))
-    with _open(out / "metrics.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["dataset", "model", "fold", "concordance", "ibs", "dcal_pass", "dcal_pvalue"])
+    metrics = [
+        [label, name, r.fold_id, repr(r.concordance), repr(r.ibs), int(r.dcal_pass), repr(r.dcal_pvalue)]
+        for name, reports in results.items()
+        for r in reports
+    ]
+    header = ["dataset", "model", "fold", "concordance", "ibs", "dcal_pass", "dcal_pvalue"]
+    _write_csv(out / "metrics.csv", header, metrics)
+    for metric in ("concordance", "ibs"):
+        rows = []
         for name, reports in results.items():
-            for r in reports:
-                w.writerow([label, name, r.fold_id, repr(r.concordance), repr(r.ibs), int(r.dcal_pass), repr(r.dcal_pvalue)])
-    for metric, filename in (("concordance", "concordance.csv"), ("ibs", "ibs.csv")):
-        with _open(out / filename) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["model"] + [f"fold_{k}" for k in fold_ids] + ["mean"])
-            for name, reports in results.items():
-                values = [getattr(r, metric) for r in reports]
-                w.writerow([name] + [repr(v) for v in values] + [repr(float(np.mean(values)))])
-    with _open(out / "dcalibration.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model", "passes", "folds"])
-        for name, reports in results.items():
-            w.writerow([name, sum(int(r.dcal_pass) for r in reports), len(reports)])
+            values = [getattr(r, metric) for r in reports]
+            rows.append([name] + [repr(v) for v in values] + [repr(float(np.mean(values)))])
+        _write_csv(out / f"{metric}.csv", ["model"] + [f"fold_{k}" for k in range(cfg.folds)] + ["mean"], rows)
+    passes = [[name, sum(int(r.dcal_pass) for r in reports), len(reports)] for name, reports in results.items()]
+    _write_csv(out / "dcalibration.csv", ["model", "passes", "folds"], passes)
 
 
 def _relevance_run(cfg: ExperimentConfig, train: SurvivalDataset, queries):
@@ -352,26 +352,21 @@ def run_relevance(cfg: ExperimentConfig):
 
 
 def write_relevance_reports(cfg: ExperimentConfig, feature_names, study, curves, out: Path):
-    order = study.ranking()
-    with _open(out / "relevance.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["covariate", "aggregate_score", "rank"])
-        ranks = np.empty(len(feature_names), dtype=int)
-        ranks[order] = np.arange(1, len(feature_names) + 1)
-        for j, name in enumerate(feature_names):
-            w.writerow([name, repr(float(study.aggregate[j])), int(ranks[j])])
-    with _open(out / "relevance_per_query.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["query", "degenerate", "intercept"] + list(feature_names))
-        for q in range(study.per_query.shape[0]):
-            row = [q, int(study.degenerate[q])] + [repr(float(v)) for v in study.per_query[q]]
-            w.writerow(row)
-    with _open(out / "curves.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["query", "time", "value"])
-        for q, curve in enumerate(curves):
-            for t, v in curve.to_rows():
-                w.writerow([q, repr(float(t)), repr(float(v))])
+    ranks = np.empty(len(feature_names), dtype=int)
+    ranks[study.ranking()] = np.arange(1, len(feature_names) + 1)
+    ranking = [[name, repr(float(study.aggregate[j])), int(ranks[j])] for j, name in enumerate(feature_names)]
+    _write_csv(out / "relevance.csv", ["covariate", "aggregate_score", "rank"], ranking)
+    per_query = [
+        [q, int(study.degenerate[q])] + [repr(float(v)) for v in study.per_query[q]]
+        for q in range(study.per_query.shape[0])
+    ]
+    _write_csv(out / "relevance_per_query.csv", ["query", "degenerate", "intercept", *feature_names], per_query)
+    points = [
+        [q, repr(float(t)), repr(float(v))]
+        for q, curve in enumerate(curves)
+        for t, v in curve.to_rows()
+    ]
+    _write_csv(out / "curves.csv", ["query", "time", "value"], points)
 
 
 def run_tune(cfg: ExperimentConfig):
@@ -381,20 +376,18 @@ def run_tune(cfg: ExperimentConfig):
 
 
 def write_tune_reports(cfg: ExperimentConfig, best, trace, out: Path):
-    with _open(out / "trials.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["trial", "epsilon", "alpha", "l_fraction", "objective", "error"])
-        for t in trace:
-            w.writerow(
-                [
-                    t.trial_index,
-                    repr(t.params.epsilon),
-                    repr(t.params.alpha),
-                    repr(t.params.l_fraction),
-                    "nan" if t.failed else repr(t.objective_value),
-                    t.error or "",
-                ]
-            )
+    trials = [
+        [
+            t.trial_index,
+            repr(t.params.epsilon),
+            repr(t.params.alpha),
+            repr(t.params.l_fraction),
+            "nan" if t.failed else repr(t.objective_value),
+            t.error or "",
+        ]
+        for t in trace
+    ]
+    _write_csv(out / "trials.csv", ["trial", "epsilon", "alpha", "l_fraction", "objective", "error"], trials)
     payload = {
         "epsilon": best.params.epsilon,
         "alpha": best.params.alpha,
@@ -418,9 +411,12 @@ def write_run_metadata(cfg: ExperimentConfig, command: str, raw_config: dict, ou
     _write_json(out / "run.json", payload)
 
 
-def _open(path: Path):
+def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict):

@@ -1,3 +1,4 @@
+import csv
 import json
 import pickle
 import re
@@ -117,6 +118,7 @@ class TestBench:
             assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("survcobra: error: cox_ridge:")
+        assert "solver did not converge: outer fold 1 of 2: " in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
@@ -382,6 +384,11 @@ class TestConfigRejectedBeforeAnyFit:
                 {"dataset": {"kind": "synthetic", "n": 150, "censor_fraction": 1.0}},
                 "dataset.censor_fraction must lie in [0, 1)",
             ),
+            (
+                "bench",
+                {"dataset": {"kind": "synthetic", "n": 60, "censor_fraction": 0.3, "dim": 4, "seed": -1}},
+                "dataset.seed must be at least 0",
+            ),
         ],
     )
     def test_exits_one_naming_the_key(self, tmp_path, capsys, command, overrides, message):
@@ -533,6 +540,50 @@ class TestSimulate:
         assert times[0] == 0.0 and values[0] == 1.0
         assert all(a < b for a, b in zip(times, times[1:]))
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+REPORT_HEADERS = {
+    "bench": {
+        "metrics.csv": "dataset,model,fold,concordance,ibs,dcal_pass,dcal_pvalue",
+        "concordance.csv": "model,fold_0,fold_1,fold_2,mean",
+        "ibs.csv": "model,fold_0,fold_1,fold_2,mean",
+        "dcalibration.csv": "model,passes,folds",
+    },
+    "tune": {"trials.csv": "trial,epsilon,alpha,l_fraction,objective,error"},
+    "simulate": {
+        "relevance.csv": "covariate,aggregate_score,rank",
+        "relevance_per_query.csv": "query,degenerate,intercept,x0,x1,x2,x3",
+        "curves.csv": "query,time,value",
+    },
+}
+FLOAT_COLUMNS = {  # CSV name: columns whose cells are repr floats
+    "metrics.csv": ("concordance", "ibs", "dcal_pvalue"),
+    "ibs.csv": ("fold_0", "fold_1", "fold_2", "mean"),
+    "trials.csv": ("epsilon", "alpha", "l_fraction", "objective"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_HEADERS))
+def test_report_files_share_one_on_disk_format(tmp_path, command):
+    overrides = {"params": None, "search": {"trials": 3}, "inner_folds": 2} if command == "tune" else {}
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    extra = {"best_params.json"} if command == "tune" else set()
+    headers = REPORT_HEADERS[command]
+    assert {p.name for p in out.iterdir()} == {*headers, "run.json", *extra}
+    for name, header in headers.items():
+        data = read(out / name)
+        assert b"\r" not in data
+        lines = data.decode("utf-8").split("\n")
+        assert lines[0] == header and lines[-1] == ""
+        columns = header.split(",")
+        rows = list(csv.reader(lines[1:-1]))
+        assert rows and all(len(row) == len(columns) for row in rows)
+        for row in rows:
+            cells = dict(zip(columns, row))
+            for column in FLOAT_COLUMNS.get(name, ()):
+                assert cells[column] == repr(float(cells[column]))
 
 
 def write_relevance_config(tmp_path, queries):
