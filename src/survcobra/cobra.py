@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, _event_counts, evaluate, kaplan_meier, product_limit
+from .curves import StepCurve, _event_counts, _product_limit, evaluate, kaplan_meier
 from .data import DatasetSplit, SurvivalDataset, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
@@ -204,13 +204,16 @@ def proximity_aggregate(model: CobraModel, x) -> ProximityAggregate:
 
 
 def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon, need) -> StepCurve:
-    members = np.flatnonzero(_member_mask(distances_mq, epsilon, need))
+    """The product-limit curve of one query's proximity set, or `pop_km`
+    itself when the set is empty or event-free.  `d_l`'s arrays were
+    checked when the dataset was built, so the curve skips those checks."""
+    members = _member_mask(distances_mq, epsilon, need).nonzero()[0]
     if members.size == 0:
         return pop_km
     events = d_l.event[members]
-    if not np.any(events == 1):
+    if not events.any():
         return pop_km
-    return product_limit(d_l.time[members], events)
+    return _product_limit(d_l.time[members], events)
 
 
 def _aggregate(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need) -> list[StepCurve]:

@@ -51,21 +51,21 @@ class StepCurve:
         if self.kind not in _BASELINES:
             raise ValueError(f"unknown curve kind {self.kind!r}")
         if times.size:
-            if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
+            if not (np.isfinite(times).all() and np.isfinite(values).all()):
                 raise ValueError("curve times and values must be finite")
             if times[0] < 0.0:
                 raise ValueError("jump times must be nonnegative")
-            if np.any(np.diff(times) <= 0.0):
+            if (times[1:] <= times[:-1]).any():
                 raise ValueError("jump times must be strictly increasing")
             if self.kind == SURVIVAL:
-                if np.any(values < 0.0) or np.any(values > 1.0):
+                if values.min() < 0.0 or values.max() > 1.0:
                     raise ValueError("survival values must lie in [0, 1]")
-                if np.any(np.diff(values) > 0.0):
+                if (values[1:] > values[:-1]).any():
                     raise ValueError("survival values must be non-increasing")
             else:
-                if np.any(values < 0.0):
+                if values.min() < 0.0:
                     raise ValueError("cumulative values must be nonnegative")
-                if np.any(np.diff(values) < 0.0):
+                if (values[1:] < values[:-1]).any():
                     raise ValueError("cumulative values must be non-decreasing")
         object.__setattr__(self, "times", _frozen(times, self.times))
         object.__setattr__(self, "values", _frozen(values, self.values))
@@ -98,22 +98,17 @@ class StepCurve:
 def evaluate(curve: StepCurve, t):
     """Evaluate a step curve at scalar or array `t` (right-continuously)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("evaluation times must be nonnegative")
-    if curve.times.size == 0:
-        out = np.full(arr.shape, curve.baseline)
-        return float(out) if arr.ndim == 0 else out
-    idx = np.searchsorted(curve.times, arr, side="right") - 1
-    out = np.where(idx < 0, curve.baseline, curve.values[np.maximum(idx, 0)])
+    # steps[i] holds on [times[i-1], times[i]), with the baseline before times[0]
+    steps = np.concatenate(([curve.baseline], curve.values))
+    out = steps[curve.times.searchsorted(arr, side="right")]
     return float(out) if arr.ndim == 0 else out
 
 
-def _event_table(times, events):
-    """Unique event times with event counts and at-risk counts.
-
-    Ties are handled with the usual convention that records censored at an
-    event time are still at risk at that time.
-    """
+def _checked_sample(times, events):
+    """Float times and event flags of a sample, checked for shape, size,
+    finiteness and 0/1 flags."""
     t = np.asarray(times, dtype=float)
     e = np.asarray(events)
     if t.ndim != 1 or e.shape != t.shape:
@@ -124,20 +119,34 @@ def _event_table(times, events):
         raise ValueError("times must be finite")
     if not np.all((e == 0) | (e == 1)):
         raise ValueError("event flags must be 0 or 1")
-    return _event_counts(t, e)
+    return t, e
 
 
 def _event_counts(t: np.ndarray, e: np.ndarray):
-    """`_event_table` on validated arrays (possibly empty): unique event
-    times, float event counts, float at-risk counts."""
-    event_times = t[e == 1]
-    if event_times.size == 0:
+    """Unique event times with float event counts and float at-risk counts,
+    on checked arrays (possibly empty).
+
+    Ties are handled with the usual convention that records censored at an
+    event time are still at risk at that time.
+    """
+    s = np.sort(t[e == 1])
+    if s.size == 0:
         empty = np.empty(0, dtype=float)
         return empty, empty.copy(), empty.copy()
-    unique_times, d = np.unique(event_times, return_counts=True)
-    sorted_t = np.sort(t)
-    r = t.size - np.searchsorted(sorted_t, unique_times, side="left")
-    return unique_times, d.astype(float), r.astype(float)
+    # where each run of equal event times starts, plus the end of the last run
+    edges = np.empty(s.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(s[1:], s[:-1], out=edges[1:-1])
+    edges = edges.nonzero()[0]
+    u = s[edges[:-1]]
+    r = t.size - np.sort(t).searchsorted(u, side="left")
+    return u, (edges[1:] - edges[:-1]).astype(float), r.astype(float)
+
+
+def _product_limit(t: np.ndarray, e: np.ndarray) -> StepCurve:
+    """`product_limit` on checked arrays."""
+    u, d, r = _event_counts(t, e)
+    return StepCurve(u, np.cumprod(1.0 - d / r) if u.size else u, SURVIVAL)
 
 
 def product_limit(times, events) -> StepCurve:
@@ -146,8 +155,7 @@ def product_limit(times, events) -> StepCurve:
     With no observed events the curve is constant 1.  `kaplan_meier` adds
     the at-least-one-event check on top of this.
     """
-    u, d, r = _event_table(times, events)
-    return StepCurve(u, np.cumprod(1.0 - d / r) if u.size else u, SURVIVAL)
+    return _product_limit(*_checked_sample(times, events))
 
 
 def product_limit_rows(times, events, grid) -> np.ndarray:
@@ -193,7 +201,7 @@ def kaplan_meier(times, events) -> StepCurve:
 
 def nelson_aalen(times, events) -> StepCurve:
     """Nelson-Aalen estimate of the cumulative hazard (sum of d/r)."""
-    u, d, r = _event_table(times, events)
+    u, d, r = _event_counts(*_checked_sample(times, events))
     return StepCurve(u, np.cumsum(d / r) if u.size else u, CUMULATIVE)
 
 

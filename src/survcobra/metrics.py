@@ -74,24 +74,34 @@ def concordance_td(survival, times, events) -> float:
     return num / den
 
 
-def _brier_from_values(survival_at_t, times, events, t, g_at_times, g_at_t):
-    """One Brier evaluation given survival and censoring values; excludes
-    records whose required censoring weight is zero and renormalizes."""
-    had_event = (times <= t) & (events == 1)
-    still_at_risk = times > t
-    excluded = (had_event & (g_at_times == 0.0)) | (still_at_risk & (g_at_t == 0.0))
-    n_eff = times.size - int(excluded.sum())
-    if n_eff == 0:
-        raise ValueError(f"every record lost its censoring weight at t={t}")
-    keep = ~excluded
-    total = 0.0
-    mask1 = had_event & keep
-    if mask1.any():
-        total += float((survival_at_t[mask1] ** 2 / g_at_times[mask1]).sum())
-    mask2 = still_at_risk & keep
-    if mask2.any():
-        total += float(((1.0 - survival_at_t[mask2]) ** 2 / g_at_t).sum())
-    return total / n_eff
+def _brier_scores(times, events, g_at_times, points) -> list[float]:
+    """Censoring-weighted Brier score at each (t, G(t), survival at t) of
+    `points`, with the sample's event masks built once.
+
+    Event records seen by `t` whose weight G(y_i) is zero, and at-risk
+    records when G(t) is zero, are excluded and the rest renormalizes.
+    """
+    is_event = events == 1
+    weighted = is_event & (g_at_times != 0.0)
+    lost = is_event & (g_at_times == 0.0)
+    any_lost = bool(lost.any())
+    scores = []
+    for t, g_at_t, survival_at_t in points:
+        seen = times <= t
+        at_risk = times > t
+        n_eff = times.size
+        if any_lost:
+            n_eff -= int(np.count_nonzero(seen & lost))
+        if g_at_t == 0.0:
+            n_eff -= int(np.count_nonzero(at_risk))
+        if n_eff == 0:
+            raise ValueError(f"every record lost its censoring weight at t={t}")
+        had_event = seen & weighted
+        total = float((survival_at_t[had_event] ** 2 / g_at_times[had_event]).sum())
+        if g_at_t != 0.0:
+            total += float(((1.0 - survival_at_t[at_risk]) ** 2 / g_at_t).sum())
+        scores.append(total / n_eff)
+    return scores
 
 
 def brier_censored(survival_at_t, times, events, t, censoring_curve: StepCurve) -> float:
@@ -106,7 +116,7 @@ def brier_censored(survival_at_t, times, events, t, censoring_curve: StepCurve) 
     t = float(t)
     g_at_times = evaluate(censoring_curve, times)
     g_at_t = float(evaluate(censoring_curve, t))
-    return _brier_from_values(survival_at_t, times, events, t, g_at_times, g_at_t)
+    return _brier_scores(times, events, g_at_times, [(t, g_at_t, survival_at_t)])[0]
 
 
 def integrated_brier(survival, times, events) -> float:
@@ -126,14 +136,8 @@ def integrated_brier(survival, times, events) -> float:
     # the first event record's
     columns = event_rows[first]
     g_at_times = evaluate(censoring_km(times, events), times)
-    scores = np.array(
-        [
-            _brier_from_values(
-                survival[:, c], times, events, float(times[c]), g_at_times, float(g_at_times[c])
-            )
-            for c in columns
-        ]
-    )
+    points = [(float(times[c]), float(g_at_times[c]), survival[:, c]) for c in columns]
+    scores = np.array(_brier_scores(times, events, g_at_times, points))
     gaps = np.diff(t_grid)
     area = float((0.5 * (scores[:-1] + scores[1:]) * gaps).sum())
     return area / float(t_grid[-1] - t_grid[0])

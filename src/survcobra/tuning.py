@@ -201,8 +201,10 @@ def random_search(
     """Score `space.trials` random triples and return (best, trace).
 
     Ties in the objective keep the earlier trial.  Trials whose learners
-    fail are recorded in the trace with an error message and skipped; if
-    every trial fails a `TuningError` carries the full trace.
+    fail are recorded in the trace with an error message, led by the
+    learner kind when a solver did not converge, and skipped; if every
+    trial fails a `TuningError` names the distinct causes and carries the
+    full trace.
     """
     if roster is None:
         roster = default_roster()
@@ -221,7 +223,9 @@ def random_search(
                 value, fold_values = _evaluate(params, folds, space.seed, space.objective, cache)
                 results[index] = TrialResult(params, value, fold_values, index)
             except (ValueError, ConvergenceError) as exc:
-                results[index] = TrialResult(params, float("nan"), (), index, error=str(exc))
+                learner = getattr(exc, "learner", None)
+                error = f"{learner}: {exc}" if learner else str(exc)
+                results[index] = TrialResult(params, float("nan"), (), index, error=error)
         cache.clear()
 
     trace = [r for r in results if r is not None]
@@ -232,5 +236,6 @@ def random_search(
         if best is None or result.objective_value < best.objective_value:
             best = result
     if best is None:
-        raise TuningError("every trial failed", trace)
+        causes = "; ".join(dict.fromkeys(r.error for r in trace))
+        raise TuningError(f"every trial failed ({len(trace)} of {len(trace)}): {causes}", trace)
     return best, trace

@@ -2,13 +2,17 @@
 
 Everything here is written independently of the package internals (plain
 loops, textbook formulas) so the fast implementations are checked against
-a second derivation, not against themselves.
+a second derivation, not against themselves.  The `reference_*` functions
+are earlier versions of package code, kept verbatim so that the current
+paths can be checked against them bit for bit.
 """
 
 import numpy as np
 
+from survcobra.curves import StepCurve
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError
+from survcobra.metrics import concordance_td
 
 
 def slow_km(times, events):
@@ -228,3 +232,140 @@ def slow_cv_penalty(data, penalty_kind, folds=3, seed=0):
     if best_lam is None:
         raise ConvergenceError(f"no penalty in the CV grid produced a fit (grid max {lam_max:g})")
     return best_lam
+
+
+def same_bits(got, want) -> bool:
+    """Equal type, dtype, shape and bytes: floats as float64 bytes."""
+    if isinstance(want, float):
+        return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_event_table(times, events):
+    """Unique event times with event counts and at-risk counts."""
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events)
+    if t.ndim != 1 or e.shape != t.shape:
+        raise ValueError("times and events must be 1-d arrays of equal length")
+    if t.size == 0:
+        raise ValueError("empty input: at least one record is required")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
+    if not np.all((e == 0) | (e == 1)):
+        raise ValueError("event flags must be 0 or 1")
+    return reference_event_counts(t, e)
+
+
+def reference_event_counts(t, e):
+    """`reference_event_table` on validated arrays (possibly empty)."""
+    event_times = t[e == 1]
+    if event_times.size == 0:
+        empty = np.empty(0, dtype=float)
+        return empty, empty.copy(), empty.copy()
+    unique_times, d = np.unique(event_times, return_counts=True)
+    sorted_t = np.sort(t)
+    r = t.size - np.searchsorted(sorted_t, unique_times, side="left")
+    return unique_times, d.astype(float), r.astype(float)
+
+
+def reference_product_limit(times, events):
+    """(jump times, values) of the product-limit curve."""
+    u, d, r = reference_event_table(times, events)
+    return u, (np.cumprod(1.0 - d / r) if u.size else u)
+
+
+def reference_evaluate(curve, t):
+    """A step curve at scalar or array `t`, right-continuously."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("evaluation times must be nonnegative")
+    if curve.times.size == 0:
+        out = np.full(arr.shape, curve.baseline)
+        return float(out) if arr.ndim == 0 else out
+    idx = np.searchsorted(curve.times, arr, side="right") - 1
+    out = np.where(idx < 0, curve.baseline, curve.values[np.maximum(idx, 0)])
+    return float(out) if arr.ndim == 0 else out
+
+
+def reference_brier_from_values(survival_at_t, times, events, t, g_at_times, g_at_t):
+    """One Brier evaluation given survival and censoring values."""
+    had_event = (times <= t) & (events == 1)
+    still_at_risk = times > t
+    excluded = (had_event & (g_at_times == 0.0)) | (still_at_risk & (g_at_t == 0.0))
+    n_eff = times.size - int(excluded.sum())
+    if n_eff == 0:
+        raise ValueError(f"every record lost its censoring weight at t={t}")
+    keep = ~excluded
+    total = 0.0
+    mask1 = had_event & keep
+    if mask1.any():
+        total += float((survival_at_t[mask1] ** 2 / g_at_times[mask1]).sum())
+    mask2 = still_at_risk & keep
+    if mask2.any():
+        total += float(((1.0 - survival_at_t[mask2]) ** 2 / g_at_t).sum())
+    return total / n_eff
+
+
+def reference_integrated_brier(survival, times, events):
+    """Trapezoid average of the censored Brier score over the sample's
+    distinct event times, with its own censoring Kaplan-Meier."""
+    survival = np.asarray(survival, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events).astype(np.int64)
+    event_rows = np.flatnonzero(events == 1)
+    t_grid, first = np.unique(times[event_rows], return_index=True)
+    if t_grid.size < 2:
+        raise ValueError("the integration grid needs at least two time points")
+    columns = event_rows[first]
+    censoring = StepCurve(*reference_product_limit(times, 1 - events))
+    g_at_times = reference_evaluate(censoring, times)
+    scores = np.array(
+        [
+            reference_brier_from_values(
+                survival[:, c], times, events, float(times[c]), g_at_times, float(g_at_times[c])
+            )
+            for c in columns
+        ]
+    )
+    gaps = np.diff(t_grid)
+    area = float((0.5 * (scores[:-1] + scores[1:]) * gaps).sum())
+    return area / float(t_grid[-1] - t_grid[0])
+
+
+def reference_predict_one(d_l, pop_km, distances_mq, epsilon, need):
+    """One query's aggregated curve, or `pop_km` itself on a fallback."""
+    members = np.flatnonzero((distances_mq <= epsilon).sum(axis=0) >= need)
+    if members.size == 0:
+        return pop_km
+    events = d_l.event[members]
+    if not np.any(events == 1):
+        return pop_km
+    return StepCurve(*reference_product_limit(d_l.time[members], events))
+
+
+def reference_aggregate(d_l, pop_km, distances, epsilon, need):
+    """`reference_predict_one` for every query of a (machines, queries, n_l) tensor."""
+    return [
+        reference_predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
+        for i in range(distances.shape[1])
+    ]
+
+
+def reference_survival_rows(curves, pop_km, times, pop_row=None):
+    """`survival[i, k]`: curve i at `times[k]`, one shared row for fallbacks."""
+    if pop_row is None:
+        pop_row = reference_evaluate(pop_km, times)
+    return np.stack([pop_row if c is pop_km else reference_evaluate(c, times) for c in curves])
+
+
+def reference_fold_objective(prepared, params, objective):
+    """The tuning objective of one prepared fold, through the references;
+    the population KM row is evaluated afresh."""
+    curves = reference_aggregate(
+        prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count
+    )
+    survival = reference_survival_rows(curves, prepared.pop_km, prepared.val_times)
+    if objective == "ibs":
+        return reference_integrated_brier(survival, prepared.val_times, prepared.val_events)
+    return -concordance_td(survival, prepared.val_times, prepared.val_events)

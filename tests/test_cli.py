@@ -42,6 +42,18 @@ def read(path):
     return Path(path).read_bytes()
 
 
+def ordered_dataset(tmp_path):
+    """A 60-row CSV whose single covariate orders the times perfectly, so
+    the unpenalized Cox partial likelihood has no maximum, and its dataset
+    section."""
+    rng = np.random.default_rng(0)
+    covariate = np.sort(rng.uniform(size=60))
+    rows = [f"{c:.6f},{t:.1f},1" for c, t in zip(covariate, range(1, 61))]
+    csv_path = tmp_path / "ordered.csv"
+    csv_path.write_text("x,time,event\n" + "\n".join(rows) + "\n")
+    return {"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"}
+
+
 def csv_dataset(tmp_path, bom=False, infinite=None, **columns):
     """A 60-row CSV with columns time, a, b, event, and its dataset section;
     `infinite` names a column whose fifth cell becomes `inf`."""
@@ -99,16 +111,9 @@ class TestBench:
         assert not out.exists()
 
     def test_unconverged_solver_exits_one_naming_the_learner(self, tmp_path, capsys):
-        # the single covariate orders the times perfectly, so the unpenalized
-        # Cox partial likelihood has no maximum
-        rng = np.random.default_rng(0)
-        covariate = np.sort(rng.uniform(size=60))
-        rows = [f"{c:.6f},{t:.1f},1" for c, t in zip(covariate, range(1, 61))]
-        csv_path = tmp_path / "ordered.csv"
-        csv_path.write_text("x,time,event\n" + "\n".join(rows) + "\n")
         cfg = write_config(
             tmp_path / "cfg.json",
-            dataset={"kind": "csv", "path": str(csv_path), "time_col": "time", "event_col": "event"},
+            dataset=ordered_dataset(tmp_path),
             roster=[{"kind": "cox_ridge", "penalty": 0}],
             folds=2,
             seed=1,
@@ -493,6 +498,25 @@ class TestTune:
         out = tmp_path / "out"
         assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "trials.csv").read_text().strip().splitlines()) == 2
+
+    def test_every_trial_failing_exits_one_naming_the_causes(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            dataset=ordered_dataset(tmp_path),
+            roster=[{"kind": "cox_ridge", "penalty": 0}, {"kind": "knn_survival"}],
+            search={"trials": 4},
+            inner_folds=2,
+            seed=1,
+        )
+        raw = json.loads(cfg.read_text())
+        del raw["params"]
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "survcobra: error: every trial failed (4 of 4): cox_ridge: step halving exhausted\n"
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("trials", [2.5, "4", True])

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from survcobra.curves import (
     CUMULATIVE,
+    SURVIVAL,
     StepCurve,
+    _event_counts,
     area_distance,
     censoring_km,
     distance_grid,
@@ -16,7 +18,15 @@ from survcobra.curves import (
     product_limit_rows,
 )
 
-from helpers import slow_km, slow_na
+from helpers import (
+    reference_event_counts,
+    reference_evaluate,
+    reference_event_table,
+    reference_product_limit,
+    same_bits,
+    slow_km,
+    slow_na,
+)
 
 # few distinct times, so events tie with events and with censorings
 TIED_RECORDS = st.lists(
@@ -79,6 +89,115 @@ class TestStepCurve:
         times = np.array([1.0, 2.0])
         StepCurve(times, [0.5, 0.25])
         times[0] = 0.5  # must still be writeable
+
+
+EMPTY = np.empty(0)
+
+INVALID_CURVES = [
+    ([[1.0]], [0.5], SURVIVAL, "times and values must be 1-d arrays of equal length"),
+    ([1.0, 2.0], [0.5], SURVIVAL, "times and values must be 1-d arrays of equal length"),
+    ([1.0], [0.5], "hazard", "unknown curve kind 'hazard'"),
+    ([np.nan], [0.5], SURVIVAL, "curve times and values must be finite"),
+    ([1.0, np.inf], [0.5, 0.4], SURVIVAL, "curve times and values must be finite"),
+    ([1.0], [np.nan], SURVIVAL, "curve times and values must be finite"),
+    ([2.0, 1.0], [np.nan, 1.5], SURVIVAL, "curve times and values must be finite"),
+    ([1.0], [-np.inf], CUMULATIVE, "curve times and values must be finite"),
+    ([-1.0, 2.0], [0.5, 0.4], SURVIVAL, "jump times must be nonnegative"),
+    ([-1.0, -2.0], [1.5, 0.4], SURVIVAL, "jump times must be nonnegative"),
+    ([2.0, 1.0], [0.5, 0.4], SURVIVAL, "jump times must be strictly increasing"),
+    ([1.0, 1.0], [0.5, 0.4], SURVIVAL, "jump times must be strictly increasing"),
+    ([1.0, -1.0], [0.5, 0.4], SURVIVAL, "jump times must be strictly increasing"),
+    ([1.0, 2.0, 2.0], [0.5, 0.6, 1.5], SURVIVAL, "jump times must be strictly increasing"),
+    ([1.0], [1.5], SURVIVAL, "survival values must lie in [0, 1]"),
+    ([1.0], [-0.1], SURVIVAL, "survival values must lie in [0, 1]"),
+    ([1.0, 2.0], [0.5, 1.5], SURVIVAL, "survival values must lie in [0, 1]"),
+    ([1.0, 2.0], [0.4, 0.5], SURVIVAL, "survival values must be non-increasing"),
+    ([0.0, 1.0, 2.0], [1.0, 0.0, 1e-300], SURVIVAL, "survival values must be non-increasing"),
+    ([1.0], [-0.5], CUMULATIVE, "cumulative values must be nonnegative"),
+    ([1.0, 2.0], [-1.0, -2.0], CUMULATIVE, "cumulative values must be nonnegative"),
+    ([1.0, 2.0], [0.5, 0.4], CUMULATIVE, "cumulative values must be non-decreasing"),
+    ([1.0, 2.0, 3.0], [2.0, 5.0, 4.999], CUMULATIVE, "cumulative values must be non-decreasing"),
+]
+
+
+@pytest.mark.parametrize("times, values, kind, message", INVALID_CURVES)
+def test_invalid_curve_gets_its_message(times, values, kind, message):
+    with pytest.raises(ValueError) as err:
+        StepCurve(times, values, kind)
+    assert str(err.value) == message
+
+
+SAMPLES = {
+    "tied": ([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 0.5], [1, 1, 0, 1, 0, 1, 0]),
+    "all censored": ([0.5, 1.0, 2.0, 2.0], [0, 0, 0, 0]),
+    "one event": ([1.5], [1]),
+    "one censored": ([1.5], [0]),
+    "ties at zero": ([0.0, 0.0, 1.0, 0.0], [1, 1, 0, 0]),
+    "all events tied": ([2.0, 2.0, 2.0], [1, 1, 1]),
+}
+
+
+class TestBitwiseReference:
+    """The product-limit counts and curve evaluation against the code they
+    replaced, kept verbatim in `helpers`: equal bit for bit."""
+
+    def check_sample(self, times, events):
+        t, e = np.asarray(times, dtype=float), np.asarray(events)
+        for got, want in zip(_event_counts(t, e), reference_event_counts(t, e)):
+            assert same_bits(got, want)
+        curve = product_limit(times, events)
+        want_times, want_values = reference_product_limit(times, events)
+        assert same_bits(curve.times, want_times) and same_bits(curve.values, want_values)
+        u, d, r = reference_event_table(times, events)
+        hazard = nelson_aalen(times, events)
+        assert same_bits(hazard.times, u) and same_bits(hazard.values, np.cumsum(d / r) if u.size else u)
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_product_limit_on_edge_samples(self, name):
+        self.check_sample(*SAMPLES[name])
+
+    def test_product_limit_on_random_samples(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7, 40, 63, 200):
+            for _ in range(5):
+                times = np.round(rng.uniform(0.0, 4.0, size=n), int(rng.integers(0, 3)))
+                self.check_sample(times, (rng.uniform(size=n) < rng.uniform()).astype(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(TIED_RECORDS)
+    def test_product_limit_on_tied_records(self, records):
+        times, events = zip(*records)
+        self.check_sample(list(times), list(events))
+
+    def test_event_counts_of_an_empty_sample(self):
+        for got in _event_counts(EMPTY, EMPTY.astype(np.int64)):
+            assert same_bits(got, EMPTY)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            StepCurve([2.0], [0.5]),
+            StepCurve([0.0, 1.0, 3.0], [0.9, 0.8, 0.0]),
+            StepCurve(EMPTY, EMPTY),
+            StepCurve([1.0, 2.5], [0.7, 1.2], kind=CUMULATIVE),
+            StepCurve(EMPTY, EMPTY, kind=CUMULATIVE),
+        ],
+        ids=["one jump", "jump at zero", "empty", "cumulative", "empty cumulative"],
+    )
+    @pytest.mark.parametrize(
+        "t",
+        [0.0, 1.0, 1.9, 2.0, 3.0, 1e9, np.float64(2.5), np.nan, [0.0, 1.0, 2.9, 3.0, 100.0],
+         np.array([[0.5, 2.0], [3.0, 0.0]]), EMPTY, [np.nan, 1.0]],
+        ids=["0", "1", "1.9", "2", "3", "1e9", "float64", "nan", "list", "2-d", "empty", "nan in list"],
+    )
+    def test_evaluate(self, curve, t):
+        assert same_bits(evaluate(curve, t), reference_evaluate(curve, t))
+
+    @pytest.mark.parametrize("t", [-0.1, [1.0, -1e-300], np.array([[0.0], [-np.inf]])])
+    def test_evaluate_rejects_negative_times(self, t):
+        for fn in (evaluate, reference_evaluate):
+            with pytest.raises(ValueError, match="^evaluation times must be nonnegative$"):
+                fn(StepCurve([1.0], [0.5]), t)
 
 
 class TestKaplanMeier:

@@ -2,8 +2,9 @@
 
 `scipy.stats` roughly doubles the start-up time and adds a third to the
 peak memory of every `survcobra` command, and the package needs none of
-it (ROADMAP, open item 1).  The check runs in a fresh interpreter and
-looks at the set of loaded modules, so it does not depend on timing.
+it (ROADMAP aim 1, measured performance).  The check runs in a fresh
+interpreter and looks at the set of loaded modules, so it does not depend
+on timing.
 """
 
 import subprocess
@@ -28,6 +29,6 @@ def test_package_import_leaves_scipy_stats_unloaded():
     loaded = done.stdout.strip()
     assert loaded == "[]", (
         f"importing survcobra loaded {loaded}: scipy.stats is kept out of the "
-        "import graph for start-up time and memory (ROADMAP, open item 1); "
+        "import graph for start-up time and memory (ROADMAP aim 1); "
         "use scipy.special or numpy instead"
     )

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from survcobra.curves import StepCurve, censoring_km, evaluate, kaplan_meier
+from survcobra.curves import CUMULATIVE, StepCurve, censoring_km, evaluate, kaplan_meier
 from survcobra.metrics import (
     MetricReport,
     brier_censored,
@@ -13,6 +13,8 @@ from survcobra.metrics import (
     d_calibration_masses,
     integrated_brier,
 )
+
+from helpers import reference_brier_from_values, reference_evaluate, reference_integrated_brier, same_bits
 
 
 def survival_array(curves, times):
@@ -223,6 +225,91 @@ class TestIntegratedBrier:
     def test_short_grid_fails(self):
         with pytest.raises(ValueError, match="two time points"):
             integrated_brier(np.full((1, 1), 0.5), [1.0], [1])
+
+
+def tied_sample(rng, n):
+    """Times on a coarse grid, so events tie with events and censorings."""
+    times = np.round(rng.uniform(0.1, 5.0, size=n), 1)
+    events = (rng.uniform(size=n) < rng.uniform(0.2, 0.9)).astype(np.int64)
+    events[0] = 1
+    return times, events
+
+
+class TestBitwiseReference:
+    """`brier_censored` and `integrated_brier` against the per-column Brier
+    loop they replaced, kept verbatim in `helpers`: equal bit for bit."""
+
+    CENSORING = {
+        "km": None,
+        "reaches zero": StepCurve([1.0, 2.0, 3.0], [0.6, 0.2, 0.0]),
+        "zero at once": StepCurve([0.0], [0.0]),
+        "constant one": StepCurve(np.empty(0), np.empty(0)),
+        "cumulative": StepCurve([1.0, 2.0], [0.5, 2.0], kind=CUMULATIVE),
+    }
+
+    @pytest.mark.parametrize("name", CENSORING)
+    def test_brier_censored(self, name):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for n in (1, 2, 5, 30, 133):
+            for _ in range(4):
+                times, events = tied_sample(rng, n)
+                curve = self.CENSORING[name] or censoring_km(times, events)
+                s = rng.uniform(size=n)
+                for t in (0.0, 0.05, float(times[0]), 1.0, 2.0, 2.5, 3.0, 9.0):
+                    g_at_times = reference_evaluate(curve, times)
+                    g_at_t = reference_evaluate(curve, t)
+                    try:
+                        want = reference_brier_from_values(s, times, events, t, g_at_times, g_at_t)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as err:
+                            brier_censored(s, times, events, t, curve)
+                        assert str(err.value) == str(exc)
+                        continue
+                    assert same_bits(brier_censored(s, times, events, t, curve), want)
+                    checked += 1
+        assert checked
+
+    def test_every_record_losing_its_weight_is_an_error(self):
+        # G is zero from t = 1: the event at 2 and the record at risk at 2.5
+        # both lose their weight
+        times, events = np.array([2.0, 3.0]), np.array([1, 0])
+        zero_after_one = StepCurve([1.0], [0.0])
+        for brier in (
+            lambda: brier_censored(np.full(2, 0.5), times, events, 2.5, zero_after_one),
+            lambda: reference_brier_from_values(np.full(2, 0.5), times, events, 2.5, np.zeros(2), 0.0),
+        ):
+            with pytest.raises(ValueError) as err:
+                brier()
+            assert str(err.value) == "every record lost its censoring weight at t=2.5"
+        # a record censored before t keeps the sample alive, scoring zero
+        times, events = np.array([0.5, 2.0, 3.0]), np.array([0, 1, 0])
+        assert brier_censored(np.full(3, 0.5), times, events, 2.5, zero_after_one) == 0.0
+
+    def test_integrated_brier(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 8, 40, 133, 300):
+            for _ in range(4):
+                times, events = tied_sample(rng, n)
+                survival = np.sort(rng.uniform(size=(n, n)), axis=1)[:, ::-1]
+                try:
+                    want = reference_integrated_brier(survival, times, events)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as err:
+                        integrated_brier(survival, times, events)
+                    assert str(err.value) == str(exc)
+                    continue
+                assert same_bits(integrated_brier(survival, times, events), want)
+
+    def test_integrated_brier_when_censoring_weights_reach_zero(self):
+        # the last record is censored alone, so G drops to zero at t = 6
+        times = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 6.0])
+        events = np.array([1, 1, 0, 1, 1, 0])
+        assert evaluate(censoring_km(times, events), 6.0) == 0.0
+        survival = np.random.default_rng(7).uniform(size=(6, 6))
+        assert same_bits(
+            integrated_brier(survival, times, events), reference_integrated_brier(survival, times, events)
+        )
 
 
 class TestDCalibration:

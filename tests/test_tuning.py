@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from survcobra.cobra import CobraParams, fit_cobra, predict_cobra_batch
+from survcobra.cobra import CobraParams, _aggregate, _survival_rows, fit_cobra, predict_cobra_batch
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
 from survcobra.exceptions import TuningError
@@ -11,6 +11,14 @@ from survcobra.seeds import derive_seed
 from survcobra import tuning
 from survcobra.tuning import SearchSpace, _evaluate, draw_trials, evaluate_params, random_search
 
+from helpers import (
+    reference_aggregate,
+    reference_evaluate,
+    reference_fold_objective,
+    reference_product_limit,
+    reference_survival_rows,
+    same_bits,
+)
 from test_metrics import survival_array
 
 ROSTER = (
@@ -257,3 +265,43 @@ def test_evaluate_params_names_an_event_free_inner_split():
     pattern = r"tuning inner 3-fold split: fold [123] of 3, (test|training) part: a dataset needs at least one observed event"
     with pytest.raises(ValueError, match=pattern):
         evaluate_params(CobraParams(0.1, 0.5, 0.5, ROSTER), data, inner_folds=3)
+
+
+@pytest.fixture(scope="module")
+def tune_folds():
+    """The prepared folds of the `tune` benchmark's data at seed 1 (400
+    records, nine covariates, three inner folds) at l_fraction 0.5."""
+    data = generate_synthetic(SyntheticConfig(n=400, censor_fraction=0.4, dim=9, seed=derive_seed(1, 0)))
+    roster = (
+        LearnerSpec("survival_tree", {}),
+        LearnerSpec("cox_ridge", {"penalty": 1.0}),
+        LearnerSpec("knn_survival", {}),
+    )
+    seed = derive_seed(1, 3)
+    folds = tuning._inner_folds(data, 3, seed)
+    return roster, [tuning._prepare_fold(folds, i, roster, 0.5, seed, {}) for i in range(3)]
+
+
+def test_fold_objective_matches_the_reference_chain_bitwise(tune_folds):
+    roster, prepared_folds = tune_folds
+    cases = 0
+    for prepared in prepared_folds:
+        km_times, km_values = reference_product_limit(prepared.d_l.time, prepared.d_l.event)
+        assert same_bits(prepared.pop_km.times, km_times) and same_bits(prepared.pop_km.values, km_values)
+        assert same_bits(prepared.pop_row, reference_evaluate(prepared.pop_km, prepared.val_times))
+        for alpha in (0.2, 0.6, 1.0):
+            order = prepared.distances[CobraParams(0.1, alpha, 0.5, roster).consensus_count - 1]
+            for epsilon in (1e-300, *np.quantile(order[order > 0.0], [0.001, 0.02, 0.1, 0.5]), 10.0):
+                params = CobraParams(float(epsilon), alpha, 0.5, roster)
+                args = (prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count)
+                curves, want = _aggregate(*args), reference_aggregate(*args)
+                assert [c is prepared.pop_km for c in curves] == [c is prepared.pop_km for c in want]
+                assert same_bits(
+                    _survival_rows(curves, prepared.pop_km, prepared.val_times, prepared.pop_row),
+                    reference_survival_rows(want, prepared.pop_km, prepared.val_times),
+                )
+                for objective in tuning.OBJECTIVES:
+                    got = tuning._fold_objective(prepared, params, objective)
+                    assert same_bits(got, reference_fold_objective(prepared, params, objective))
+                cases += 1
+    assert cases == 3 * 3 * 6
