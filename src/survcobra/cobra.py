@@ -70,45 +70,40 @@ class CobraParams:
 
 
 class _CobraStack:
-    """Everything a fitted ensemble carries besides (epsilon, alpha):
-    the split, the fitted machines, and the cached calibration curves
-    evaluated on the shared distance grid."""
+    """Everything a fitted ensemble carries besides (epsilon, alpha): the
+    split, the fitted machines, the calibration part's population KM, and
+    each machine's calibration curves on the shared distance grid, held
+    once already weighted by the grid widths."""
 
-    def __init__(self, split: DatasetSplit, machines, grid, cal_values, pop_km):
+    def __init__(self, split: DatasetSplit, machines):
         self.split = split
         self.machines = tuple(machines)
-        self.grid = grid
-        self.widths = np.diff(grid)
-        self.span = float(grid[-1] - grid[0])
-        self.cal_values = tuple(cal_values)  # one (n_l, grid) matrix per machine
-        self.pop_km = pop_km
+        d_k, d_l = split.d_k, split.d_l
+        event_times = d_k.time[d_k.event == 1]
+        self.grid = np.unique(np.concatenate(([0.0], event_times, [float(d_k.time.max())])))
+        self.widths = np.diff(self.grid)
+        self.span = float(self.grid[-1] - self.grid[0])
+        # one (n_l, grid - 1) matrix per machine
+        self.cal_weighted = tuple(self._weighted(machine, d_l.x) for machine in self.machines)
+        self.pop_km = kaplan_meier(d_l.time, d_l.event)
+
+    def _weighted(self, machine, x_matrix) -> np.ndarray:
+        return machine.predict_values(x_matrix, self.grid)[:, :-1] * self.widths
 
     def query_distances(self, x_matrix) -> np.ndarray:
-        """(machines, queries, calibration) tensor of area distances."""
-        n_q = x_matrix.shape[0]
-        n_l = self.split.d_l.n
-        out = np.empty((len(self.machines), n_q, n_l))
+        """(machines, queries, calibration) tensor of area distances, sorted
+        on the machine axis: entry m is each pair's (m+1)-th smallest."""
+        out = np.empty((len(self.machines), x_matrix.shape[0], self.split.d_l.n))
         for m, machine in enumerate(self.machines):
-            values = machine.predict_values(x_matrix, self.grid)
-            qw = values[:, :-1] * self.widths
-            cw = self.cal_values[m][:, :-1] * self.widths
-            out[m] = cdist(qw, cw, metric="cityblock") / self.span
+            qw = self._weighted(machine, x_matrix)
+            out[m] = cdist(qw, self.cal_weighted[m], metric="cityblock") / self.span
+        out.sort(axis=0)
         return out
-
-
-def _distance_grid_for(d_k: SurvivalDataset) -> np.ndarray:
-    t_max = float(d_k.time.max())
-    event_times = d_k.time[d_k.event == 1]
-    return np.unique(np.concatenate(([0.0], event_times, [t_max])))
 
 
 def _fit_stack(train, roster, l_fraction, seed) -> _CobraStack:
     split = cobra_split(train, l_fraction, seed)
-    machines = [fit(spec, split.d_k) for spec in roster]
-    grid = _distance_grid_for(split.d_k)
-    cal_values = [machine.predict_values(split.d_l.x, grid) for machine in machines]
-    pop_km = kaplan_meier(split.d_l.time, split.d_l.event)
-    return _CobraStack(split, machines, grid, cal_values, pop_km)
+    return _CobraStack(split, [fit(spec, split.d_k) for spec in roster])
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,32 +156,37 @@ def fit_cobra(train: SurvivalDataset, params: CobraParams, seed: int) -> CobraMo
     return CobraModel(params, _fit_stack(train, params.roster, params.l_fraction, seed))
 
 
-def _distance_chunks(stack: _CobraStack, queries: np.ndarray):
-    """Yield `stack.query_distances` over consecutive chunks of `queries`.
+def _distance_chunks(stack: _CobraStack, queries: np.ndarray, reduce):
+    """Yield `reduce(stack.query_distances(chunk))` over consecutive chunks
+    of `queries`.
 
     A chunk holds as many queries as keep its (machines, chunk, n_l)
-    float64 tensor within `_DISTANCE_BUDGET_BYTES` (at least one).  Every
-    row of a learner's `predict_values` and of a cityblock `cdist` is
-    computed on its own, so chunking leaves every distance unchanged.
+    float64 tensor within `_DISTANCE_BUDGET_BYTES` (at least one), and no
+    name holds a tensor past its `reduce`, so one is alive at a time.
+    Every row of a learner's `predict_values` and of a cityblock `cdist`
+    is computed on its own, so chunking leaves every distance unchanged.
     """
     per_query = len(stack.machines) * stack.split.d_l.n * 8
     size = max(1, _DISTANCE_BUDGET_BYTES // per_query)
     for start in range(0, queries.shape[0], size):
-        yield stack.query_distances(queries[start : start + size])
+        yield reduce(stack.query_distances(queries[start : start + size]))
 
 
 def _member_mask(distances, epsilon, need) -> np.ndarray:
-    """distances: (machines, ..., n_l) -> bool member mask of shape (..., n_l)."""
-    return (distances <= epsilon).sum(axis=0) >= need
+    """Machine-sorted distances (machines, ..., n_l) -> bool member mask of
+    shape (..., n_l).  At least `need` machines lie within epsilon exactly
+    when the `need`-th smallest distance does."""
+    return distances[need - 1] <= epsilon
 
 
 def _label_chunks(model: CobraModel, queries):
-    """Yield the (chunk, n_l) 0/1 proximity labels of consecutive chunks of
-    a query set, from one chunked distance pass."""
+    """The (chunk, n_l) 0/1 proximity labels of consecutive chunks of a
+    query set, lazily, from one chunked distance pass."""
     q = model._check_queries(queries)
     epsilon, need = model.params.epsilon, model.params.consensus_count
-    for distances in _distance_chunks(model.stack, q):
-        yield _member_mask(distances, epsilon, need).astype(np.int64)
+    return _distance_chunks(
+        model.stack, q, lambda distances: _member_mask(distances, epsilon, need).astype(np.int64)
+    )
 
 
 def gamma_labels(model: CobraModel, x) -> np.ndarray:
@@ -246,8 +246,7 @@ def predict_cobra_batch(model: CobraModel, queries) -> list[StepCurve]:
     q = model._check_queries(queries)
     d_l, pop_km = model.split.d_l, model.stack.pop_km
     epsilon, need = model.params.epsilon, model.params.consensus_count
-    return [
-        curve
-        for distances in _distance_chunks(model.stack, q)
-        for curve in _aggregate(d_l, pop_km, distances, epsilon, need)
-    ]
+    chunks = _distance_chunks(
+        model.stack, q, lambda distances: _aggregate(d_l, pop_km, distances, epsilon, need)
+    )
+    return [curve for curves in chunks for curve in curves]

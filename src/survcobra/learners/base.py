@@ -53,3 +53,17 @@ def standardize_fit(x: np.ndarray):
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     return mean, sd
+
+
+def halving_step(objective, beta, direction, current):
+    """The first of `beta + direction * 2**-i`, i = 0..39, whose objective is
+    finite and at least `current - 1e-12`, as (candidate, value); None when
+    every try fails."""
+    scale = 1.0
+    for _ in range(40):
+        candidate = beta + scale * direction
+        value = objective(candidate)
+        if np.isfinite(value) and value >= current - 1e-12:
+            return candidate, value
+        scale *= 0.5
+    return None

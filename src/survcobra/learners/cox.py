@@ -19,7 +19,7 @@ import numpy as np
 from ..curves import CUMULATIVE, StepCurve
 from ..data import SurvivalDataset, kfold_split
 from ..exceptions import ConvergenceError
-from .base import BaseSurvivalModel, standardize_fit
+from .base import BaseSurvivalModel, halving_step, standardize_fit
 
 MAX_OUTER_ITER = 100
 COEF_TOL = 1e-7
@@ -160,19 +160,12 @@ def _newton_ridge(pl: _PartialLikelihood, lam: float, start=None):
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             raise ConvergenceError("non-finite Newton step", tuple(trace))
-        scale = 1.0
-        current = trace[-1]
-        for _ in range(40):
-            candidate = beta + scale * step
-            value = pl.value(candidate) - 0.5 * lam * float(candidate @ candidate)
-            if np.isfinite(value) and value >= current - 1e-12:
-                break
-            scale *= 0.5
-        else:
+        found = halving_step(lambda b: pl.value(b) - 0.5 * lam * float(b @ b), beta, step, trace[-1])
+        if found is None:
             if float(np.max(np.abs(grad))) < 1e-8:
                 break
             raise ConvergenceError("step halving exhausted", tuple(trace))
-        beta = candidate
+        beta, value = found
         trace.append(value)
         # a step that halving shrank below the tolerance is not convergence
         if float(np.max(np.abs(step))) < COEF_TOL:
@@ -220,18 +213,14 @@ def _coordinate_descent_lasso(pl: _PartialLikelihood, lam: float, start=None):
             if biggest < 1e-9:
                 break
         direction = np.array(candidate) - beta
-        scale = 1.0
-        current = trace[-1]
-        for _ in range(40):
-            trial = beta + scale * direction
-            value = pl.value(trial) - lam * float(np.abs(trial).sum())
-            if np.isfinite(value) and value >= current - 1e-12:
-                break
-            scale *= 0.5
-        else:
+        found = halving_step(
+            lambda b: pl.value(b) - lam * float(np.abs(b).sum()), beta, direction, trace[-1]
+        )
+        if found is None:
             if float(np.max(np.abs(direction))) < COEF_TOL:
                 break
             raise ConvergenceError("step halving exhausted", tuple(trace))
+        trial, value = found
         change = float(np.max(np.abs(trial - beta)))
         beta = trial
         trace.append(value)

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .cobra import CobraModel, _label_chunks, gamma_labels
 from .exceptions import ConvergenceError
-from .learners.base import standardize_fit
+from .learners.base import halving_step, standardize_fit
 
 MAX_ITER = 50
 COEF_TOL = 1e-8
@@ -82,16 +82,10 @@ def _irls(x, y, l2):
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             raise ConvergenceError("non-finite IRLS step", tuple(trace))
-        scale = 1.0
-        current = trace[-1]
-        for _ in range(40):
-            candidate = beta + scale * step
-            value = _objective(x, y, ridge, candidate)
-            if np.isfinite(value) and value >= current - 1e-12:
-                break
-            scale *= 0.5
-        else:
+        found = halving_step(lambda b: _objective(x, y, ridge, b), beta, step, trace[-1])
+        if found is None:
             break  # no ascent direction left: stationary
+        candidate, value = found
         change = float(np.max(np.abs(candidate - beta)))
         beta = candidate
         trace.append(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cobra import CobraParams, _aggregate, _fit_stack, _survival_rows
+from .cobra import CobraParams, _aggregate, _fit_stack, _member_mask, _survival_rows
 from .curves import evaluate
 from .data import SurvivalDataset, kfold_split
 from .exceptions import ConvergenceError, TuningError
@@ -104,7 +104,6 @@ def _prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
         fold_train, fold_val = folds[fold_idx]
         stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
         distances = stack.query_distances(fold_val.x)
-        distances.sort(axis=0)  # the member mask counts machines, so order is free
         pop_row = evaluate(stack.pop_km, fold_val.time)
         return _PreparedFold(
             distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
@@ -126,15 +125,14 @@ def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str
 def _scored_objective(prepared, fold_idx, params, objective, cache) -> float:
     """`_fold_objective`, scored once per distinct member mask of a fold.
 
-    With the distances sorted on the machine axis the mask is
-    `distances[need - 1] <= epsilon`, which is fixed by how many entries of
-    that order statistic lie within epsilon.  An empty or a full mask is
-    the same for every need.
+    For a fixed consensus count the mask reads one order statistic of the
+    machine-sorted distances, so it is fixed by how many of its entries lie
+    within epsilon.  An empty or a full mask is the same for every need.
     """
     need = params.consensus_count
-    order = prepared.distances[need - 1]
-    rank = int(np.count_nonzero(order <= params.epsilon))
-    key = (fold_idx, params.l_fraction, need if 0 < rank < order.size else None, rank)
+    mask = _member_mask(prepared.distances, params.epsilon, need)
+    rank = int(np.count_nonzero(mask))
+    key = (fold_idx, params.l_fraction, need if 0 < rank < mask.size else None, rank)
     return _cached(cache, key, lambda: _fold_objective(prepared, params, objective), ValueError)
 
 

@@ -12,7 +12,10 @@ import numpy as np
 from survcobra.curves import StepCurve
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError
+from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _soft_threshold
 from survcobra.metrics import concordance_td
+from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
+from survcobra.relevance import MAX_ITER, _gradient, _objective, _penalty
 
 
 def slow_km(times, events):
@@ -369,3 +372,147 @@ def reference_fold_objective(prepared, params, objective):
     if objective == "ibs":
         return reference_integrated_brier(survival, prepared.val_times, prepared.val_events)
     return -concordance_td(survival, prepared.val_times, prepared.val_events)
+
+
+def reference_member_mask(distances, epsilon, need):
+    """The consensus rule by counting: (machines, ..., n_l) in any machine
+    order -> bool member mask of shape (..., n_l)."""
+    return (distances <= epsilon).sum(axis=0) >= need
+
+
+def reference_newton_ridge(pl, lam, start=None):
+    """Newton ascent on the ridge objective from `start` (zero by default)."""
+    beta = np.zeros(pl.p) if start is None else start
+    trace = [pl.value(beta) - 0.5 * lam * float(beta @ beta)]
+    for _ in range(MAX_OUTER_ITER):
+        grad, curvature = pl.gradient_and_curvature(beta)
+        grad = grad - lam * beta
+        hess = curvature + lam * np.eye(pl.p)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError("non-finite Newton step", tuple(trace))
+        scale = 1.0
+        current = trace[-1]
+        for _ in range(40):
+            candidate = beta + scale * step
+            value = pl.value(candidate) - 0.5 * lam * float(candidate @ candidate)
+            if np.isfinite(value) and value >= current - 1e-12:
+                break
+            scale *= 0.5
+        else:
+            if float(np.max(np.abs(grad))) < 1e-8:
+                break
+            raise ConvergenceError("step halving exhausted", tuple(trace))
+        beta = candidate
+        trace.append(value)
+        # a step that halving shrank below the tolerance is not convergence
+        if float(np.max(np.abs(step))) < COEF_TOL:
+            return beta, tuple(trace)
+    else:
+        raise ConvergenceError(
+            f"ridge solver did not converge in {MAX_OUTER_ITER} iterations",
+            tuple(trace),
+        )
+    return beta, tuple(trace)
+
+
+def reference_coordinate_descent_lasso(pl, lam, start=None):
+    """Cyclic coordinate descent on the lasso objective's local quadratic
+    approximation from `start` (zero by default)."""
+    beta = np.zeros(pl.p) if start is None else start
+    xs = pl.xs
+    columns = list(np.ascontiguousarray(xs.T))
+    trace = [pl.value(beta) - lam * float(np.abs(beta).sum())]
+    for _ in range(MAX_OUTER_ITER):
+        eta, g, h = pl.eta_derivatives(beta)
+        if not np.all(np.isfinite(g)):
+            raise ConvergenceError("non-finite working gradient", tuple(trace))
+        active = h > 1e-12
+        z = np.where(active, eta + np.divide(g, h, out=np.zeros_like(g), where=active), eta)
+        w = np.where(active, h, 0.0)
+        denom = (w[:, None] * xs * xs).sum(axis=0).tolist()
+        candidate = beta.tolist()
+        resid = z - xs @ beta
+        for _ in range(1000):
+            biggest = 0.0
+            for j, column in enumerate(columns):
+                dj = denom[j]
+                if dj <= 0.0:
+                    continue
+                old = candidate[j]
+                rho = float(w @ (column * resid)) + dj * old
+                new = _soft_threshold(rho, lam) / dj
+                if new != old:
+                    resid += column * (old - new)
+                    candidate[j] = new
+                    biggest = max(biggest, abs(new - old))
+            if biggest < 1e-9:
+                break
+        direction = np.array(candidate) - beta
+        scale = 1.0
+        current = trace[-1]
+        for _ in range(40):
+            trial = beta + scale * direction
+            value = pl.value(trial) - lam * float(np.abs(trial).sum())
+            if np.isfinite(value) and value >= current - 1e-12:
+                break
+            scale *= 0.5
+        else:
+            if float(np.max(np.abs(direction))) < COEF_TOL:
+                break
+            raise ConvergenceError("step halving exhausted", tuple(trace))
+        change = float(np.max(np.abs(trial - beta)))
+        beta = trial
+        trace.append(value)
+        if change < COEF_TOL:
+            return beta, tuple(trace)
+    else:
+        raise ConvergenceError(
+            f"lasso solver did not converge in {MAX_OUTER_ITER} iterations",
+            tuple(trace),
+        )
+    return beta, tuple(trace)
+
+
+def reference_irls(x, y, l2):
+    """Iteratively reweighted least squares with step halving.
+
+    Returns (coefficients, objective trace); the trace is non-decreasing.
+    """
+    beta = np.zeros(x.shape[1])
+    ridge = _penalty(x.shape[1], l2)
+    trace = [_objective(x, y, ridge, beta)]
+    for _ in range(MAX_ITER):
+        grad, sigma = _gradient(x, y, ridge, beta)
+        weights = sigma * (1.0 - sigma)
+        hess = (x.T * weights) @ x + np.diag(ridge)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError("non-finite IRLS step", tuple(trace))
+        scale = 1.0
+        current = trace[-1]
+        for _ in range(40):
+            candidate = beta + scale * step
+            value = _objective(x, y, ridge, candidate)
+            if np.isfinite(value) and value >= current - 1e-12:
+                break
+            scale *= 0.5
+        else:
+            break  # no ascent direction left: stationary
+        change = float(np.max(np.abs(candidate - beta)))
+        beta = candidate
+        trace.append(value)
+        if change < LOGISTIC_COEF_TOL:
+            return beta, tuple(trace)
+    if l2 == 0.0:
+        raise ConvergenceError(
+            "logistic fit did not converge (labels may be separable); set l2 > 0",
+            tuple(trace),
+        )
+    return beta, tuple(trace)

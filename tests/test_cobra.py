@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from survcobra import cobra
 from survcobra.cobra import (
@@ -21,7 +23,7 @@ from survcobra.cobra import (
 )
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.learners import LearnerSpec
-from helpers import oracle_cobra_curve, random_dataset
+from helpers import oracle_cobra_curve, random_dataset, reference_member_mask, same_bits
 
 TINY_ROSTER = (
     LearnerSpec("knn_survival", {"k": 3}),
@@ -67,9 +69,12 @@ class TestFit:
     def test_calibration_cache_dimensions(self):
         model = small_model(n=100, l_fraction=0.4, alpha=0.6, roster=FIVE_ROSTER)
         assert model.split.l == 40
-        values = model.stack.cal_values
-        assert len(values) == 5
-        assert all(v.shape == (40, model.stack.grid.size) for v in values)
+        stack = model.stack
+        assert len(stack.cal_weighted) == 5
+        for machine, held in zip(model.machines, stack.cal_weighted):
+            assert held.shape == (40, stack.grid.size - 1)
+            want = machine.predict_values(model.split.d_l.x, stack.grid)[:, :-1] * stack.widths
+            assert same_bits(held, want)
 
     def test_constant_machine_gives_identical_cached_curves(self):
         rng = np.random.default_rng(5)
@@ -77,8 +82,11 @@ class TestFit:
         k_all = LearnerSpec("knn_survival", {"k": 30})  # k = |D_k|: population KM for any x
         params = CobraParams(0.1, 1.0, 0.4, (k_all,))
         model = fit_cobra(train, params, seed=2)
-        values = model.stack.cal_values[0]
-        assert np.all(values == values[0])
+        stack = model.stack
+        held = stack.cal_weighted[0]
+        assert np.all(held == held[0])
+        want = model.machines[0].predict_values(model.split.d_l.x, stack.grid)[:, :-1] * stack.widths
+        assert same_bits(held, want)
 
     def test_seeded_determinism(self):
         a = small_model(seed=7, alpha=0.6, roster=FIVE_ROSTER)
@@ -91,12 +99,13 @@ class TestFit:
 
     def test_cached_curves_match_direct_predictions(self):
         model = small_model(seed=3, roster=TINY_ROSTER)
-        d_l, grid = model.split.d_l, model.stack.grid
+        d_l, grid, widths = model.split.d_l, model.stack.grid, model.stack.widths
         for m, machine in enumerate(model.machines):
+            held = model.stack.cal_weighted[m]
+            assert same_bits(held, machine.predict_values(d_l.x, grid)[:, :-1] * widths)
             for j in [0, d_l.n // 2, d_l.n - 1]:
-                cached = model.stack.cal_values[m][j]
-                assert np.array_equal(cached, machine.predict_values(d_l.x[j], grid)[0])
-                assert np.array_equal(cached, evaluate(machine.predict_curve(d_l.x[j]), grid))
+                want = evaluate(machine.predict_curve(d_l.x[j]), grid)[:-1] * widths
+                assert same_bits(held[j], want)
 
 
 class TestGamma:
@@ -108,7 +117,7 @@ class TestGamma:
 
     def test_direct_count_example(self):
         # five machines, three of five distances within epsilon, need 3 -> member
-        distances = np.array([[0.01], [0.02], [0.5], [0.6], [0.03]])
+        distances = np.sort(np.array([[0.01], [0.02], [0.5], [0.6], [0.03]]), axis=0)
         assert _member_mask(distances, epsilon=0.1, need=3)[0]
         assert not _member_mask(distances, epsilon=0.1, need=4)[0]
 
@@ -133,6 +142,45 @@ class TestGamma:
             )
             strict = set(np.flatnonzero(gamma_labels(stricter, q)))
             assert strict <= small
+
+
+class TestMembershipRule:
+    """The consensus rule is one order statistic of the machine-sorted
+    distances, pinned to the count over machines it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        machines=st.integers(1, 5),
+        queries=st.integers(1, 3),
+        records=st.integers(1, 6),
+    )
+    def test_property_order_statistic_equals_the_count(self, data, machines, queries, records):
+        # a few distinct values, exact zeros among them, so ties are common
+        values = st.sampled_from([0.0, 0.0, 1e-300, 0.05, 0.1, 0.1, 0.3, 1.0])
+        cells = data.draw(st.lists(values, min_size=machines * queries * records,
+                                   max_size=machines * queries * records))
+        distances = np.array(cells).reshape(machines, queries, records)
+        epsilon = data.draw(st.sampled_from([0.0, 1e-300, 0.05, 0.1, 0.2, 1.0]))
+        ordered = np.sort(distances, axis=0)
+        for need in range(1, machines + 1):
+            want = reference_member_mask(distances, epsilon, need)
+            assert same_bits(_member_mask(ordered, epsilon, need), want)
+            for i in range(queries):
+                assert same_bits(_member_mask(ordered[:, i, :], epsilon, need), want[i])
+
+    def test_query_distances_are_the_machines_distances_sorted(self):
+        model = small_model(seed=8, alpha=0.6, roster=FIVE_ROSTER, n=80)
+        stack = model.stack
+        queries = np.vstack([np.random.default_rng(3).uniform(size=(6, 2)), model.split.d_l.x[:3]])
+        got = stack.query_distances(queries)
+        assert np.all(np.diff(got, axis=0) >= 0.0)
+        per_machine = np.stack([
+            cdist(m.predict_values(queries, stack.grid)[:, :-1] * stack.widths, held, metric="cityblock")
+            / stack.span
+            for m, held in zip(model.machines, stack.cal_weighted)
+        ])
+        assert same_bits(got, np.sort(per_machine, axis=0))
 
 
 class TestProximityAggregate:
@@ -344,6 +392,31 @@ class TestChunkedPass:
         model = small_model(seed=5)
         with pytest.raises(ValueError, match="features"):
             predict_cobra_batch(model, np.zeros((2, 3)))
+
+
+    def test_transient_memory_does_not_grow_with_the_query_count(self, monkeypatch):
+        # the peak above the held model, less what the returned curves keep
+        # alive, is one chunk's work however many chunks the batch spans
+        model = small_model(seed=2, n=400, l_fraction=0.5, alpha=0.6, roster=FIVE_ROSTER)
+        per_chunk = 8
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", _budget_for(model, per_chunk))
+        queries = np.random.default_rng(5).uniform(size=(4 * per_chunk, 2))
+        predict_cobra_batch(model, queries[:per_chunk])  # warm any lazy state
+
+        def transient(q):
+            tracemalloc.start()
+            try:
+                curves = predict_cobra_batch(model, q)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(curves) == q.shape[0]
+            return peak - kept
+
+        one, four = transient(queries[:per_chunk]), transient(queries)
+        chunk_tensor = _budget_for(model, per_chunk)
+        assert one >= chunk_tensor
+        assert four <= one + chunk_tensor // 4, (one, four)
 
 
 @settings(max_examples=12, deadline=None)

@@ -414,3 +414,93 @@ class TestPenaltyCVEdges:
         ds = SurvivalDataset(x, np.arange(1.0, 31.0), events, ["a", "b"])
         with pytest.raises(ValueError, match="at least one observed event"):
             fit_cox(ds, "ridge")
+
+
+def _outcome(solve, pl, lam, start=None):
+    """A solver run as comparable bytes: ("fit", beta, trace) or
+    ("error", message, trace)."""
+    try:
+        beta, trace = solve(pl, lam, None if start is None else start.copy())
+    except ConvergenceError as exc:
+        return "error", str(exc), np.array(exc.trace).tobytes()
+    return "fit", beta.tobytes(), np.array(trace).tobytes()
+
+
+class _StallingLikelihood(cox._PartialLikelihood):
+    """The partial likelihood at `anchor`, and NaN anywhere else, so every
+    step-halving search from `anchor` fails."""
+
+    def __init__(self, x, times, events, anchor):
+        super().__init__(x, times, events)
+        self.anchor = anchor
+
+    def value(self, beta):
+        return super().value(beta) if np.array_equal(beta, self.anchor) else float("nan")
+
+
+SOLVERS = [
+    ("_newton_ridge", helpers.reference_newton_ridge),
+    ("_coordinate_descent_lasso", helpers.reference_coordinate_descent_lasso),
+]
+
+
+class TestSolversMatchReference:
+    """Both Cox solvers give the bits of their former inline step-halving
+    loops: coefficients, objective trace, and any error's text and trace."""
+
+    @pytest.mark.parametrize("name, reference", SOLVERS)
+    def test_cold_and_warm_fits_are_bitwise_equal(self, name, reference):
+        solve = getattr(cox, name)
+        for seed, n, p, censor in CV_CASES:
+            z, times, events, _, _ = cox._standardized(cv_sample(seed, n, p, censor))
+            pl = cox._PartialLikelihood(z, times, events)
+            for lam in (0.0, 0.1, 1.0, 10.0):
+                cold = _outcome(solve, pl, lam)
+                assert cold == _outcome(reference, pl, lam)
+                warm_start = reference(pl, 4.0 * lam + 1.0)[0]
+                assert _outcome(solve, pl, lam, warm_start) == _outcome(reference, pl, lam, warm_start)
+
+    @pytest.mark.parametrize("kind, name, reference", [("ridge", *SOLVERS[0]), ("lasso", *SOLVERS[1])])
+    def test_penalty_path_is_bitwise_equal(self, kind, name, reference):
+        # every (penalty, fold) solve of the CV path, warm starts included
+        solve, runs = getattr(cox, name), []
+
+        def both(pl, lam, start=None):
+            got = _outcome(solve, pl, lam, start)
+            assert got == _outcome(reference, pl, lam, start)
+            runs.append(got[0])
+            return solve(pl, lam, start)
+
+        with mock.patch.object(cox, name, both):
+            for seed, n, p, censor in CV_CASES[:4]:
+                cox._cv_penalty(cv_sample(seed, n, p, censor), kind, 3, seed)
+        assert runs == ["fit"] * 4 * 3 * 10
+
+    def test_exhausted_ridge_search_raises_the_same_error(self):
+        # the covariate orders the times, so the unpenalized search stalls
+        rng = np.random.default_rng(0)
+        covariate = [float(f"{c:.6f}") for c in np.sort(rng.uniform(size=60))]
+        data = SurvivalDataset(np.c_[covariate], np.arange(1.0, 61.0), np.ones(60, dtype=int), ["x"])
+        for train, _ in kfold_split(data, 2, derive_seed(1, 1)):
+            pl = cox._PartialLikelihood(*cox._standardized(train)[:3])
+            with np.errstate(all="ignore"):
+                got = _outcome(cox._newton_ridge, pl, 0.0)
+                assert got == _outcome(helpers.reference_newton_ridge, pl, 0.0)
+            assert got[:2] == ("error", "step halving exhausted")
+
+    @pytest.mark.parametrize("name, reference", SOLVERS)
+    def test_stalled_search_raises_or_stops_as_before(self, name, reference):
+        # from zero every try fails and the gradient is not small: the same
+        # error; from the optimum every try fails too, and the fit stops there
+        z, times, events, _, _ = cox._standardized(cv_sample(3, 80, 4, 0.5))
+        solve = getattr(cox, name)
+        zero = np.zeros(4)
+        pl = _StallingLikelihood(z, times, events, zero)
+        stalled = _outcome(solve, pl, 0.5, zero)
+        assert stalled == _outcome(reference, pl, 0.5, zero)
+        assert stalled[:2] == ("error", "step halving exhausted")
+        optimum = solve(cox._PartialLikelihood(z, times, events), 0.5)[0]
+        pl = _StallingLikelihood(z, times, events, optimum)
+        stopped = _outcome(solve, pl, 0.5, optimum)
+        assert stopped == _outcome(reference, pl, 0.5, optimum)
+        assert stopped[:2] == ("fit", optimum.tobytes())

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from survcobra import cobra
+from survcobra import cobra, relevance
 from survcobra.cobra import CobraModel, CobraParams, fit_cobra
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.exceptions import ConvergenceError
@@ -16,6 +16,7 @@ from survcobra.relevance import (
     relevance_for_query,
     relevance_study,
 )
+import helpers
 
 
 def fd_gradient(features, labels, l2, beta, h=1e-5):
@@ -203,3 +204,57 @@ class TestRelevanceStudy:
         model = small_relevance_model(seed=6)
         with pytest.raises(ValueError, match="features"):
             relevance_study(model, np.zeros((3, 4)))
+
+
+def _irls_outcome(solve, x, y, l2):
+    """An IRLS run as comparable bytes: ("fit", coefficients, trace) or
+    ("error", message, trace)."""
+    try:
+        beta, trace = solve(x, y, l2)
+    except ConvergenceError as exc:
+        return "error", str(exc), np.array(exc.trace).tobytes()
+    return "fit", beta.tobytes(), np.array(trace).tobytes()
+
+
+def _logistic_sample(seed, n=60, p=3, noise=1.0):
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, p))
+    y = (x @ r.normal(size=p) + noise * r.normal(size=n) > 0).astype(float)
+    return np.column_stack([np.ones(n), x]), y
+
+
+class TestIrlsMatchesReference:
+    """The IRLS solver gives the bits of its former inline step-halving
+    loop: coefficients, objective trace, and any error's text and trace."""
+
+    def test_fits_are_bitwise_equal(self):
+        for seed in range(6):
+            design, y = _logistic_sample(seed)
+            for l2 in (0.0, 1e-4, 0.1, 10.0):
+                got = _irls_outcome(_irls, design, y, l2)
+                assert got == _irls_outcome(helpers.reference_irls, design, y, l2)
+                assert got[0] == "fit"
+
+    def test_separable_labels_raise_the_same_error(self):
+        design, y = _logistic_sample(1, n=40, p=2, noise=0.0)
+        got = _irls_outcome(_irls, design, y, 0.0)
+        assert got == _irls_outcome(helpers.reference_irls, design, y, 0.0)
+        assert got[:2] == ("error", "logistic fit did not converge (labels may be separable); set l2 > 0")
+
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_stalled_search_stops_as_before(self, monkeypatch, l2):
+        # every try away from zero is NaN: the search stops at zero, which
+        # without a penalty is reported as not converged
+        design, y = _logistic_sample(2)
+        objective = relevance._objective
+
+        def stalling(x, y, ridge, beta):
+            return objective(x, y, ridge, beta) if not beta.any() else float("nan")
+
+        monkeypatch.setattr(relevance, "_objective", stalling)
+        monkeypatch.setattr(helpers, "_objective", stalling)
+        got = _irls_outcome(_irls, design, y, l2)
+        assert got == _irls_outcome(helpers.reference_irls, design, y, l2)
+        zero = np.zeros(design.shape[1]).tobytes()
+        assert got[:2] == (("error", "logistic fit did not converge (labels may be separable); set l2 > 0")
+                           if l2 == 0.0 else ("fit", zero))
