@@ -29,8 +29,8 @@ from .curves import StepCurve, _event_counts, _product_limit, evaluate, kaplan_m
 from .data import DatasetSplit, SurvivalDataset, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
-#: Upper bound, in bytes, on the (machines, queries, calibration) float64
-#: distance tensor that one chunk of a query set holds at a time.
+#: Upper bound, in bytes, on what one chunk of a query set holds at a time
+#: (see `_distance_chunks`).
 _DISTANCE_BUDGET_BYTES = 32 * 2**20
 
 
@@ -160,13 +160,16 @@ def _distance_chunks(stack: _CobraStack, queries: np.ndarray, reduce):
     """Yield `reduce(stack.query_distances(chunk))` over consecutive chunks
     of `queries`.
 
-    A chunk holds as many queries as keep its (machines, chunk, n_l)
-    float64 tensor within `_DISTANCE_BUDGET_BYTES` (at least one), and no
-    name holds a tensor past its `reduce`, so one is alive at a time.
-    Every row of a learner's `predict_values` and of a cityblock `cdist`
-    is computed on its own, so chunking leaves every distance unchanged.
+    A chunk holds as many queries (at least one) as keep within
+    `_DISTANCE_BUDGET_BYTES` their rows of the (machines, chunk, n_l)
+    float64 tensor and of the running machine's (chunk, grid) curve
+    matrices, of which ridge Cox holds three (the product, its `exp` and
+    `_weighted`'s copy).  No name holds a tensor past its `reduce`, so one
+    is alive at a time.  Every row of a learner's `predict_values` and of
+    a cityblock `cdist` is computed on its own, so chunking leaves every
+    distance unchanged.
     """
-    per_query = len(stack.machines) * stack.split.d_l.n * 8
+    per_query = (len(stack.machines) * stack.split.d_l.n + 3 * stack.grid.size) * 8
     size = max(1, _DISTANCE_BUDGET_BYTES // per_query)
     for start in range(0, queries.shape[0], size):
         yield reduce(stack.query_distances(queries[start : start + size]))

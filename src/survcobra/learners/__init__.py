@@ -1,8 +1,9 @@
 """The five base survival learners behind one fit / predict-curve contract.
 
-Every fitted model exposes `predict_curve(x) -> StepCurve` (a valid
-survival curve) and `predict_values(x_matrix, grid)`; fits are
-deterministic given the spec (forests carry an explicit seed).
+Every fitted model exposes `predict_values(x_matrix, grid)` and
+`predict_curve(x) -> StepCurve` (a valid survival curve), which is
+`predict_values` at the model's own jump times; fits are deterministic
+given the spec (forests carry an explicit seed).
 """
 
 from __future__ import annotations

@@ -35,11 +35,19 @@ class BaseSurvivalModel:
         return grid
 
     def predict_curve(self, x) -> StepCurve:
+        """The survival curve at `x`: `predict_values` at its own jump times."""
+        x = self._check_vector(x)
+        times = self._jump_times(x)
+        return StepCurve(times, self.predict_values(x[None, :], times)[0])
+
+    def _jump_times(self, x) -> np.ndarray:
+        """Ascending times at which the curve at checked vector `x` may jump."""
         raise NotImplementedError
 
     def predict_values(self, x, grid) -> np.ndarray:
         """Survival values for each row of `x` at each grid point: the same
-        floats as evaluating `predict_curve` of that row on `grid`."""
+        floats as evaluating `predict_curve` of that row on `grid`, which is
+        this at the model's own jump times."""
         raise NotImplementedError
 
 

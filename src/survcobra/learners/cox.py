@@ -258,14 +258,8 @@ class CoxModel(BaseSurvivalModel):
         z = (x - self.feature_means) / self.feature_sds
         return np.exp((z * self.beta_standardized).sum(axis=-1))
 
-    def risk_score(self, x) -> float:
-        return float(self._risk(self._check_vector(x)))
-
-    def predict_curve(self, x) -> StepCurve:
-        r = self.risk_score(x)
-        return StepCurve(
-            self.baseline_cumhaz.times, np.exp(-self.baseline_cumhaz.values * r)
-        )
+    def _jump_times(self, x) -> np.ndarray:
+        return self.baseline_cumhaz.times
 
     def predict_values(self, x, grid) -> np.ndarray:
         r = self._risk(self._check_matrix(x))

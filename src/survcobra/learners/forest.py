@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from ..curves import StepCurve
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 from .tree import fit_survival_tree_arrays
@@ -20,10 +19,8 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
         self.trees = trees
         self.n_features = n_features
 
-    def predict_curve(self, x) -> StepCurve:
-        x = self._check_vector(x)
-        grid = np.unique(np.concatenate([tree.predict_curve(x).times for tree in self.trees]))
-        return StepCurve(grid, self.predict_values(x[None, :], grid)[0])
+    def _jump_times(self, x) -> np.ndarray:
+        return np.unique(np.concatenate([tree._jump_times(x) for tree in self.trees]))
 
     def predict_values(self, x, grid) -> np.ndarray:
         x, grid = self._check_matrix(x), self._check_grid(grid)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, product_limit, product_limit_rows
+from ..curves import product_limit_rows
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel, standardize_fit
 
@@ -41,9 +41,9 @@ class KNNSurvivalModel(BaseSurvivalModel):
         """Indices of the k nearest training records (stable tie-break)."""
         return self._neighbor_rows(self._check_vector(x)[None, :])[0]
 
-    def predict_curve(self, x) -> StepCurve:
-        nb = self.neighbors(x)
-        return product_limit(self.times[nb], self.events[nb])
+    def _jump_times(self, x) -> np.ndarray:
+        nb = self._neighbor_rows(x[None, :])[0]
+        return np.unique(self.times[nb][self.events[nb] == 1])
 
     def predict_values(self, x, grid) -> np.ndarray:
         x = self._check_matrix(x)

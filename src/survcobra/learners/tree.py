@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 
@@ -117,14 +116,10 @@ class SurvivalTreeModel(BaseSurvivalModel):
         assign(self.root, np.arange(x.shape[0]))
         return out
 
-    def predict_curve(self, x) -> StepCurve:
-        x = self._check_vector(x)
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        start = node.leaf_id * self.u.size
+    def _jump_times(self, x) -> np.ndarray:
+        start = self._leaf_ids(x[None, :])[0] * self.u.size
         lo, hi = np.searchsorted(self.jump_keys, [start, start + self.u.size])
-        return StepCurve(self.u[self.jump_keys[lo:hi] - start], self.jump_values[lo:hi])
+        return self.u[self.jump_keys[lo:hi] - start]
 
     def predict_values(self, x, grid) -> np.ndarray:
         grid = self._check_grid(grid)

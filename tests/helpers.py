@@ -9,7 +9,7 @@ paths can be checked against them bit for bit.
 
 import numpy as np
 
-from survcobra.curves import StepCurve
+from survcobra.curves import StepCurve, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _soft_threshold
@@ -516,3 +516,35 @@ def reference_irls(x, y, l2):
             tuple(trace),
         )
     return beta, tuple(trace)
+
+
+def reference_tree_curve(tree, x):
+    """The survival tree's former `predict_curve`: walk the nodes to x's
+    leaf and slice that leaf's jumps."""
+    x = tree._check_vector(x)
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    start = node.leaf_id * tree.u.size
+    lo, hi = np.searchsorted(tree.jump_keys, [start, start + tree.u.size])
+    return StepCurve(tree.u[tree.jump_keys[lo:hi] - start], tree.jump_values[lo:hi])
+
+
+def reference_forest_curve(forest, x):
+    """The forest's former `predict_curve`: `predict_values` on the union of
+    its trees' former curves' jump times."""
+    x = forest._check_vector(x)
+    grid = np.unique(np.concatenate([reference_tree_curve(tree, x).times for tree in forest.trees]))
+    return StepCurve(grid, forest.predict_values(x[None, :], grid)[0])
+
+
+def reference_knn_curve(model, x):
+    """k-NN's former `predict_curve`: the neighbours' product-limit curve."""
+    nb = model.neighbors(x)
+    return product_limit(model.times[nb], model.events[nb])
+
+
+def reference_cox_curve(model, x):
+    """Cox's former `predict_curve`: exp(-H0 * r) at the baseline's jumps."""
+    r = float(model._risk(model._check_vector(x)))
+    return StepCurve(model.baseline_cumhaz.times, np.exp(-model.baseline_cumhaz.values * r))

@@ -339,9 +339,16 @@ class TestBatch:
             assert batch[i] == predict_cobra(model, q)
 
 
+def _tensor_bytes(model, queries):
+    """Bytes of the (machines, queries, n_l) float64 distance tensor."""
+    return len(model.machines) * model.split.d_l.n * 8 * queries
+
+
 def _budget_for(model, queries_per_chunk):
-    """A distance budget that fits exactly `queries_per_chunk` queries."""
-    return len(model.machines) * model.split.d_l.n * 8 * queries_per_chunk
+    """A distance budget that fits exactly `queries_per_chunk` queries: their
+    distance tensor and three (queries, grid) curve matrices."""
+    curves = 3 * model.stack.grid.size * 8 * queries_per_chunk
+    return _tensor_bytes(model, queries_per_chunk) + curves
 
 
 def _record_chunk_sizes(monkeypatch) -> list:
@@ -394,6 +401,30 @@ class TestChunkedPass:
             predict_cobra_batch(model, np.zeros((2, 3)))
 
 
+    def test_chunk_budget_covers_the_curve_matrices(self, monkeypatch):
+        # at a small l_fraction the grid is wider than the calibration part,
+        # so the machines' (chunk, grid) curves outweigh the distance tensor
+        rng = np.random.default_rng(3)
+        roster = (LearnerSpec("cox_ridge", {"penalty": 1.0}), LearnerSpec("cox_ridge", {"penalty": 10.0}))
+        model = fit_cobra(random_dataset(rng, 400, p=6), CobraParams(0.05, 0.5, 0.1, roster), seed=0)
+        assert model.stack.grid.size > 2 * model.split.d_l.n
+        budget = 64 * 2**10
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", budget)
+        queries = rng.uniform(size=(200, 6))
+
+        def distance_pass():
+            for _ in cobra._distance_chunks(model.stack, queries, lambda distances: None):
+                pass
+
+        distance_pass()  # warm any lazy state
+        tracemalloc.start()
+        try:
+            distance_pass()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget, peak / budget
+
     def test_transient_memory_does_not_grow_with_the_query_count(self, monkeypatch):
         # the peak above the held model, less what the returned curves keep
         # alive, is one chunk's work however many chunks the batch spans
@@ -414,7 +445,7 @@ class TestChunkedPass:
             return peak - kept
 
         one, four = transient(queries[:per_chunk]), transient(queries)
-        chunk_tensor = _budget_for(model, per_chunk)
+        chunk_tensor = _tensor_bytes(model, per_chunk)
         assert one >= chunk_tensor
         assert four <= one + chunk_tensor // 4, (one, four)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from survcobra import curves
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset
-from survcobra.learners import fit_knn_survival, knn
+from survcobra.learners import base, fit_knn_survival, knn
 from helpers import random_dataset, slow_km
 
 
@@ -94,9 +95,10 @@ class TestKNNSurvival:
         expected = model.predict_values(queries, grid)
 
         def refuse(*_args, **_kwargs):
-            raise AssertionError("predict_values built a per-row product_limit curve")
+            raise AssertionError("predict_values built a per-row curve")
 
-        monkeypatch.setattr(knn, "product_limit", refuse)
+        monkeypatch.setattr(base, "StepCurve", refuse)
+        monkeypatch.setattr(curves, "StepCurve", refuse)
         with pytest.raises(AssertionError):
             model.predict_curve(queries[0])  # the patch is live
         assert np.array_equal(model.predict_values(queries, grid), expected)

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survcobra.cobra import CobraParams, fit_cobra, predict_cobra
 from survcobra.curves import SURVIVAL, evaluate
+from survcobra.data import SurvivalDataset
+from survcobra.exceptions import ConvergenceError
 from survcobra.learners import LEARNER_KINDS, BaseSurvivalModel, LearnerSpec, default_roster, fit
 from survcobra.relevance import relevance_study
-from helpers import random_dataset
+from helpers import (
+    random_dataset,
+    reference_cox_curve,
+    reference_forest_curve,
+    reference_knn_curve,
+    reference_tree_curve,
+)
 
 SPECS = [
     LearnerSpec("survival_tree", {"max_depth": 4, "min_leaf": 3}),
@@ -90,3 +100,57 @@ def test_non_finite_covariates_rejected(target, bad):
     for call in calls:
         with pytest.raises(ValueError, match="covariates must be finite"):
             call()
+
+
+REFERENCE_CURVES = {
+    "survival_tree": reference_tree_curve,
+    "random_survival_forest": reference_forest_curve,
+    "cox_ridge": reference_cox_curve,
+    "cox_lasso": reference_cox_curve,
+    "knn_survival": reference_knn_curve,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 30),
+    p=st.integers(1, 3),
+    event_rate=st.sampled_from([0.2, 0.6, 1.0]),
+    spec=st.sampled_from(
+        [
+            LearnerSpec("survival_tree", {"max_depth": 4, "min_leaf": 1}),
+            LearnerSpec("random_survival_forest", {"n_trees": 4, "min_leaf": 1, "mtry": 1, "seed": 3}),
+            LearnerSpec("random_survival_forest", {"n_trees": 2, "min_leaf": 2, "bootstrap": False}),
+            LearnerSpec("cox_ridge", {"penalty": 1.0}),
+            LearnerSpec("cox_lasso", {"penalty": 0.1}),
+            LearnerSpec("cox_lasso", {"penalty": 1e6}),  # zeroes every coefficient
+            LearnerSpec("knn_survival", {"k": 1}),
+            LearnerSpec("knn_survival"),
+            "knn_survival k=n",
+        ]
+    ),
+)
+def test_property_predict_curve_matches_the_former_bodies(seed, n, p, event_rate, spec):
+    # tied covariates and times, leaves and neighbourhoods without events:
+    # `predict_curve` (predict_values at the model's own jump times) gives
+    # the times and values of each learner's former curve, bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(n, p)).astype(float)
+    times = rng.integers(1, 6, size=n).astype(float)
+    events = (rng.uniform(size=n) < event_rate).astype(int)
+    events[int(rng.integers(n))] = 1
+    data = SurvivalDataset(x, times, events, [f"x{i}" for i in range(p)])
+    if spec == "knn_survival k=n":
+        spec = LearnerSpec("knn_survival", {"k": n})
+    try:
+        model = fit(spec, data)
+    except ConvergenceError:
+        assume(False)  # a tiny separable sample has no finite Cox fit
+    if spec.kind == "cox_lasso" and spec.hyperparameters["penalty"] == 1e6:
+        assert not model.beta.any()
+    queries = np.vstack([x, rng.integers(-1, 4, size=(4, p)).astype(float)])
+    for q in queries:
+        got, want = model.predict_curve(q), REFERENCE_CURVES[spec.kind](model, q)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
