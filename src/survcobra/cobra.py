@@ -96,7 +96,8 @@ class _CobraStack:
         out = np.empty((len(self.machines), x_matrix.shape[0], self.split.d_l.n))
         for m, machine in enumerate(self.machines):
             qw = self._weighted(machine, x_matrix)
-            out[m] = cdist(qw, self.cal_weighted[m], metric="cityblock") / self.span
+            cdist(qw, self.cal_weighted[m], metric="cityblock", out=out[m])
+            out[m] /= self.span
         out.sort(axis=0)
         return out
 

@@ -3,16 +3,17 @@
 Each trial triple is scored by inner cross-validation: fit the ensemble on
 every fold's training part, predict the fold's validation records, and
 average the objective (time-averaged Brier score, or negative
-concordance).  Machine fits depend only on (fold, l_fraction), never on
-epsilon or alpha, so they are cached and shared across trials; the seeds
-they use derive from (seed, l_fraction) alone, which makes the cached
-results identical to per-trial refits.  Within a fold, trials whose
-(epsilon, alpha) select the same proximity sets share one scored objective.
+concordance).  Machine fits depend only on (fold, l_fraction), and their
+seeds on (seed, l_fraction) alone, so the trials of one l_fraction are
+scored fold by fold: each fold is fitted once, shared by those trials, and
+dropped before the next.  Within a fold, trials whose (epsilon, alpha)
+select the same proximity sets share one scored objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,17 +100,14 @@ def _cached(cache, key, compute, errors):
     return value
 
 
-def _prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
-    def prepare():
-        fold_train, fold_val = folds[fold_idx]
-        stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
-        distances = stack.query_distances(fold_val.x)
-        pop_row = evaluate(stack.pop_km, fold_val.time)
-        return _PreparedFold(
-            distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
-        )
-
-    return _cached(cache, (fold_idx, l_fraction), prepare, (ValueError, ConvergenceError))
+def _prepare_fold(folds, fold_idx, roster, l_fraction, seed) -> _PreparedFold:
+    fold_train, fold_val = folds[fold_idx]
+    stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
+    distances = stack.query_distances(fold_val.x)
+    pop_row = evaluate(stack.pop_km, fold_val.time)
+    return _PreparedFold(
+        distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
+    )
 
 
 def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str) -> float:
@@ -136,18 +134,26 @@ def _scored_objective(prepared, fold_idx, params, objective, cache) -> float:
     return _cached(cache, key, lambda: _fold_objective(prepared, params, objective), ValueError)
 
 
-def _evaluate(params, folds, seed, objective, cache):
-    values = tuple(
-        _scored_objective(
-            _prepare_fold(folds, i, params.roster, params.l_fraction, seed, cache),
-            i,
-            params,
-            objective,
-            cache,
-        )
-        for i in range(len(folds))
-    )
-    return float(np.mean(values)), values
+def _score_trials(trials, folds, seed, objective) -> list:
+    """Each trial's fold values, or its first error in fold order, for trials
+    that share one roster.  Each l_fraction is scored fold by fold, and a
+    fold is held only by its cache: one prepared fold is alive at a time."""
+    errors = (ValueError, ConvergenceError)
+    outcomes: list = [[] for _ in trials]
+    for l_fraction in sorted({p.l_fraction for p in trials}):
+        for i in range(len(folds)):
+            cache: dict = {}
+            for j, params in enumerate(trials):
+                if params.l_fraction != l_fraction or isinstance(outcomes[j], Exception):
+                    continue
+                prepare = partial(_prepare_fold, folds, i, params.roster, l_fraction, seed)
+                try:
+                    outcomes[j].append(
+                        _scored_objective(_cached(cache, i, prepare, errors), i, params, objective, cache)
+                    )
+                except errors as exc:
+                    outcomes[j] = exc.with_traceback(None)  # its frames hold the fold
+    return outcomes
 
 
 def _inner_folds(train: SurvivalDataset, inner_folds: int, seed: int):
@@ -174,7 +180,10 @@ def evaluate_params(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    return _evaluate(params, _inner_folds(train, inner_folds, seed), seed, objective, cache={})[0]
+    [outcome] = _score_trials([params], _inner_folds(train, inner_folds, seed), seed, objective)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return float(np.mean(outcome))
 
 
 def draw_trials(space: SearchSpace, roster) -> list[CobraParams]:
@@ -209,30 +218,16 @@ def random_search(
     roster = tuple(roster)
     draws = draw_trials(space, roster)
     folds = _inner_folds(train, inner_folds, space.seed)
-    results: list[TrialResult | None] = [None] * space.trials
-
-    # group by l_fraction so at most inner_folds fitted stacks stay cached
-    for l_fraction in sorted({p.l_fraction for p in draws}):
-        cache: dict = {}
-        for index, params in enumerate(draws):
-            if params.l_fraction != l_fraction:
-                continue
-            try:
-                value, fold_values = _evaluate(params, folds, space.seed, space.objective, cache)
-                results[index] = TrialResult(params, value, fold_values, index)
-            except (ValueError, ConvergenceError) as exc:
-                learner = getattr(exc, "learner", None)
-                error = f"{learner}: {exc}" if learner else str(exc)
-                results[index] = TrialResult(params, float("nan"), (), index, error=error)
-        cache.clear()
-
-    trace = [r for r in results if r is not None]
-    best = None
-    for result in trace:
-        if result.failed:
-            continue
-        if best is None or result.objective_value < best.objective_value:
-            best = result
+    outcomes = _score_trials(draws, folds, space.seed, space.objective)
+    trace = []
+    for index, (params, outcome) in enumerate(zip(draws, outcomes)):
+        if isinstance(outcome, Exception):
+            learner = getattr(outcome, "learner", None)
+            error = f"{learner}: {outcome}" if learner else str(outcome)
+            trace.append(TrialResult(params, float("nan"), (), index, error=error))
+        else:
+            trace.append(TrialResult(params, float(np.mean(outcome)), tuple(outcome), index))
+    best = min((r for r in trace if not r.failed), key=lambda r: r.objective_value, default=None)
     if best is None:
         causes = "; ".join(dict.fromkeys(r.error for r in trace))
         raise TuningError(f"every trial failed ({len(trace)} of {len(trace)}): {causes}", trace)

@@ -9,9 +9,10 @@ paths can be checked against them bit for bit.
 
 import numpy as np
 
-from survcobra.curves import StepCurve, product_limit
+from survcobra import tuning
+from survcobra.curves import StepCurve, evaluate, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
-from survcobra.exceptions import ConvergenceError
+from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _soft_threshold
 from survcobra.metrics import concordance_td
 from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
@@ -378,6 +379,71 @@ def reference_member_mask(distances, epsilon, need):
     """The consensus rule by counting: (machines, ..., n_l) in any machine
     order -> bool member mask of shape (..., n_l)."""
     return (distances <= epsilon).sum(axis=0) >= need
+
+
+def reference_random_search(space, train, inner_folds=3, roster=None):
+    """`tuning.random_search` as it scored trial by trial, with `_evaluate`
+    and the per-l_fraction cache of prepared folds.  The package's
+    `_fit_stack`, `_fold_objective` and per-mask memo are looked up at call
+    time, so a test's monkeypatch reaches both searches."""
+
+    def prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
+        def prepare():
+            fold_train, fold_val = folds[fold_idx]
+            stack = tuning._fit_stack(fold_train, roster, l_fraction, tuning._stack_seed(seed, l_fraction))
+            distances = stack.query_distances(fold_val.x)
+            pop_row = evaluate(stack.pop_km, fold_val.time)
+            return tuning._PreparedFold(
+                distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
+            )
+
+        return tuning._cached(cache, (fold_idx, l_fraction), prepare, (ValueError, ConvergenceError))
+
+    def evaluate_trial(params, folds, seed, objective, cache):
+        values = tuple(
+            tuning._scored_objective(
+                prepare_fold(folds, i, params.roster, params.l_fraction, seed, cache),
+                i,
+                params,
+                objective,
+                cache,
+            )
+            for i in range(len(folds))
+        )
+        return float(np.mean(values)), values
+
+    if roster is None:
+        roster = tuning.default_roster()
+    roster = tuple(roster)
+    draws = tuning.draw_trials(space, roster)
+    folds = tuning._inner_folds(train, inner_folds, space.seed)
+    results = [None] * space.trials
+
+    for l_fraction in sorted({p.l_fraction for p in draws}):
+        cache = {}
+        for index, params in enumerate(draws):
+            if params.l_fraction != l_fraction:
+                continue
+            try:
+                value, fold_values = evaluate_trial(params, folds, space.seed, space.objective, cache)
+                results[index] = tuning.TrialResult(params, value, fold_values, index)
+            except (ValueError, ConvergenceError) as exc:
+                learner = getattr(exc, "learner", None)
+                error = f"{learner}: {exc}" if learner else str(exc)
+                results[index] = tuning.TrialResult(params, float("nan"), (), index, error=error)
+        cache.clear()
+
+    trace = [r for r in results if r is not None]
+    best = None
+    for result in trace:
+        if result.failed:
+            continue
+        if best is None or result.objective_value < best.objective_value:
+            best = result
+    if best is None:
+        causes = "; ".join(dict.fromkeys(r.error for r in trace))
+        raise TuningError(f"every trial failed ({len(trace)} of {len(trace)}): {causes}", trace)
+    return best, trace
 
 
 def reference_newton_ridge(pl, lam, start=None):

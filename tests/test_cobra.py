@@ -351,6 +351,23 @@ def _budget_for(model, queries_per_chunk):
     return _tensor_bytes(model, queries_per_chunk) + curves
 
 
+def _distance_pass_peak(model, queries) -> int:
+    """The `tracemalloc` peak of one chunked distance pass over `queries`
+    whose tensors are dropped as they come."""
+
+    def distance_pass():
+        for _ in cobra._distance_chunks(model.stack, queries, lambda distances: None):
+            pass
+
+    distance_pass()  # warm any lazy state
+    tracemalloc.start()
+    try:
+        distance_pass()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _record_chunk_sizes(monkeypatch) -> list:
     """Route `query_distances` through a spy that records each chunk's size."""
     sizes = []
@@ -410,20 +427,20 @@ class TestChunkedPass:
         assert model.stack.grid.size > 2 * model.split.d_l.n
         budget = 64 * 2**10
         monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", budget)
-        queries = rng.uniform(size=(200, 6))
-
-        def distance_pass():
-            for _ in cobra._distance_chunks(model.stack, queries, lambda distances: None):
-                pass
-
-        distance_pass()  # warm any lazy state
-        tracemalloc.start()
-        try:
-            distance_pass()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _distance_pass_peak(model, rng.uniform(size=(200, 6)))
         assert peak < 2 * budget, peak / budget
+
+    def test_chunk_budget_covers_the_distance_output(self, monkeypatch):
+        # at a large l_fraction the distance tensor is most of a chunk's
+        # work, so a cdist result held beside it would double the peak
+        rng = np.random.default_rng(3)
+        roster = (LearnerSpec("cox_ridge", {"penalty": 1.0}),)
+        model = fit_cobra(random_dataset(rng, 400, p=6), CobraParams(0.05, 0.5, 0.9, roster), seed=0)
+        assert model.stack.grid.size < model.split.d_l.n / 10
+        budget = 64 * 2**10
+        monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", budget)
+        peak = _distance_pass_peak(model, rng.uniform(size=(200, 6)))
+        assert peak < 1.5 * budget, peak / budget
 
     def test_transient_memory_does_not_grow_with_the_query_count(self, monkeypatch):
         # the peak above the held model, less what the returned curves keep

@@ -1,21 +1,26 @@
+import tracemalloc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from survcobra.cobra import CobraParams, _aggregate, _survival_rows, fit_cobra, predict_cobra_batch
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
-from survcobra.exceptions import TuningError
+from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners import LearnerSpec
 from survcobra.metrics import concordance_td, integrated_brier
 from survcobra.seeds import derive_seed
 from survcobra import tuning
-from survcobra.tuning import SearchSpace, _evaluate, draw_trials, evaluate_params, random_search
+from survcobra.tuning import SearchSpace, _score_trials, draw_trials, evaluate_params, random_search
 
 from helpers import (
     reference_aggregate,
     reference_evaluate,
     reference_fold_objective,
     reference_product_limit,
+    reference_random_search,
     reference_survival_rows,
     same_bits,
 )
@@ -86,7 +91,7 @@ class TestEvaluateParams:
         copy = SurvivalDataset(base.x, base.time, base.event, base.feature_names)
         params = CobraParams(0.1, 0.5, 0.5, ROSTER)
         folds = [(base, copy), (copy, base)]
-        _, fold_values = _evaluate(params, folds, seed=3, objective="ibs", cache={})
+        [fold_values] = _score_trials([params], folds, seed=3, objective="ibs")
         assert fold_values[0] == pytest.approx(fold_values[1], abs=1e-12)
 
 
@@ -172,7 +177,8 @@ class TestObjectiveMemo:
         _, trace = random_search(space, train, inner_folds=2, roster=ROSTER)
         folds = kfold_split(train, 2, derive_seed(space.seed, 0))
         for result in trace:
-            value, fold_values = _evaluate(result.params, folds, space.seed, space.objective, cache={})
+            [fold_values] = _score_trials([result.params], folds, space.seed, space.objective)
+            value = evaluate_params(result.params, train, 2, space.objective, space.seed)
             assert np.array(result.fold_values).tobytes() == np.array(fold_values).tobytes()
             assert np.float64(result.objective_value).tobytes() == np.float64(value).tobytes()
 
@@ -257,6 +263,178 @@ class TestObjectiveMemo:
         assert [t.error for t in err.value.trace] == ["objective failed on call 1"] * space.trials
 
 
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except TuningError as exc:
+        return exc
+
+
+def assert_matches_reference(space, train, inner_folds, roster):
+    """`random_search` and the trial-by-trial reference agree bit for bit:
+    every trace entry, the best trial, or the `TuningError` message."""
+    got = _outcome(random_search, space, train, inner_folds, roster)
+    want = _outcome(reference_random_search, space, train, inner_folds, roster)
+    assert type(got) is type(want)
+    if isinstance(want, TuningError):
+        assert str(got) == str(want)
+        trace, want_trace = got.trace, want.trace
+    else:
+        (best, trace), (want_best, want_trace) = got, want
+        assert best.trial_index == want_best.trial_index
+    assert len(trace) == len(want_trace) == space.trials
+    for a, b in zip(trace, want_trace):
+        assert (a.trial_index, a.params, a.error) == (b.trial_index, b.params, b.error)
+        assert np.array(a.fold_values).tobytes() == np.array(b.fold_values).tobytes()
+        assert np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
+    return trace
+
+
+def _fold_index(folds, part, array):
+    """Which fold's training (part 0) or validation (part 1) part holds `array`."""
+    return next(i for i, fold in enumerate(folds) if np.array_equal(fold[part].time, array))
+
+
+class TestFoldByFold:
+    """Scoring each l_fraction group fold by fold gives the trace of scoring
+    trial by trial, failures included."""
+
+    SPACE = dict(trials=10, epsilon_range=(1e-3, 0.9), l_fraction_choices=(0.3, 0.5, 0.7))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trace_equals_the_trial_by_trial_reference(self, seed):
+        objective = tuning.OBJECTIVES[seed % 2]
+        space = SearchSpace(seed=seed, objective=objective, **self.SPACE)
+        assert_matches_reference(space, small_train(seed=20 + seed, n=120), 3, ROSTER)
+
+    def test_each_fold_is_prepared_once_and_scored_as_often(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name):
+            original = getattr(tuning, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(tuning, name, wrapper)
+
+        space, train = SearchSpace(seed=4, **self.SPACE), small_train(seed=24, n=120)
+        for name in ("_fit_stack", "_fold_objective", "_prepare_fold"):
+            counted(name)
+        reference_random_search(space, train, 3, ROSTER)
+        want = dict(counts)
+        counts.clear()
+        random_search(space, train, 3, ROSTER)
+        assert "_prepare_fold" not in want
+        assert counts["_prepare_fold"] == counts["_fit_stack"] == want["_fit_stack"]
+        assert counts["_fold_objective"] == want["_fold_objective"]
+
+    def test_an_objective_failing_on_a_later_fold(self, monkeypatch):
+        space, train = SearchSpace(seed=5, **self.SPACE), small_train(seed=25, n=120)
+        folds = tuning._inner_folds(train, 3, space.seed)
+        score = tuning._fold_objective
+
+        def failing(prepared, params, objective):
+            fold = _fold_index(folds, 1, prepared.val_times)
+            if fold > 0 and params.alpha < 0.7:
+                raise ValueError(f"objective failed on fold {fold} at alpha {params.alpha}")
+            return score(prepared, params, objective)
+
+        monkeypatch.setattr(tuning, "_fold_objective", failing)
+        trace = assert_matches_reference(space, train, 3, ROSTER)
+        assert 0 < sum(t.failed for t in trace) < space.trials
+        assert {t.error for t in trace if t.failed} <= {
+            f"objective failed on fold 1 at alpha {a}" for a in space.alpha_choices
+        }
+
+    def test_a_fold_whose_preparation_fails(self, monkeypatch):
+        space, train = SearchSpace(seed=6, **self.SPACE), small_train(seed=26, n=120)
+        folds = tuning._inner_folds(train, 3, space.seed)
+        fit_stack = tuning._fit_stack
+
+        def failing(fold_train, roster, l_fraction, seed):
+            fold = _fold_index(folds, 0, fold_train.time)
+            if (fold, l_fraction) == (2, 0.5):
+                raise ConvergenceError("step halving exhausted", learner="cox_ridge")
+            if (fold, l_fraction) == (1, 0.3):
+                raise ValueError("calibration part without events")
+            return fit_stack(fold_train, roster, l_fraction, seed)
+
+        monkeypatch.setattr(tuning, "_fit_stack", failing)
+        trace = assert_matches_reference(space, train, 3, ROSTER)
+        errors = {t.params.l_fraction: t.error for t in trace}
+        assert errors == {
+            0.3: "calibration part without events",
+            0.5: "cox_ridge: step halving exhausted",
+            0.7: None,
+        }
+
+    def test_every_trial_failing_names_the_same_causes(self, monkeypatch):
+        space, train = SearchSpace(seed=7, **self.SPACE), small_train(seed=27, n=120)
+        folds = tuning._inner_folds(train, 3, space.seed)
+        fit_stack = tuning._fit_stack
+
+        def failing_fit(fold_train, roster, l_fraction, seed):
+            if l_fraction == 0.7 and _fold_index(folds, 0, fold_train.time) == 1:
+                raise ConvergenceError("ridge solver did not converge", learner="cox_ridge")
+            return fit_stack(fold_train, roster, l_fraction, seed)
+
+        def failing_objective(prepared, params, objective):
+            fold = _fold_index(folds, 1, prepared.val_times)
+            if fold == 2 or params.alpha < 0.5:
+                raise ValueError(f"objective failed on fold {fold} at alpha {params.alpha}")
+            return 0.0
+
+        monkeypatch.setattr(tuning, "_fit_stack", failing_fit)
+        monkeypatch.setattr(tuning, "_fold_objective", failing_objective)
+        trace = assert_matches_reference(space, train, 3, ROSTER)
+        assert all(t.failed for t in trace)
+        assert len({t.error for t in trace}) > 2
+
+
+def test_search_holds_one_prepared_fold_at_a_time():
+    # one l_fraction and three inner folds: a search that kept every
+    # prepared fold of the group alive would hold three distance tensors
+    train = generate_synthetic(SyntheticConfig(n=600, censor_fraction=0.3, dim=4, seed=3))
+    roster = (LearnerSpec("cox_ridge", {"penalty": 1.0}), LearnerSpec("survival_tree", {"max_depth": 3}))
+    space = SearchSpace(trials=4, seed=2, l_fraction_choices=(0.9,))
+    folds = tuning._inner_folds(train, 3, space.seed)
+    tensor = tuning._prepare_fold(folds, 0, roster, 0.9, space.seed).distances.nbytes
+    tracemalloc.start()
+    try:
+        random_search(space, train, 3, roster)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * tensor, peak / tensor
+
+
+def test_a_failed_trial_does_not_keep_its_fold_alive(monkeypatch):
+    # a failed trial keeps its exception until the search ends, but not
+    # the prepared fold that the exception was raised on
+    refs, alive = [], []
+    prepare, score = tuning._prepare_fold, tuning._fold_objective
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        prepared = prepare(*args)
+        refs.append(weakref.ref(prepared))
+        return prepared
+
+    def failing(prepared, params, objective):
+        if params.alpha < 0.5:
+            raise ValueError("objective failed")
+        return score(prepared, params, objective)
+
+    monkeypatch.setattr(tuning, "_prepare_fold", tracked)
+    monkeypatch.setattr(tuning, "_fold_objective", failing)
+    space = SearchSpace(trials=8, seed=3, l_fraction_choices=(0.5,))
+    _, trace = random_search(space, small_train(seed=12, n=120), 3, ROSTER)
+    assert 0 < sum(t.failed for t in trace) < space.trials
+    assert alive == [0, 0, 0]
+
+
 def test_evaluate_params_names_an_event_free_inner_split():
     # two events in 30 rows: three inner folds leave a part without any
     rng = np.random.default_rng(0)
@@ -279,7 +457,7 @@ def tune_folds():
     )
     seed = derive_seed(1, 3)
     folds = tuning._inner_folds(data, 3, seed)
-    return roster, [tuning._prepare_fold(folds, i, roster, 0.5, seed, {}) for i in range(3)]
+    return roster, [tuning._prepare_fold(folds, i, roster, 0.5, seed) for i in range(3)]
 
 
 def test_fold_objective_matches_the_reference_chain_bitwise(tune_folds):
