@@ -95,11 +95,18 @@ class StepCurve:
             yield (t, v)
 
 
+def _checked_times(t) -> np.ndarray:
+    """Evaluation times as a float array: nonnegative numbers, `inf`
+    included and NaN not."""
+    arr = np.asarray(t, dtype=float)
+    if not (arr >= 0.0).all():
+        raise ValueError("evaluation times must be nonnegative")
+    return arr
+
+
 def evaluate(curve: StepCurve, t):
     """Evaluate a step curve at scalar or array `t` (right-continuously)."""
-    arr = np.asarray(t, dtype=float)
-    if (arr < 0.0).any():
-        raise ValueError("evaluation times must be nonnegative")
+    arr = _checked_times(t)
     # steps[i] holds on [times[i-1], times[i]), with the baseline before times[0]
     steps = np.concatenate(([curve.baseline], curve.values))
     out = steps[curve.times.searchsorted(arr, side="right")]
@@ -170,9 +177,7 @@ def product_limit_rows(times, events, grid) -> np.ndarray:
     """
     t = np.asarray(times, dtype=float)
     is_event = np.asarray(events) == 1
-    g = np.asarray(grid, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("evaluation times must be nonnegative")
+    g = _checked_times(grid)
     u = np.unique(t[is_event])
     rows, k = t.shape[0], u.size
     if k == 0:

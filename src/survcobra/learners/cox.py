@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..curves import CUMULATIVE, StepCurve
+from ..curves import CUMULATIVE, StepCurve, _event_counts
 from ..data import SurvivalDataset, kfold_split
 from ..exceptions import ConvergenceError
 from .base import BaseSurvivalModel, halving_step, standardize_fit
@@ -26,26 +26,18 @@ COEF_TOL = 1e-7
 _CURVATURE_BUDGET_BYTES = 8 * 2**20
 
 
-def _risk_structure(times, events):
-    """Time-sorted views plus the unique-event-time bookkeeping reused by
-    every likelihood pass."""
-    order = np.argsort(times, kind="stable")
-    ys = times[order]
-    es = events[order]
-    unique_times, d = np.unique(ys[es == 1], return_counts=True)
-    first_at_risk = np.searchsorted(ys, unique_times, side="left")
-    return order, ys, es, unique_times, d.astype(float), first_at_risk
-
-
 class _PartialLikelihood:
-    """Log partial likelihood, gradient, and curvature for fixed data."""
+    """Log partial likelihood, gradient, curvature and Breslow baseline for
+    fixed data, sorted by time once.  The distinct event times `u`, tie counts
+    `d` and at-risk counts are those of `curves._event_counts`, so each event
+    time's first record at risk sits at `pos` = n - its at-risk count."""
 
     def __init__(self, x, times, events):
-        self.order, self.ys, self.es, self.u, self.d, self.pos = _risk_structure(
-            times, events
-        )
-        self.xs = x[self.order]
+        order = np.argsort(times, kind="stable")
+        self.ys, self.es, self.xs = times[order], events[order], x[order]
         self.n, self.p = x.shape
+        self.u, self.d, at_risk = _event_counts(self.ys, self.es)
+        self.pos = self.n - at_risk.astype(np.intp)
         if self.u.size == 0:
             raise ValueError("the partial likelihood needs at least one event")
         self._event_rows = self.es == 1
@@ -122,6 +114,12 @@ class _PartialLikelihood:
         g = self.es - w * a
         h = np.maximum(w * a - w * w * b, 0.0)
         return eta, g, h
+
+    def breslow(self, beta) -> StepCurve:
+        """Breslow cumulative-hazard estimate at `beta`: jump d(t) / sum of
+        exp(beta . x_j) over the risk set at each event time."""
+        rev_w = np.cumsum(np.exp(self.xs @ beta)[::-1])[::-1]
+        return StepCurve(self.u, np.cumsum(self.d / rev_w[self.pos]), kind=CUMULATIVE)
 
 
 def cox_log_partial_likelihood(x, times, events, beta) -> float:
@@ -267,20 +265,10 @@ class CoxModel(BaseSurvivalModel):
         return np.exp(-(r[:, None] * h[None, :]))
 
 
-def _breslow_from_arrays(beta_standardized, z, times, events) -> StepCurve:
-    """Breslow cumulative-hazard estimate on standardized covariates:
-    jump d(t) / sum of exp(beta . z_j) over the risk set at each event time."""
-    order, ys, es, u, d, pos = _risk_structure(times, events)
-    w = np.exp(z[order] @ beta_standardized)
-    rev_w = np.cumsum(w[::-1])[::-1]
-    jumps = d / rev_w[pos]
-    return StepCurve(u, np.cumsum(jumps), kind=CUMULATIVE)
-
-
 def breslow_baseline(model: CoxModel, data: SurvivalDataset) -> StepCurve:
     """Recompute the Breslow baseline of a fitted model on `data`."""
     z = (data.x - model.feature_means) / model.feature_sds
-    return _breslow_from_arrays(model.beta_standardized, z, data.time, data.event.astype(float))
+    return _PartialLikelihood(z, data.time, data.event.astype(float)).breslow(model.beta_standardized)
 
 
 def _standardized(data: SurvivalDataset):
@@ -290,9 +278,10 @@ def _standardized(data: SurvivalDataset):
     return (data.x - mean) / sd, data.time, data.event.astype(float), mean, sd
 
 
-def _cv_penalty(data: SurvivalDataset, penalty_kind: str, folds: int, seed: int) -> float:
+def _cv_penalty(data: SurvivalDataset, pl: _PartialLikelihood, penalty_kind: str, folds: int, seed: int) -> float:
     """Pick the penalty by cross-validated held-out log partial likelihood
-    over a 10-point log grid anchored at the zero-coefficient gradient.
+    over a 10-point log grid anchored at the zero-coefficient gradient of
+    `pl`, the likelihood of all of `data` on its standardized covariates.
 
     Each fold's training and held-out likelihoods are built once.  The grid
     is walked from the strongest penalty down, and each fold's solver starts
@@ -302,8 +291,7 @@ def _cv_penalty(data: SurvivalDataset, penalty_kind: str, folds: int, seed: int)
     within the solver tolerance, and `fit_cox` refits cold at the penalty
     chosen here.
     """
-    z, times, events, _, _ = _standardized(data)
-    lam_max = float(np.max(np.abs(cox_gradient(z, times, events, np.zeros(z.shape[1])))))
+    lam_max = float(np.max(np.abs(pl.gradient(np.zeros(pl.p)))))
     if lam_max == 0.0:
         lam_max = 1.0
     grid = lam_max * np.logspace(0.0, -4.0, 10)
@@ -360,18 +348,15 @@ def fit_cox(
         raise ValueError(f"unknown penalty kind {penalty_kind!r}")
     if penalty is not None and penalty < 0.0:
         raise ValueError("penalty must be nonnegative")
-    if penalty is None:
-        penalty = _cv_penalty(data, penalty_kind, cv_folds, cv_seed)
     z, times, events, mean, sd = _standardized(data)
     pl = _PartialLikelihood(z, times, events)
-    if penalty_kind == "ridge":
-        beta_std, trace = _newton_ridge(pl, float(penalty))
-    else:
-        beta_std, trace = _coordinate_descent_lasso(pl, float(penalty))
-    baseline = _breslow_from_arrays(beta_std, z, times, events)
+    if penalty is None:
+        penalty = _cv_penalty(data, pl, penalty_kind, cv_folds, cv_seed)
+    solve = _newton_ridge if penalty_kind == "ridge" else _coordinate_descent_lasso
+    beta_std, trace = solve(pl, float(penalty))
     return CoxModel(
         beta=beta_std / sd,
-        baseline_cumhaz=baseline,
+        baseline_cumhaz=pl.breslow(beta_std),
         feature_means=mean,
         feature_sds=sd,
         beta_standardized=beta_std,

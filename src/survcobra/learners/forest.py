@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from ..curves import _checked_times
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 from .tree import fit_survival_tree_arrays
@@ -23,7 +24,7 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
         return np.unique(np.concatenate([tree._jump_times(x) for tree in self.trees]))
 
     def predict_values(self, x, grid) -> np.ndarray:
-        x, grid = self._check_matrix(x), self._check_grid(grid)
+        x, grid = self._check_matrix(x), _checked_times(grid)
         total = np.zeros((x.shape[0], grid.size))
         for tree in self.trees:
             total += tree._values(x, grid)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import product_limit_rows
+from ..curves import _checked_times, product_limit_rows
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel, standardize_fit
 
@@ -47,7 +47,7 @@ class KNNSurvivalModel(BaseSurvivalModel):
 
     def predict_values(self, x, grid) -> np.ndarray:
         x = self._check_matrix(x)
-        grid = np.asarray(grid, dtype=float)
+        grid = _checked_times(grid)
         out = np.empty((x.shape[0], grid.size))
         size = max(1, _NEIGHBOR_CHUNK_BYTES // (self.z.size * 8))
         for start in range(0, x.shape[0], size):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..curves import _checked_times
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 
@@ -122,7 +123,7 @@ class SurvivalTreeModel(BaseSurvivalModel):
         return self.u[self.jump_keys[lo:hi] - start]
 
     def predict_values(self, x, grid) -> np.ndarray:
-        grid = self._check_grid(grid)
+        grid = _checked_times(grid)
         return self._values(self._check_matrix(x), grid)
 
     def _values(self, x, grid) -> np.ndarray:

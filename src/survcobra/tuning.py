@@ -120,8 +120,9 @@ def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str
     return -concordance_td(survival, prepared.val_times, prepared.val_events)
 
 
-def _scored_objective(prepared, fold_idx, params, objective, cache) -> float:
-    """`_fold_objective`, scored once per distinct member mask of a fold.
+def _scored_objective(prepared, params, objective, cache) -> float:
+    """`_fold_objective`, scored once per distinct member mask of a fold;
+    `cache` belongs to one fold at one l_fraction.
 
     For a fixed consensus count the mask reads one order statistic of the
     machine-sorted distances, so it is fixed by how many of its entries lie
@@ -130,7 +131,7 @@ def _scored_objective(prepared, fold_idx, params, objective, cache) -> float:
     need = params.consensus_count
     mask = _member_mask(prepared.distances, params.epsilon, need)
     rank = int(np.count_nonzero(mask))
-    key = (fold_idx, params.l_fraction, need if 0 < rank < mask.size else None, rank)
+    key = (need if 0 < rank < mask.size else None, rank)
     return _cached(cache, key, lambda: _fold_objective(prepared, params, objective), ValueError)
 
 
@@ -149,7 +150,7 @@ def _score_trials(trials, folds, seed, objective) -> list:
                 prepare = partial(_prepare_fold, folds, i, params.roster, l_fraction, seed)
                 try:
                     outcomes[j].append(
-                        _scored_objective(_cached(cache, i, prepare, errors), i, params, objective, cache)
+                        _scored_objective(_cached(cache, i, prepare, errors), params, objective, cache)
                     )
                 except errors as exc:
                     outcomes[j] = exc.with_traceback(None)  # its frames hold the fold

@@ -10,7 +10,7 @@ paths can be checked against them bit for bit.
 import numpy as np
 
 from survcobra import tuning
-from survcobra.curves import StepCurve, evaluate, product_limit
+from survcobra.curves import CUMULATIVE, StepCurve, evaluate, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _soft_threshold
@@ -383,9 +383,10 @@ def reference_member_mask(distances, epsilon, need):
 
 def reference_random_search(space, train, inner_folds=3, roster=None):
     """`tuning.random_search` as it scored trial by trial, with `_evaluate`
-    and the per-l_fraction cache of prepared folds.  The package's
-    `_fit_stack`, `_fold_objective` and per-mask memo are looked up at call
-    time, so a test's monkeypatch reaches both searches."""
+    and the per-l_fraction cache of prepared folds beside one per-mask score
+    memo per fold.  The package's `_fit_stack`, `_fold_objective` and
+    per-mask memo are looked up at call time, so a test's monkeypatch
+    reaches both searches."""
 
     def prepare_fold(folds, fold_idx, roster, l_fraction, seed, cache):
         def prepare():
@@ -399,14 +400,13 @@ def reference_random_search(space, train, inner_folds=3, roster=None):
 
         return tuning._cached(cache, (fold_idx, l_fraction), prepare, (ValueError, ConvergenceError))
 
-    def evaluate_trial(params, folds, seed, objective, cache):
+    def evaluate_trial(params, folds, seed, objective, cache, memos):
         values = tuple(
             tuning._scored_objective(
                 prepare_fold(folds, i, params.roster, params.l_fraction, seed, cache),
-                i,
                 params,
                 objective,
-                cache,
+                memos[i],
             )
             for i in range(len(folds))
         )
@@ -420,12 +420,12 @@ def reference_random_search(space, train, inner_folds=3, roster=None):
     results = [None] * space.trials
 
     for l_fraction in sorted({p.l_fraction for p in draws}):
-        cache = {}
+        cache, memos = {}, [{} for _ in folds]
         for index, params in enumerate(draws):
             if params.l_fraction != l_fraction:
                 continue
             try:
-                value, fold_values = evaluate_trial(params, folds, space.seed, space.objective, cache)
+                value, fold_values = evaluate_trial(params, folds, space.seed, space.objective, cache, memos)
                 results[index] = tuning.TrialResult(params, value, fold_values, index)
             except (ValueError, ConvergenceError) as exc:
                 learner = getattr(exc, "learner", None)
@@ -444,6 +444,27 @@ def reference_random_search(space, train, inner_folds=3, roster=None):
         causes = "; ".join(dict.fromkeys(r.error for r in trace))
         raise TuningError(f"every trial failed ({len(trace)} of {len(trace)}): {causes}", trace)
     return best, trace
+
+
+def reference_risk_structure(times, events):
+    """Time-sorted views plus the unique-event-time bookkeeping reused by
+    every likelihood pass."""
+    order = np.argsort(times, kind="stable")
+    ys = times[order]
+    es = events[order]
+    unique_times, d = np.unique(ys[es == 1], return_counts=True)
+    first_at_risk = np.searchsorted(ys, unique_times, side="left")
+    return order, ys, es, unique_times, d.astype(float), first_at_risk
+
+
+def reference_breslow_from_arrays(beta_standardized, z, times, events) -> StepCurve:
+    """Breslow cumulative-hazard estimate on standardized covariates:
+    jump d(t) / sum of exp(beta . z_j) over the risk set at each event time."""
+    order, ys, es, u, d, pos = reference_risk_structure(times, events)
+    w = np.exp(z[order] @ beta_standardized)
+    rev_w = np.cumsum(w[::-1])[::-1]
+    jumps = d / rev_w[pos]
+    return StepCurve(u, np.cumsum(jumps), kind=CUMULATIVE)
 
 
 def reference_newton_ridge(pl, lam, start=None):

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcobra.curves import evaluate, nelson_aalen
 from survcobra.data import SurvivalDataset, kfold_split
@@ -16,7 +18,7 @@ from survcobra.learners import (
 from survcobra.learners import cox
 from survcobra.seeds import derive_seed
 import helpers
-from helpers import random_dataset, slow_curvature, slow_cv_penalty
+from helpers import random_dataset, same_bits, slow_curvature, slow_cv_penalty
 
 
 def fd_gradient(x, times, events, beta, h=1e-5):
@@ -278,6 +280,67 @@ def cv_sample(seed, n, p, censor):
     return SurvivalDataset(x, times, events, [f"v{j}" for j in range(p)])
 
 
+def cv_penalty(data, kind, folds, seed):
+    """`cox._cv_penalty` with the likelihood `fit_cox` builds on all of
+    `data` and hands to it."""
+    full = cox._PartialLikelihood(*cox._standardized(data)[:3])
+    return cox._cv_penalty(data, full, kind, folds, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 40),
+    p=st.integers(1, 3),
+    span=st.integers(1, 8),
+    event_rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    tail=st.integers(0, 3),
+)
+def test_property_risk_sets_and_baselines_match_the_references(seed, n, p, span, event_rate, tail):
+    # integer times: tied event times, records censored at an event time,
+    # `tail` records censored after every event, and (rate 0) one event
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([rng.integers(1, span + 1, size=n), np.full(tail, span + 1)]).astype(float)
+    events = np.concatenate([rng.uniform(size=n) < event_rate, np.zeros(tail, dtype=bool)]).astype(float)
+    events[int(rng.integers(n))] = 1.0
+    x = rng.normal(size=(n + tail, p))
+    pl = cox._PartialLikelihood(x, times, events)
+    _, ys, es, u, d, pos = helpers.reference_risk_structure(times, events)
+    for got, want in ((pl.ys, ys), (pl.es, es), (pl.u, u), (pl.d, d), (pl.pos, pos)):
+        assert same_bits(got, want)
+    beta = rng.normal(size=p)
+    got, want = pl.breslow(beta), helpers.reference_breslow_from_arrays(beta, x, times, events)
+    assert same_bits(got.times, want.times) and same_bits(got.values, want.values)
+    data = SurvivalDataset(x, times, events.astype(int), [f"x{j}" for j in range(p)])
+    for kind, penalty in (("ridge", 1.0), ("lasso", 0.1), ("ridge", None), ("lasso", None)):
+        try:
+            model = fit_cox(data, kind, penalty)
+        except (ConvergenceError, ValueError):  # too few records or events to fit or split
+            continue
+        z = (x - model.feature_means) / model.feature_sds
+        want = helpers.reference_breslow_from_arrays(model.beta_standardized, z, times, events)
+        for got in (model.baseline_cumhaz, breslow_baseline(model, data)):
+            assert same_bits(got.times, want.times) and same_bits(got.values, want.values)
+
+
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+def test_cv_fit_builds_one_full_sample_likelihood(kind):
+    # the full sample's likelihood anchors the penalty grid, fits at the
+    # chosen penalty and gives the Breslow baseline
+    ds = cv_sample(11, 120, 4, 0.5)
+    sizes = []
+
+    class Counting(cox._PartialLikelihood):
+        def __init__(self, x, times, events):
+            sizes.append(len(times))
+            super().__init__(x, times, events)
+
+    with mock.patch.object(cox, "_PartialLikelihood", Counting):
+        fit_cox(ds, kind)
+    assert sizes.count(ds.n) == 1
+    assert len(sizes) == 1 + 2 * 3  # and each fold's training and held-out parts
+
+
 # (seed, n, p, censored share); the chosen grid index runs from 0 to 5
 CV_CASES = [
     (1, 60, 3, 0.7),
@@ -299,7 +362,7 @@ class TestPenaltyPath:
     def test_chooses_the_cold_loop_penalty(self, kind):
         for seed, n, p, censor in CV_CASES:
             ds = cv_sample(seed, n, p, censor)
-            assert cox._cv_penalty(ds, kind, 3, seed) == slow_cv_penalty(ds, kind, 3, seed)
+            assert cv_penalty(ds, kind, 3, seed) == slow_cv_penalty(ds, kind, 3, seed)
 
     @pytest.mark.parametrize("kind", ["ridge", "lasso"])
     def test_default_fit_is_the_cold_fit_at_the_chosen_penalty(self, kind):
@@ -351,7 +414,7 @@ class TestPenaltyPath:
             return fits[id(pl), lam], ()
 
         with mock.patch.object(cox, name, spy):
-            cox._cv_penalty(cv_sample(5, 120, 6, 0.4), kind, 3, 5)
+            cv_penalty(cv_sample(5, 120, 6, 0.4), kind, 3, 5)
         failed = calls[7][1]
         assert len(calls) == 29 and len({lam for _, lam, _ in calls}) == 10
         for pl, lam, start in calls:
@@ -399,7 +462,7 @@ class TestPenaltyCVEdges:
             helpers, "kfold_split", return_value=pairs
         ):
             with pytest.raises(ConvergenceError) as fast:
-                cox._cv_penalty(ds, kind, 3, 0)
+                cv_penalty(ds, kind, 3, 0)
             with pytest.raises(ConvergenceError) as slow:
                 slow_cv_penalty(ds, kind, 3, 0)
         assert str(fast.value).startswith("no penalty in the CV grid produced a fit (grid max ")
@@ -473,7 +536,7 @@ class TestSolversMatchReference:
 
         with mock.patch.object(cox, name, both):
             for seed, n, p, censor in CV_CASES[:4]:
-                cox._cv_penalty(cv_sample(seed, n, p, censor), kind, 3, seed)
+                cv_penalty(cv_sample(seed, n, p, censor), kind, 3, seed)
         assert runs == ["fit"] * 4 * 3 * 10
 
     def test_exhausted_ridge_search_raises_the_same_error(self):

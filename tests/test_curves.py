@@ -187,11 +187,17 @@ class TestBitwiseReference:
     @pytest.mark.parametrize(
         "t",
         [0.0, 1.0, 1.9, 2.0, 3.0, 1e9, np.float64(2.5), np.nan, [0.0, 1.0, 2.9, 3.0, 100.0],
-         np.array([[0.5, 2.0], [3.0, 0.0]]), EMPTY, [np.nan, 1.0]],
-        ids=["0", "1", "1.9", "2", "3", "1e9", "float64", "nan", "list", "2-d", "empty", "nan in list"],
+         np.array([[0.5, 2.0], [3.0, 0.0]]), EMPTY, [np.nan, 1.0], np.inf, [0.0, np.inf]],
+        ids=["0", "1", "1.9", "2", "3", "1e9", "float64", "nan", "list", "2-d", "empty", "nan in list",
+             "inf", "inf in list"],
     )
     def test_evaluate(self, curve, t):
-        assert same_bits(evaluate(curve, t), reference_evaluate(curve, t))
+        if np.isnan(t).any():
+            # the reference read a NaN as past the last jump; it is rejected
+            with pytest.raises(ValueError, match="^evaluation times must be nonnegative$"):
+                evaluate(curve, t)
+        else:
+            assert same_bits(evaluate(curve, t), reference_evaluate(curve, t))
 
     @pytest.mark.parametrize("t", [-0.1, [1.0, -1e-300], np.array([[0.0], [-np.inf]])])
     def test_evaluate_rejects_negative_times(self, t):
@@ -300,6 +306,15 @@ class TestProductLimitRows:
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError):
             product_limit_rows(np.ones((1, 2)), np.ones((1, 2), dtype=int), [-1.0])
+
+    @pytest.mark.parametrize("grid", [[np.nan], [1.0, np.nan]], ids=["nan", "nan in list"])
+    def test_nan_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="^evaluation times must be nonnegative$"):
+            product_limit_rows(np.ones((1, 2)), np.ones((1, 2), dtype=int), grid)
+
+    def test_infinite_grid_point_reads_past_the_last_event(self):
+        got = product_limit_rows(np.array([[1.0, 2.0]]), np.array([[1, 0]]), [0.0, np.inf])
+        assert got.tolist() == [[1.0, 0.5]]
 
 
 class TestNelsonAalen:

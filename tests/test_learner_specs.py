@@ -80,6 +80,26 @@ class TestPredictContract:
         with pytest.raises(ValueError, match="evaluation times must be nonnegative"):
             model.predict_values(ds.x[:4], [0.0, -0.5, 1.0])
 
+    @pytest.mark.parametrize("rows", [4, 0])
+    @pytest.mark.parametrize("grid", [[1.0, np.nan], [np.nan]], ids=["nan in grid", "nan"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_nan_grid_rejected(self, spec, grid, rows):
+        # a NaN is no time: it must not read as past the last jump, and the
+        # grid is checked even when no row asks for it
+        ds = random_dataset(np.random.default_rng(0), 25, p=3)
+        model = fit(spec, ds)
+        with pytest.raises(ValueError, match="evaluation times must be nonnegative"):
+            model.predict_values(ds.x[:rows], grid)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_infinite_grid_point_reads_the_curve_tail(self, spec):
+        ds = random_dataset(np.random.default_rng(0), 25, p=3)
+        model = fit(spec, ds)
+        got = model.predict_values(ds.x[:4], [0.0, np.inf])
+        for row, q in zip(got, ds.x[:4]):
+            tail = model.predict_curve(q).values
+            assert row[1] == (tail[-1] if tail.size else 1.0)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("target", [spec.kind for spec in SPECS] + ["predict_cobra", "relevance_study"])

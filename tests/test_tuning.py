@@ -241,7 +241,7 @@ class TestObjectiveMemo:
                 mask = mask_of(prepared, params)
                 trivial = not mask.any() or mask.all()
                 distinct.add((None if trivial else params.consensus_count, mask.tobytes()))
-                assert tuning._scored_objective(prepared, 0, params, "ibs", cache) == code(mask)
+                assert tuning._scored_objective(prepared, params, "ibs", cache) == code(mask)
             assert len(calls) == len(distinct)
 
     def test_failing_objective_replays_its_message_on_a_hit(self, monkeypatch):
