@@ -28,6 +28,7 @@ from scipy.spatial.distance import cdist
 from .curves import StepCurve, _event_counts, _product_limit, evaluate, kaplan_meier
 from .data import DatasetSplit, SurvivalDataset, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
+from .learners.base import _check_matrix, _check_vector
 
 #: Upper bound, in bytes, on what one chunk of a query set holds at a time
 #: (see `_distance_chunks`).
@@ -126,20 +127,6 @@ class CobraModel:
     def population_km(self) -> StepCurve:
         return self.stack.pop_km
 
-    def _check_query(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        p = self.split.d_k.n_features
-        if x.shape != (p,):
-            raise ValueError(f"query has shape {x.shape}, expected ({p},)")
-        return x
-
-    def _check_queries(self, queries) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        p = self.split.d_k.n_features
-        if q.shape[1] != p:
-            raise ValueError(f"queries have {q.shape[1]} features, expected {p}")
-        return q
-
 
 @dataclass(frozen=True)
 class ProximityAggregate:
@@ -186,7 +173,7 @@ def _member_mask(distances, epsilon, need) -> np.ndarray:
 def _label_chunks(model: CobraModel, queries):
     """The (chunk, n_l) 0/1 proximity labels of consecutive chunks of a
     query set, lazily, from one chunked distance pass."""
-    q = model._check_queries(queries)
+    q = _check_matrix(queries, model.split.d_k.n_features)
     epsilon, need = model.params.epsilon, model.params.consensus_count
     return _distance_chunks(
         model.stack, q, lambda distances: _member_mask(distances, epsilon, need).astype(np.int64)
@@ -195,7 +182,7 @@ def _label_chunks(model: CobraModel, queries):
 
 def gamma_labels(model: CobraModel, x) -> np.ndarray:
     """The 0/1 proximity indicator of every calibration record for query x."""
-    x = model._check_query(x)
+    x = _check_vector(x, model.split.d_k.n_features)
     return next(_label_chunks(model, x[None, :]))[0]
 
 
@@ -240,14 +227,14 @@ def _survival_rows(curves, pop_km: StepCurve, times, pop_row=None) -> np.ndarray
 def predict_cobra(model: CobraModel, x) -> StepCurve:
     """Aggregated survival curve at query x (population KM fallback when
     the proximity set is empty or event-free)."""
-    x = model._check_query(x)
+    x = _check_vector(x, model.split.d_k.n_features)
     return predict_cobra_batch(model, x[None, :])[0]
 
 
 def predict_cobra_batch(model: CobraModel, queries) -> list[StepCurve]:
     """Element-wise `predict_cobra`, from one chunked distance pass;
     identical results to sequential calls."""
-    q = model._check_queries(queries)
+    q = _check_matrix(queries, model.split.d_k.n_features)
     d_l, pop_km = model.split.d_l, model.stack.pop_km
     epsilon, need = model.params.epsilon, model.params.consensus_count
     chunks = _distance_chunks(

@@ -215,10 +215,8 @@ def censoring_km(times, events) -> StepCurve:
 
     With no censored records the curve is constant 1.
     """
-    e = np.asarray(events)
-    if not np.all((e == 0) | (e == 1)):
-        raise ValueError("event flags must be 0 or 1")
-    return product_limit(times, 1 - e)
+    t, e = _checked_sample(times, events)
+    return _product_limit(t, 1 - e)
 
 
 def distance_grid(a: StepCurve, b: StepCurve, t_max: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from .data import (
     preprocess,
 )
 from .exceptions import ConfigError, ConvergenceError
-from .learners import LearnerSpec, default_roster, fit
+from .learners import LearnerSpec, _json, default_roster, fit
 from .metrics import MetricReport, concordance_td, d_calibration, integrated_brier
 from .relevance import relevance_study
 from .seeds import derive_seed
@@ -77,7 +77,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, _CONFIG_KEYS, required=("dataset",))
-        seed = _json_integer("seed", raw.get("seed", 0))
+        seed = _json("seed", raw.get("seed", 0), int)
         dataset = _parse_dataset(raw["dataset"], seed)
 
         roster_cfg = raw.get("roster")
@@ -100,11 +100,11 @@ class ExperimentConfig:
         params = search = None
         if fixed is not None:
             _check_keys("params", fixed, _PARAMS_KEYS, required=_PARAMS_KEYS)
-            numbers = {key: _json_number(f"params.{key}", value) for key, value in fixed.items()}
+            numbers = {key: _json(f"params.{key}", value, float) for key, value in fixed.items()}
             params = _parsed("params", CobraParams, roster=roster, **numbers)
         else:
             _check_keys("search", space, ("trials", "objective"), required=("trials",))
-            _json_integer("search.trials", space["trials"])
+            _json("search.trials", space["trials"], int)
             search = _parsed("search", SearchSpace, **space)
         counts = {}
         for key, default, least in (
@@ -113,10 +113,10 @@ class ExperimentConfig:
             ("inner_folds", 3, 2),
             ("dcal_bins", 10, 2),
         ):
-            counts[key] = _json_integer(key, raw.get(key, default))
+            counts[key] = _json(key, raw.get(key, default), int)
             if counts[key] < least:
                 raise ConfigError(f"{key} must be at least {least}, got {counts[key]}")
-        dcal_level = _json_number("dcal_level", raw.get("dcal_level", 0.05))
+        dcal_level = _json("dcal_level", raw.get("dcal_level", 0.05), float)
         if not 0.0 < dcal_level < 1.0:
             raise ConfigError(f"dcal_level must lie strictly between 0 and 1, got {dcal_level}")
 
@@ -128,7 +128,7 @@ class ExperimentConfig:
             seed=seed,
             dcal_level=dcal_level,
             **counts,
-            out_dir=_json_string("out_dir", raw.get("out_dir", "survcobra-out")),
+            out_dir=_json("out_dir", raw.get("out_dir", "survcobra-out"), str),
         )
 
 
@@ -154,40 +154,10 @@ def _parsed(section: str, build, **fields):
         raise ConfigError(f"{section}.{exc}") from exc
 
 
-def _json_integer(key: str, value) -> int:
-    """`value` when it is a JSON integer; `json` reads 2.0 as a float and
-    `true` as a bool, and both are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(key: str, value) -> float:
-    """`value` as a float when it is a JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_string(key: str, value) -> str:
-    """`value` when it is a JSON string."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _json_strings(key: str, value) -> tuple[str, ...]:
-    """`value` as a tuple when it is a JSON array of strings."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigError(f"{key} must be an array of strings, got {value!r}")
-    return tuple(value)
-
-
 _DATASET_KEYS = {  # kind: ({key: its JSON type}, required keys)
-    "synthetic": (dict(n=_json_integer, censor_fraction=_json_number, dim=_json_integer, seed=_json_integer), ()),
+    "synthetic": (dict(n=int, censor_fraction=float, dim=int, seed=int), ()),
     "csv": (
-        dict(path=_json_string, time_col=_json_string, event_col=_json_string,
-             numeric=_json_strings, categorical=_json_strings),
+        dict(path=str, time_col=str, event_col=str, numeric=list, categorical=list),
         ("path", "time_col", "event_col"),
     ),
 }
@@ -197,7 +167,7 @@ def _parse_dataset(dataset, master_seed: int) -> SyntheticConfig | CsvDataset:
     """The typed dataset section.  A synthetic dataset without its own seed
     (or with seed null) is drawn with `derive_seed(master_seed, 0)`."""
     kind = dataset.get("kind") if isinstance(dataset, dict) else None
-    if kind not in _DATASET_KEYS:
+    if kind not in tuple(_DATASET_KEYS):  # `kind` may be an unhashable list or object
         raise ConfigError(f"dataset must be a JSON object of kind 'synthetic' or 'csv', got {dataset!r}")
     types, required = _DATASET_KEYS[kind]
     _check_keys("dataset", dataset, ("kind", *types), required)
@@ -206,7 +176,7 @@ def _parse_dataset(dataset, master_seed: int) -> SyntheticConfig | CsvDataset:
         fields = {"n": 2000, "censor_fraction": 0.4, **fields}
         if fields.get("seed") is None:
             fields["seed"] = derive_seed(master_seed, 0)
-    typed = {key: types[key](f"dataset.{key}", value) for key, value in fields.items()}
+    typed = {key: _json(f"dataset.{key}", value, types[key]) for key, value in fields.items()}
     return _parsed("dataset", SyntheticConfig if kind == "synthetic" else CsvDataset, **typed)
 
 

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Any, Mapping
 
 from ..data import SurvivalDataset
-from ..exceptions import ConvergenceError
+from ..exceptions import ConfigError, ConvergenceError
 from .base import BaseSurvivalModel
 from .cox import CoxModel, breslow_baseline, cox_gradient, cox_log_partial_likelihood, fit_cox
 from .forest import RandomSurvivalForestModel, fit_random_survival_forest
@@ -62,17 +62,28 @@ _KINDS = {
     "cox_lasso": (partial(fit_cox, penalty_kind="lasso"), _COX_HYPERPARAMS),
     "knn_survival": (fit_knn_survival, {"k": (int, 1)}),
 }
-_JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+#: The JSON types of hyperparameters and config values; `list` stands for
+#: an array of strings.
+_JSON_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array of strings"
+}
 
 LEARNER_KINDS = tuple(_KINDS)
 
 
-def _is_json(value, json_type) -> bool:
-    """Whether `value` has `json_type`: `true` is only a boolean, and an
-    integer is also a number."""
+def _json(key: str, value, json_type):
+    """`value` when it has `json_type`, a number as a float and an array as
+    a tuple; else a `ConfigError` "<key> must be <type>, got <value>".
+    `true` is only a boolean, and an integer is also a number."""
     if isinstance(value, bool) or json_type is bool:
-        return isinstance(value, bool) and json_type is bool
-    return isinstance(value, (int, float) if json_type is float else int)
+        valid = isinstance(value, bool) and json_type is bool
+    elif json_type is list:
+        valid = isinstance(value, list) and all(isinstance(item, str) for item in value)
+    else:
+        valid = isinstance(value, (int, float) if json_type is float else json_type)
+    if not valid:
+        raise ConfigError(f"{key} must be {_JSON_TYPE_NAMES[json_type]}, got {value!r}")
+    return float(value) if json_type is float else tuple(value) if json_type is list else value
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ class LearnerSpec:
     hyperparameters: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in LEARNER_KINDS:  # a tuple: `kind` may be an unhashable list or object
             raise ValueError(f"unknown learner kind {self.kind!r}; choose from {LEARNER_KINDS}")
         builder, allowed = _KINDS[self.kind]
         defaults = inspect.signature(builder).parameters
@@ -93,10 +104,7 @@ class LearnerSpec:
             json_type, least = allowed[key]
             if value is None and defaults[key].default is None:
                 continue
-            if not _is_json(value, json_type):
-                raise ValueError(
-                    f"{self.kind}: hyperparameter {key} must be {_JSON_TYPE_NAMES[json_type]}, got {value!r}"
-                )
+            _json(f"{self.kind}: hyperparameter {key}", value, json_type)
             if least is not None and not value >= least:
                 raise ValueError(f"{self.kind}: hyperparameter {key}={value!r} out of range (least {least})")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))

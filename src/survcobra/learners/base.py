@@ -7,29 +7,33 @@ import numpy as np
 from ..curves import StepCurve
 
 
+def _check_vector(x, p: int) -> np.ndarray:
+    """`x` as a float vector of `p` finite covariates."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p,):
+        raise ValueError(f"covariate vector has shape {x.shape}, expected ({p},)")
+    return _check_matrix(x, p)[0]
+
+
+def _check_matrix(x, p: int) -> np.ndarray:
+    """`x` as a float matrix of rows of `p` finite covariates."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != p:
+        raise ValueError(f"covariate matrix has shape {x.shape}, expected {p} features per row")
+    if not np.isfinite(x).all():
+        raise ValueError("covariates must be finite (no NaN or infinity)")
+    return x
+
+
 class BaseSurvivalModel:
     """Common contract: a fitted model predicts one survival curve per
     covariate vector of the training feature count."""
 
     n_features: int
 
-    def _check_vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise ValueError(f"covariate vector has shape {x.shape}, expected ({self.n_features},)")
-        return self._check_matrix(x)[0]
-
-    def _check_matrix(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"covariate matrix has shape {x.shape}, expected (*, {self.n_features})")
-        if not np.isfinite(x).all():
-            raise ValueError("covariates must be finite (no NaN or infinity)")
-        return x
-
     def predict_curve(self, x) -> StepCurve:
         """The survival curve at `x`: `predict_values` at its own jump times."""
-        x = self._check_vector(x)
+        x = _check_vector(x, self.n_features)
         times = self._jump_times(x)
         return StepCurve(times, self.predict_values(x[None, :], times)[0])
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..curves import CUMULATIVE, StepCurve, _event_counts
 from ..data import SurvivalDataset, kfold_split
 from ..exceptions import ConvergenceError
-from .base import BaseSurvivalModel, halving_step, standardize_fit
+from .base import BaseSurvivalModel, _check_matrix, halving_step, standardize_fit
 
 MAX_OUTER_ITER = 100
 COEF_TOL = 1e-7
@@ -260,7 +260,7 @@ class CoxModel(BaseSurvivalModel):
         return self.baseline_cumhaz.times
 
     def predict_values(self, x, grid) -> np.ndarray:
-        r = self._risk(self._check_matrix(x))
+        r = self._risk(_check_matrix(x, self.n_features))
         h = self.baseline_cumhaz(grid)
         return np.exp(-(r[:, None] * h[None, :]))
 

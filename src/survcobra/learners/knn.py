@@ -12,7 +12,7 @@ import numpy as np
 
 from ..curves import _checked_times, product_limit_rows
 from ..data import SurvivalDataset
-from .base import BaseSurvivalModel, standardize_fit
+from .base import BaseSurvivalModel, _check_matrix, _check_vector, standardize_fit
 
 #: Rough size, in bytes, of the (queries, training records, features)
 #: float64 difference temporary that one chunk of queries holds.  It is
@@ -39,14 +39,14 @@ class KNNSurvivalModel(BaseSurvivalModel):
 
     def neighbors(self, x) -> np.ndarray:
         """Indices of the k nearest training records (stable tie-break)."""
-        return self._neighbor_rows(self._check_vector(x)[None, :])[0]
+        return self._neighbor_rows(_check_vector(x, self.n_features)[None, :])[0]
 
     def _jump_times(self, x) -> np.ndarray:
         nb = self._neighbor_rows(x[None, :])[0]
         return np.unique(self.times[nb][self.events[nb] == 1])
 
     def predict_values(self, x, grid) -> np.ndarray:
-        x = self._check_matrix(x)
+        x = _check_matrix(x, self.n_features)
         grid = _checked_times(grid)
         out = np.empty((x.shape[0], grid.size))
         size = max(1, _NEIGHBOR_CHUNK_BYTES // (self.z.size * 8))

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..curves import _checked_times
 from ..data import SurvivalDataset
-from .base import BaseSurvivalModel
+from .base import BaseSurvivalModel, _check_matrix
 
 
 class _Node:
@@ -101,7 +101,7 @@ class SurvivalTreeModel(BaseSurvivalModel):
 
     def leaf_ids(self, x) -> np.ndarray:
         """Leaf index for each row of `x`."""
-        return self._leaf_ids(self._check_matrix(x))
+        return self._leaf_ids(_check_matrix(x, self.n_features))
 
     def _leaf_ids(self, x) -> np.ndarray:
         out = np.empty(x.shape[0], dtype=np.int64)
@@ -124,7 +124,7 @@ class SurvivalTreeModel(BaseSurvivalModel):
 
     def predict_values(self, x, grid) -> np.ndarray:
         grid = _checked_times(grid)
-        return self._values(self._check_matrix(x), grid)
+        return self._values(_check_matrix(x, self.n_features), grid)
 
     def _values(self, x, grid) -> np.ndarray:
         """`predict_values` on a checked covariate matrix and grid."""

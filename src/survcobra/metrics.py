@@ -5,8 +5,9 @@ of-censoring-weighted Brier score and its trapezoid time average, and the
 D-calibration goodness-of-calibration test.  Each metric reads the
 predictions of an n-record sample as one array `survival` of shape
 (n, n), where `survival[i, k]` is record i's predicted survival at
-`times[k]`, the sample's own observed times.  All functions are pure; fold
-evaluation can run in parallel.
+`times[k]`, the sample's own observed times.  Times must be finite,
+event flags 0 or 1, and survival values finite and within [0, 1].  All
+functions are pure; fold evaluation can run in parallel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .curves import StepCurve, censoring_km, evaluate
+from .curves import StepCurve, _checked_sample, censoring_km, evaluate
 
 
 @dataclass(frozen=True)
@@ -31,19 +32,17 @@ class MetricReport:
 
 
 def _check_aligned(survival, times, events, ndim=2):
-    """Float arrays of the sample; `survival` holds one value per record
-    (ndim=1) or one row per record and one column per record time (ndim=2)."""
+    """Float arrays of a sample checked by `curves._checked_sample`;
+    `survival` holds one value per record (ndim=1) or one row per record and
+    one column per record time (ndim=2), each finite and in [0, 1]."""
+    times, events = _checked_sample(times, events)
     survival = np.asarray(survival, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events)
-    if times.ndim != 1 or events.shape != times.shape:
-        raise ValueError("times and events must be 1-d arrays of equal length")
     if survival.shape != (times.size,) * ndim:
         raise ValueError(
             f"survival has shape {survival.shape}, expected {(times.size,) * ndim} for {times.size} records"
         )
-    if not np.all((events == 0) | (events == 1)):
-        raise ValueError("event flags must be 0 or 1")
+    if not ((survival >= 0.0) & (survival <= 1.0)).all():  # NaN fails both
+        raise ValueError("survival values must be finite and lie in [0, 1]")
     return survival, times, events.astype(np.int64)
 
 

@@ -13,6 +13,7 @@ from survcobra import tuning
 from survcobra.curves import CUMULATIVE, StepCurve, evaluate, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
+from survcobra.learners.base import _check_vector
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _soft_threshold
 from survcobra.metrics import concordance_td
 from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
@@ -608,7 +609,7 @@ def reference_irls(x, y, l2):
 def reference_tree_curve(tree, x):
     """The survival tree's former `predict_curve`: walk the nodes to x's
     leaf and slice that leaf's jumps."""
-    x = tree._check_vector(x)
+    x = _check_vector(x, tree.n_features)
     node = tree.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
@@ -620,7 +621,7 @@ def reference_tree_curve(tree, x):
 def reference_forest_curve(forest, x):
     """The forest's former `predict_curve`: `predict_values` on the union of
     its trees' former curves' jump times."""
-    x = forest._check_vector(x)
+    x = _check_vector(x, forest.n_features)
     grid = np.unique(np.concatenate([reference_tree_curve(tree, x).times for tree in forest.trees]))
     return StepCurve(grid, forest.predict_values(x[None, :], grid)[0])
 
@@ -633,5 +634,5 @@ def reference_knn_curve(model, x):
 
 def reference_cox_curve(model, x):
     """Cox's former `predict_curve`: exp(-H0 * r) at the baseline's jumps."""
-    r = float(model._risk(model._check_vector(x)))
+    r = float(model._risk(_check_vector(x, model.n_features)))
     return StepCurve(model.baseline_cumhaz.times, np.exp(-model.baseline_cumhaz.values * r))

@@ -460,3 +460,24 @@ def test_property_reversed_ranking_gives_one_minus_concordance(data, n):
     assume(comparable.any())
     c = concordance_td(survival, times, events)
     assert concordance_td(1.0 - survival, times, events) == pytest.approx(1.0 - c, abs=1e-12)
+
+
+METRICS = {
+    "concordance_td": concordance_td,
+    "integrated_brier": integrated_brier,
+    "d_calibration": d_calibration,
+    "d_calibration_masses": d_calibration_masses,
+    "brier_censored": lambda s, times, events: brier_censored(s[:, 0], times, events, 2.0, censoring_km(times, events)),
+}
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.25])
+def test_survival_values_outside_the_unit_interval_rejected(metric, bad):
+    # at one time an all-NaN matrix gave a concordance of 0.0, D-calibration
+    # failed converting NaN to a bin index, and 1.5 landed in the top bin
+    times, events = [1.0, 2.0, 3.0], [1, 0, 1]
+    for survival in (np.full((3, 3), bad), np.where(np.eye(3) == 1, bad, 0.5)):
+        with pytest.raises(ValueError) as err:
+            METRICS[metric](survival, times, events)
+        assert str(err.value) == "survival values must be finite and lie in [0, 1]"
