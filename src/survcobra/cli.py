@@ -36,8 +36,13 @@ from .experiments import (
 _RELEVANCE_RUNNERS = {"simulate": run_simulate, "relevance": run_relevance}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: one line, exit 1
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="survcobra",
         description="Survival-curve ensemble experiments: benchmark, tune, simulate, relevance.",
     )
@@ -57,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg, raw = load_config(args.config, seed=args.seed)  # run.json echoes the effective seed
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")

@@ -26,9 +26,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .curves import StepCurve, _event_counts, _product_limit, evaluate, kaplan_meier
-from .data import DatasetSplit, SurvivalDataset, cobra_split
+from .data import DatasetSplit, SurvivalDataset, _check_matrix, _check_vector, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
-from .learners.base import _check_matrix, _check_vector
 
 #: Upper bound, in bytes, on what one chunk of a query set holds at a time
 #: (see `_distance_chunks`).

@@ -3,7 +3,9 @@
 A `SurvivalDataset` stores right-censored records: a covariate matrix, a
 positive observed time per record, and a 0/1 event flag (1 = the event was
 observed, 0 = the record is right-censored).  All types here are immutable
-after construction and safe to share across threads.
+after construction and safe to share across threads.  The covariate checks
+here serve the datasets, the learners and the ensemble, and `_named`
+prefixes the error of every failed split with where it happened.
 """
 
 from __future__ import annotations
@@ -16,57 +18,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import _checked_sample
+
 log = logging.getLogger(__name__)
 
 #: Cell contents treated as missing by `preprocess` (case-insensitive).
 MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "?"})
 
 
+def _check_vector(x, p: int) -> np.ndarray:
+    """`x` as a float vector of `p` finite covariates."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p,):
+        raise ValueError(f"covariate vector has shape {x.shape}, expected ({p},)")
+    return _check_matrix(x, p)[0]
+
+
+def _check_matrix(x, p: int) -> np.ndarray:
+    """`x` as a float matrix of rows of `p` finite covariates."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != p:
+        raise ValueError(f"covariate matrix has shape {x.shape}, expected {p} features per row")
+    if not np.isfinite(x).all():
+        raise ValueError("covariates must be finite (no NaN or infinity)")
+    return x
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SurvivalDataset:
     """Immutable array-backed collection of survival records.
 
     Parameters
     ----------
-    x : (n, p) array of covariates (finite reals)
-    time : (n,) array of positive observed times
+    x : (n, p) array of finite covariates, p >= 1
+    time : (n,) array of positive finite observed times
     event : (n,) array of 0/1 event flags; at least one must be 1
     feature_names : p column names
     """
 
-    __slots__ = ("x", "time", "event", "feature_names")
+    x: np.ndarray
+    time: np.ndarray
+    event: np.ndarray
+    feature_names: tuple[str, ...]
 
-    def __init__(self, x, time, event, feature_names):
-        x = np.atleast_2d(np.array(x, dtype=float))
-        time = np.array(time, dtype=float)
-        event = np.asarray(event)
-        names = tuple(str(n) for n in feature_names)
-        if x.ndim != 2:
-            raise ValueError("covariates must form a 2-d matrix")
-        n, p = x.shape
-        if time.shape != (n,) or event.shape != (n,):
+    def __post_init__(self):
+        names = tuple(str(n) for n in self.feature_names)
+        if not names:
+            raise ValueError("a dataset needs at least one covariate column")
+        x = _check_matrix(np.array(self.x, dtype=float), len(names))
+        time, event = _checked_sample(np.array(self.time, dtype=float), self.event)
+        if time.shape != (x.shape[0],):
             raise ValueError("time and event must be 1-d arrays matching the record count")
-        if n == 0:
-            raise ValueError("a dataset needs at least one record")
-        if len(names) != p:
-            raise ValueError(f"got {len(names)} feature names for {p} covariate columns")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("covariates must be finite (run preprocess to impute)")
-        if not np.all(np.isfinite(time)) or np.any(time <= 0.0):
-            raise ValueError("times must be finite and strictly positive")
-        if not np.all((event == 0) | (event == 1)):
-            raise ValueError("event flags must be 0 or 1")
+        if not (time > 0.0).all():
+            raise ValueError("times must be strictly positive")
         event = event.astype(np.int64)
-        if not np.any(event == 1):
+        if not event.any():
             raise ValueError("a dataset needs at least one observed event")
-        for arr in (x, time, event):
+        for name, arr in (("x", x), ("time", time), ("event", event)):
             arr.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "event", event)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "feature_names", names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurvivalDataset is immutable")
 
     @property
     def n(self) -> int:
@@ -100,7 +111,7 @@ class SurvivalDataset:
     __hash__ = None
 
     def __reduce__(self):
-        # the guarded __setattr__ blocks default unpickling
+        # rebuilt through the checks, so unpickled arrays stay read-only
         return (SurvivalDataset, (self.x, self.time, self.event, self.feature_names))
 
     def __repr__(self) -> str:
@@ -334,7 +345,8 @@ def kfold_split(data: SurvivalDataset, folds: int, seed: int):
         test_idx = np.sort(perm[start : start + size])
         train_idx = np.sort(np.concatenate((perm[:start], perm[start + size :])))
         name = f"fold {fold + 1} of {folds}"
-        pairs.append((_part(data, train_idx, f"{name}, training"), _part(data, test_idx, f"{name}, test")))
+        train = _named(f"{name}, training part", data.subset, train_idx)
+        pairs.append((train, _named(f"{name}, test part", data.subset, test_idx)))
         start += size
     return pairs
 
@@ -354,17 +366,18 @@ def cobra_split(train: SurvivalDataset, l_fraction: float, seed: int) -> Dataset
         raise ValueError(f"degenerate split: n={n}, l_fraction={l_fraction} gives k={k}, l={l}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    d_l = _part(train, np.sort(perm[:l]), "calibration")
-    d_k = _part(train, np.sort(perm[l:]), "machine-training")
+    d_l = _named("calibration part", train.subset, np.sort(perm[:l]))
+    d_k = _named("machine-training part", train.subset, np.sort(perm[l:]))
     return DatasetSplit(d_k=d_k, d_l=d_l)
 
 
-def _part(data: SurvivalDataset, indices, name: str) -> SurvivalDataset:
-    """`data.subset(indices)`, its `ValueError` prefixed with the part's name."""
+def _named(where: str, build, *args):
+    """`build(*args)`, its `ValueError` prefixed with where it happened: the
+    one rule that names a failed split or part."""
     try:
-        return data.subset(indices)
+        return build(*args)
     except ValueError as exc:
-        raise ValueError(f"{name} part: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> SurvivalDataset:

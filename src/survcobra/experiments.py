@@ -23,6 +23,7 @@ from .cobra import CobraParams, _survival_rows, fit_cobra, predict_cobra_batch
 from .data import (
     SurvivalDataset,
     SyntheticConfig,
+    _named,
     generate_synthetic,
     kfold_split,
     load_csv,
@@ -77,8 +78,18 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, _CONFIG_KEYS, required=("dataset",))
-        seed = _json("seed", raw.get("seed", 0), int)
-        dataset = _parse_dataset(raw["dataset"], seed)
+        counts = {}
+        for key, default, least in (
+            ("seed", 0, 0),
+            ("queries", 100, 1),
+            ("folds", 5, 2),
+            ("inner_folds", 3, 2),
+            ("dcal_bins", 10, 2),
+        ):
+            counts[key] = _json(key, raw.get(key, default), int)
+            if counts[key] < least:
+                raise ConfigError(f"{key} must be at least {least}, got {counts[key]}")
+        dataset = _parse_dataset(raw["dataset"], counts["seed"])
 
         roster_cfg = raw.get("roster")
         if roster_cfg is None:
@@ -106,16 +117,6 @@ class ExperimentConfig:
             _check_keys("search", space, ("trials", "objective"), required=("trials",))
             _json("search.trials", space["trials"], int)
             search = _parsed("search", SearchSpace, **space)
-        counts = {}
-        for key, default, least in (
-            ("queries", 100, 1),
-            ("folds", 5, 2),
-            ("inner_folds", 3, 2),
-            ("dcal_bins", 10, 2),
-        ):
-            counts[key] = _json(key, raw.get(key, default), int)
-            if counts[key] < least:
-                raise ConfigError(f"{key} must be at least {least}, got {counts[key]}")
         dcal_level = _json("dcal_level", raw.get("dcal_level", 0.05), float)
         if not 0.0 < dcal_level < 1.0:
             raise ConfigError(f"dcal_level must lie strictly between 0 and 1, got {dcal_level}")
@@ -125,7 +126,6 @@ class ExperimentConfig:
             roster=roster,
             params=params,
             search=search,
-            seed=seed,
             dcal_level=dcal_level,
             **counts,
             out_dir=_json("out_dir", raw.get("out_dir", "survcobra-out"), str),
@@ -254,10 +254,8 @@ def run_bench(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     data loaded once here.
     """
     data = load_dataset(cfg)
-    try:
-        trains, tests = zip(*kfold_split(data, cfg.folds, derive_seed(cfg.seed, 1)))
-    except ValueError as exc:
-        raise ValueError(f"outer {cfg.folds}-fold split: {exc}") from exc
+    split = f"outer {cfg.folds}-fold split"
+    trains, tests = zip(*_named(split, kfold_split, data, cfg.folds, derive_seed(cfg.seed, 1)))
     fold_args = (trains, tests, [cfg] * cfg.folds, range(cfg.folds))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.folds)) as pool:
@@ -318,7 +316,8 @@ def run_relevance(cfg: ExperimentConfig):
     perm = rng.permutation(data.n)
     held = np.sort(perm[: cfg.queries])
     rest = np.sort(perm[cfg.queries :])
-    return _relevance_run(cfg, data.subset(rest), data.x[held])
+    train = _named(f"training part ({cfg.queries} records held out as queries)", data.subset, rest)
+    return _relevance_run(cfg, train, data.x[held])
 
 
 def write_relevance_reports(cfg: ExperimentConfig, feature_names, study, curves, out: Path):

@@ -5,24 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..curves import StepCurve
-
-
-def _check_vector(x, p: int) -> np.ndarray:
-    """`x` as a float vector of `p` finite covariates."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p,):
-        raise ValueError(f"covariate vector has shape {x.shape}, expected ({p},)")
-    return _check_matrix(x, p)[0]
-
-
-def _check_matrix(x, p: int) -> np.ndarray:
-    """`x` as a float matrix of rows of `p` finite covariates."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim != 2 or x.shape[1] != p:
-        raise ValueError(f"covariate matrix has shape {x.shape}, expected {p} features per row")
-    if not np.isfinite(x).all():
-        raise ValueError("covariates must be finite (no NaN or infinity)")
-    return x
+from ..data import _check_vector
 
 
 class BaseSurvivalModel:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..curves import CUMULATIVE, StepCurve, _event_counts
-from ..data import SurvivalDataset, kfold_split
+from ..data import SurvivalDataset, _check_matrix, _named, kfold_split
 from ..exceptions import ConvergenceError
-from .base import BaseSurvivalModel, _check_matrix, halving_step, standardize_fit
+from .base import BaseSurvivalModel, halving_step, standardize_fit
 
 MAX_OUTER_ITER = 100
 COEF_TOL = 1e-7
@@ -262,7 +262,8 @@ class CoxModel(BaseSurvivalModel):
     def predict_values(self, x, grid) -> np.ndarray:
         r = self._risk(_check_matrix(x, self.n_features))
         h = self.baseline_cumhaz(grid)
-        return np.exp(-(r[:, None] * h[None, :]))
+        # exactly 1.0 where the baseline is 0, also for an overflowed (infinite) risk
+        return np.exp(-np.multiply(r[:, None], h, out=np.zeros((r.size, h.size)), where=h > 0.0))
 
 
 def breslow_baseline(model: CoxModel, data: SurvivalDataset) -> StepCurve:
@@ -297,10 +298,8 @@ def _cv_penalty(data: SurvivalDataset, pl: _PartialLikelihood, penalty_kind: str
     grid = lam_max * np.logspace(0.0, -4.0, 10)
     solve = _newton_ridge if penalty_kind == "ridge" else _coordinate_descent_lasso
     no_fit = f"no penalty in the CV grid produced a fit (grid max {lam_max:g})"
-    try:
-        pairs = kfold_split(data, folds, seed)
-    except ValueError as exc:
-        raise ValueError(f"cox_{penalty_kind} penalty CV: {folds}-fold split (cv_seed {seed}): {exc}") from exc
+    split = f"cox_{penalty_kind} penalty CV: {folds}-fold split (cv_seed {seed})"
+    pairs = _named(split, kfold_split, data, folds, seed)
     paths = []
     for train, test in pairs:
         z, times, events, mean, sd = _standardized(train)

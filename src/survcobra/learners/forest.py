@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from ..curves import _checked_times
-from ..data import SurvivalDataset
-from .base import BaseSurvivalModel, _check_matrix
+from ..data import SurvivalDataset, _check_matrix
+from .base import BaseSurvivalModel
 from .tree import fit_survival_tree_arrays
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..curves import _checked_times, product_limit_rows
-from ..data import SurvivalDataset
-from .base import BaseSurvivalModel, _check_matrix, _check_vector, standardize_fit
+from ..data import SurvivalDataset, _check_matrix, _check_vector
+from .base import BaseSurvivalModel, standardize_fit
 
 #: Rough size, in bytes, of the (queries, training records, features)
 #: float64 difference temporary that one chunk of queries holds.  It is

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..curves import _checked_times
-from ..data import SurvivalDataset
-from .base import BaseSurvivalModel, _check_matrix
+from ..data import SurvivalDataset, _check_matrix
+from .base import BaseSurvivalModel
 
 
 class _Node:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cobra import CobraParams, _aggregate, _fit_stack, _member_mask, _survival_rows
 from .curves import evaluate
-from .data import SurvivalDataset, kfold_split
+from .data import SurvivalDataset, _named, kfold_split
 from .exceptions import ConvergenceError, TuningError
 from .learners import LearnerSpec, default_roster
 from .metrics import concordance_td, integrated_brier
@@ -159,10 +159,7 @@ def _score_trials(trials, folds, seed, objective) -> list:
 
 def _inner_folds(train: SurvivalDataset, inner_folds: int, seed: int):
     """The tuning folds of `train`; a failed split names itself."""
-    try:
-        return kfold_split(train, inner_folds, derive_seed(seed, 0))
-    except ValueError as exc:
-        raise ValueError(f"tuning inner {inner_folds}-fold split: {exc}") from exc
+    return _named(f"tuning inner {inner_folds}-fold split", kfold_split, train, inner_folds, derive_seed(seed, 0))
 
 
 def evaluate_params(

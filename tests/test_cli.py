@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import pickle
 import re
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from survcobra import cobra, experiments, learners
 from survcobra.cli import main
-from survcobra.data import SyntheticConfig
+from survcobra.data import SyntheticConfig, generate_synthetic
 from survcobra.exceptions import ConvergenceError
 from survcobra.seeds import derive_seed
 
@@ -399,6 +400,7 @@ class TestConfigRejectedBeforeAnyFit:
                 {"dataset": {"kind": "synthetic", "n": 60, "censor_fraction": 0.3, "dim": 4, "seed": -1}},
                 "dataset.seed must be at least 0",
             ),
+            ("bench", {"seed": -1}, "seed must be at least 0, got -1"),
         ],
     )
     def test_exits_one_naming_the_key(self, tmp_path, capsys, command, overrides, message):
@@ -409,6 +411,51 @@ class TestConfigRejectedBeforeAnyFit:
         assert err.startswith("survcobra: error: ")
         assert message in err
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "survcobra: error: seed must be at least 0, got -1\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bench"], "the following arguments are required: --config"),
+        (["bench", "--config", "cfg.json", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["bench", "--config", "cfg.json", "--jobs", "2.5"], "argument --jobs: invalid int value: '2.5'"),
+        (["bench", "--config", "cfg.json", "--verbose"], "unrecognized arguments: --verbose"),
+        (["benchmark", "--config", "cfg.json"], "argument command: invalid choice: 'benchmark' "),
+    ],
+    ids=["no-command", "no-config", "seed-not-int", "jobs-not-int", "unknown-flag", "unknown-command"],
+)
+def test_usage_error_exits_one_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"survcobra: error: {message}")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: survcobra bench")
+
+
+@pytest.mark.parametrize("roster", [FAST_ROSTER[:1], [FAST_ROSTER[0], FAST_ROSTER[4]]], ids=["tree", "tree-knn"])
+def test_csv_without_covariates_exits_one(tmp_path, capsys, roster):
+    lines = ["time,event"] + [f"{t}.5,{t % 2}" for t in range(1, 41)]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    dataset = {"kind": "csv", "path": str(tmp_path / "data.csv"), "time_col": "time", "event_col": "event"}
+    cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=roster, folds=2)
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "survcobra: error: a dataset needs at least one covariate column\n"
+    assert not out.exists()
 
 
 def rare_event_dataset(tmp_path):
@@ -431,6 +478,18 @@ def test_cox_cv_fold_without_events_exits_one_naming_the_split(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("survcobra: error: cox_ridge penalty CV: 3-fold split (cv_seed 0): fold ")
     assert err.rstrip().endswith("at least one observed event")
+    assert not out.exists()
+
+
+def test_relevance_training_part_without_events_exits_one_naming_it(tmp_path, capsys):
+    # at seed 7 both events of the 60 rows fall among the 55 held-out queries
+    cfg = write_config(tmp_path / "cfg.json", dataset=rare_event_dataset(tmp_path), queries=55)
+    out = tmp_path / "out"
+    assert main(["relevance", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "survcobra: error: training part (55 records held out as queries): "
+        "a dataset needs at least one observed event\n"
+    )
     assert not out.exists()
 
 
@@ -705,11 +764,11 @@ def mutated_configs(draw):
     return config
 
 
-def _run(config_path, out):
-    """`main(["bench", ...])` in process: (exit code, stderr)."""
+def _run(config_path, out, command="bench"):
+    """`main([command, ...])` in process: (exit code, stderr)."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = main(["bench", "--config", str(config_path), "--out", str(out)])
+        code = main([command, "--config", str(config_path), "--out", str(out)])
     return code, stderr.getvalue()
 
 
@@ -721,17 +780,79 @@ def _report_bytes(out):
 @given(config=mutated_configs())
 @example(config={**GENERATED_BASE, "dataset": {**GENERATED_BASE["dataset"], "kind": []}})  # exited 2 once
 def test_generated_configs_exit_zero_or_one_cleanly(config):
-    # exit 1 is one error line and no output directory; exit 0 reruns to
-    # byte-identical reports; exit 2, a real bug, never happens
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+        _assert_exits_zero_or_one_cleanly(Path(tmp), "bench")
+
+
+def _assert_exits_zero_or_one_cleanly(tmp, command):
+    """Exit 1 is one error line and no output directory; exit 0 reruns to
+    byte-identical reports; exit 2, a real bug, never happens."""
+    code, err = _run(tmp / "cfg.json", tmp / "a", command)
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("survcobra: error: ") and err.endswith("\n")
+        assert len(err.splitlines()) == 1, err
+        assert not (tmp / "a").exists()
+        return
+    assert _run(tmp / "cfg.json", tmp / "b", command) == (0, "")
+    assert _report_bytes(tmp / "a") == _report_bytes(tmp / "b")
+
+
+CSV_MUTATIONS = (
+    "tied times", "all censored", "one event", "constant covariate", "odd cell", "bom", "crlf",
+    "duplicate header", "reordered columns", "no covariates",
+)
+
+
+@st.composite
+def mutated_csvs(draw):
+    """A CSV written from `generate_synthetic` with some of `CSV_MUTATIONS`
+    applied, and its dataset section (with or without `numeric`) for a
+    file named data.csv: (file text, dataset section)."""
+    n = draw(st.integers(20, 60))
+    ds = generate_synthetic(SyntheticConfig(n=n, censor_fraction=0.3, dim=4, seed=draw(st.integers(0, 9))))
+    columns = {name: [repr(v) for v in ds.x[:, j].tolist()] for j, name in enumerate(ds.feature_names)}
+    columns["time"] = [repr(t) for t in ds.time.tolist()]
+    columns["event"] = [str(e) for e in ds.event.tolist()]
+    mutations = draw(st.sets(st.sampled_from(CSV_MUTATIONS), min_size=1, max_size=3))
+    if "tied times" in mutations:
+        columns["time"] = [repr(math.ceil(t * 2) / 2) for t in ds.time.tolist()]
+    if "all censored" in mutations or "one event" in mutations:
+        columns["event"] = ["0"] * n
+    if "one event" in mutations:
+        columns["event"][draw(st.integers(0, n - 1))] = "1"
+    if "constant covariate" in mutations:
+        columns[draw(st.sampled_from(ds.feature_names))] = ["0.5"] * n
+    if "odd cell" in mutations:
+        cells = columns[draw(st.sampled_from(sorted(columns)))]
+        cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(("", "nan", "inf", "1e308")))
+    if "no covariates" in mutations:
+        for name in ds.feature_names:
+            del columns[name]
+    header = list(columns)
+    if "reordered columns" in mutations:
+        header = draw(st.permutations(header))
+    covariates = [name for name in header if name not in ("time", "event")]
+    if "duplicate header" in mutations and len(covariates) > 1:
+        # "x0 " reads as "x0" once stripped
+        header = [f"{covariates[0]} " if name == covariates[1] else name for name in header]
+    newline = "\r\n" if "crlf" in mutations else "\n"
+    lines = [",".join(header)] + [",".join(columns[name.strip()][i] for name in header) for i in range(n)]
+    text = ("\ufeff" if "bom" in mutations else "") + newline.join(lines) + newline
+    dataset = {"kind": "csv", "path": "data.csv", "time_col": "time", "event_col": "event"}
+    if draw(st.booleans()):
+        dataset["numeric"] = sorted({name.strip() for name in covariates})
+    return text, dataset
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_file=mutated_csvs(), command=st.sampled_from(("bench", "relevance")))
+def test_generated_csvs_exit_zero_or_one_cleanly(csv_file, command):
+    text, dataset = csv_file
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        (tmp / "data.csv").write_bytes(text.encode("utf-8"))
+        config = {**GENERATED_BASE, "dataset": {**dataset, "path": str(tmp / "data.csv")}, "queries": 5}
         (tmp / "cfg.json").write_text(json.dumps(config))
-        code, err = _run(tmp / "cfg.json", tmp / "a")
-        assert code in (0, 1), err
-        if code == 1:
-            assert err.startswith("survcobra: error: ") and err.endswith("\n")
-            assert len(err.splitlines()) == 1, err
-            assert not (tmp / "a").exists()
-            return
-        assert _run(tmp / "cfg.json", tmp / "b") == (0, "")
-        assert _report_bytes(tmp / "a") == _report_bytes(tmp / "b")
+        _assert_exits_zero_or_one_cleanly(tmp, command)

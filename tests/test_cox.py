@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survcobra.curves import evaluate, nelson_aalen
-from survcobra.data import SurvivalDataset, kfold_split
+from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
 from survcobra.exceptions import ConvergenceError
 from survcobra.learners import (
     breslow_baseline,
@@ -251,6 +251,15 @@ class TestBaselineAndPrediction:
                 batch = model.predict_values(queries, grid)
                 for i, q in enumerate(queries):
                     assert np.array_equal(batch[i], evaluate(model.predict_curve(q), grid))
+
+    def test_overflowing_risk_survives_exactly_before_the_first_jump(self):
+        ds = generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.3, dim=4, seed=1))
+        train = SurvivalDataset(ds.x[:40, :2], ds.time[:40], ds.event[:40], ds.feature_names[:2])
+        model = fit_cox(train, "ridge", penalty=1.0)
+        jumps = model.baseline_cumhaz.times
+        with np.errstate(over="ignore"):  # the risk exp(beta . z) overflows to inf
+            values = model.predict_values([[-1e300, -1e300]], [jumps[0] / 2, jumps[0], jumps[-1]])
+        assert values.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(37)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,33 @@ class TestDataset:
             SurvivalDataset([[1.0]], [1.0], [0], ["x1"])  # needs an event
         with pytest.raises(ValueError):
             SurvivalDataset([[1.0, 2.0]], [1.0], [1], ["x1"])  # name count
+
+    @pytest.mark.parametrize(
+        "x, time, event, names, message",
+        [
+            (np.empty((2, 0)), [1.0, 2.0], [1, 0], [], "a dataset needs at least one covariate column"),
+            (np.empty((0, 1)), [], [], ["x1"], "empty input: at least one record is required"),
+            ([[1.0], [2.0]], [1.0], [1], ["x1"], "time and event must be 1-d arrays matching the record count"),
+            ([[1.0]], [0.0], [1], ["x1"], "times must be strictly positive"),
+            ([[1.0]], [1.0], [0], ["x1"], "a dataset needs at least one observed event"),
+        ],
+        ids=["no-covariate", "no-record", "row-count", "zero-time", "no-event"],
+    )
+    def test_own_rules_give_their_messages(self, x, time, event, names, message):
+        with pytest.raises(ValueError) as err:
+            SurvivalDataset(x, time, event, names)
+        assert str(err.value) == message
+
+    def test_pickle_rebuilds_read_only_arrays(self):
+        ds = SurvivalDataset([[1.0], [2.0]], [3.0, 4.0], [1, 0], ["x1"])
+        again = pickle.loads(pickle.dumps(ds))
+        assert again == ds and again is not ds
+        assert not any(arr.flags.writeable for arr in (again.x, again.time, again.event))
+
+    def test_caller_arrays_stay_writable(self):
+        x, time, event = np.ones((2, 1)), np.array([1.0, 2.0]), np.array([1, 0])
+        SurvivalDataset(x, time, event, ["x1"])
+        assert all(arr.flags.writeable for arr in (x, time, event))
 
     def test_immutability(self):
         ds = SurvivalDataset([[1.0]], [1.0], [1], ["x1"])

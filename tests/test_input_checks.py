@@ -1,9 +1,9 @@
 """Each input rule has one home, and every entry point gives its message.
 
 The JSON-type rule (`learners._json`) serves the config, its dataset
-section and the roster; the covariate checks of `learners.base` serve the
-learners and the ensemble; `curves._checked_sample` serves the curves and
-the metrics.
+section and the roster; the covariate checks of `data` serve the datasets,
+the learners and the ensemble; `curves._checked_sample` serves the
+datasets, the curves and the metrics.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from survcobra.cobra import CobraParams, fit_cobra, gamma_labels, predict_cobra, predict_cobra_batch
 from survcobra.curves import censoring_km, product_limit
+from survcobra.data import SurvivalDataset
 from survcobra.experiments import ExperimentConfig
 from survcobra.learners import LearnerSpec
 from survcobra.metrics import brier_censored, concordance_td, d_calibration, integrated_brier
@@ -85,9 +86,12 @@ NAN_ROWS = np.array([[0.5, np.nan]])
         (lambda m: m.machines[0].predict_values(NAN_ROWS, GRID), FINITE),
         (lambda m: predict_cobra_batch(m, NAN_ROWS), FINITE),
         (lambda m: predict_cobra(m, NAN_ROWS[0]), FINITE),
+        (lambda _model: SurvivalDataset(np.zeros((4, 3)), np.ones(4), np.ones(4), ["a", "b"]), MATRIX),
+        (lambda _model: SurvivalDataset(NAN_ROWS, [1.0], [1], ["a", "b"]), FINITE),
         # one sample check, for the curves and the metrics
         (lambda _model: product_limit([1.0, np.nan], [1, 1]), "times must be finite"),
         (lambda _model: integrated_brier(HALF, [1.0, np.nan], [1, 1]), "times must be finite"),
+        (lambda _model: SurvivalDataset(np.zeros((2, 1)), [1.0, np.nan], [1, 1], ["a"]), "times must be finite"),
         (lambda _model: censoring_km([1.0, 2.0], [1, 2]), "event flags must be 0 or 1"),
         (lambda _model: concordance_td(HALF, [1.0, 2.0], [1, 2]), "event flags must be 0 or 1"),
         (lambda _model: d_calibration(np.empty((0, 0)), [], []), "empty input: at least one record is required"),
@@ -95,6 +99,7 @@ NAN_ROWS = np.array([[0.5, np.nan]])
             lambda _model: brier_censored([0.5], [1.0, 2.0], [1], 1.0, censoring_km([1.0], [1])),
             "times and events must be 1-d arrays of equal length",
         ),
+        (lambda _model: SurvivalDataset(np.zeros((2, 1)), [1.0, 2.0], [1, 2], ["a"]), "event flags must be 0 or 1"),
     ],
 )
 def test_each_entry_point_gives_the_shared_message(model, call, message):
