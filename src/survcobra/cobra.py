@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -65,7 +66,9 @@ class CobraParams:
 
     @property
     def consensus_count(self) -> int:
-        need = int(math.ceil(self.n_machines * self.alpha - 1e-9))
+        """ceil(alpha * n) machines, computed exactly on the decimal that
+        alpha prints as (so 0.6 of 5 is 3, and 0.2000000001 of 5 is 2)."""
+        need = math.ceil(Fraction(repr(float(self.alpha))) * self.n_machines)
         return min(max(need, 1), self.n_machines)
 
 

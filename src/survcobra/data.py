@@ -5,7 +5,7 @@ positive observed time per record, and a 0/1 event flag (1 = the event was
 observed, 0 = the record is right-censored).  All types here are immutable
 after construction and safe to share across threads.  The covariate checks
 here serve the datasets, the learners and the ensemble, and `_named`
-prefixes the error of every failed split with where it happened.
+prefixes the error of every failed split or CSV parse with where it happened.
 """
 
 from __future__ import annotations
@@ -169,38 +169,16 @@ def _round_half_up(value: float) -> int:
 
 
 def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
-    """Load a fully numeric CSV read by `load_raw_csv`.  All columns other
-    than `time_col` and `event_col` become features in header order, and a
-    missing cell is a non-numeric value.  Rows are reported 1-based
-    (excluding the header) in error messages."""
+    """`preprocess` a CSV read by `load_raw_csv`, every column but `time_col`
+    and `event_col` numeric in header order, after refusing a missing or NaN
+    covariate cell (which it would impute); cell errors start with the path."""
     table = load_raw_csv(path)
-    for col in (time_col, event_col):
-        if col not in table.columns:
-            raise ValueError(f"{path}: missing required column {col!r}")
-    t_idx, e_idx = table.columns.index(time_col), table.columns.index(event_col)
-    feature_idx = [i for i in range(len(table.columns)) if i not in (t_idx, e_idx)]
-    rows, times, events = [], [], []
-    for rownum, row in enumerate(table.rows, start=1):
-        try:
-            t = float(row[t_idx])
-        except ValueError:
-            raise ValueError(f"{path}: row {rownum}: non-numeric time {row[t_idx]!r}") from None
-        if not math.isfinite(t) or t <= 0.0:
-            raise ValueError(f"{path}: row {rownum}: time must be positive, got {row[t_idx]!r}")
-        try:
-            e = float(row[e_idx])
-        except ValueError:
-            raise ValueError(f"{path}: row {rownum}: non-numeric event flag {row[e_idx]!r}") from None
-        if e not in (0.0, 1.0):
-            raise ValueError(f"{path}: row {rownum}: event flag must be 0 or 1, got {row[e_idx]!r}")
-        try:
-            rows.append([float(row[i]) for i in feature_idx])
-        except ValueError:
-            raise ValueError(f"{path}: row {rownum}: non-numeric feature value") from None
-        times.append(t)
-        events.append(int(e))
-    names = [table.columns[i] for i in feature_idx]
-    return SurvivalDataset(np.array(rows, dtype=float), times, events, names)
+    numeric = [c for c in table.columns if c not in (time_col, event_col)]
+    for col in numeric:
+        _named(path, _parse_numeric_column, col, table.column(col), "missing value", lambda v: not math.isnan(v))
+    columns = _named(path, _parse_table, table, numeric=numeric, categorical=(),
+                     time_col=time_col, event_col=event_col)
+    return SurvivalDataset(*columns)
 
 
 @dataclass(frozen=True)
@@ -241,27 +219,25 @@ def _is_missing(cell: str) -> bool:
     return cell.casefold() in MISSING_TOKENS
 
 
-def _parse_numeric_column(name: str, cells: list[str]) -> np.ndarray:
-    out = np.empty(len(cells), dtype=float)
-    for i, cell in enumerate(cells):
+def _parse_numeric_column(name: str, cells: list[str], rule: str = "", valid=None) -> np.ndarray:
+    """The cells as floats, NaN where missing; a non-numeric cell, and given
+    `valid` a missing cell or one it rejects, is named by its 1-based row."""
+    out = np.full(len(cells), np.nan)
+    for row, cell in enumerate(cells, start=1):
         if _is_missing(cell):
-            out[i] = np.nan
+            if valid is not None:
+                raise ValueError(f"column {name!r}, row {row}: missing value")
             continue
         try:
-            out[i] = float(cell)
+            out[row - 1] = float(cell)
         except ValueError:
-            raise ValueError(f"column {name!r}, row {i + 1}: non-numeric value {cell!r}") from None
+            raise ValueError(f"column {name!r}, row {row}: non-numeric value {cell!r}") from None
+        if valid is not None and not valid(out[row - 1]):
+            raise ValueError(f"column {name!r}, row {row}: {rule}, got {cell!r}")
     return out
 
 
-def preprocess(
-    table: RawTable,
-    *,
-    numeric,
-    categorical,
-    time_col: str,
-    event_col: str,
-) -> SurvivalDataset:
+def preprocess(table: RawTable, *, numeric, categorical, time_col: str, event_col: str) -> SurvivalDataset:
     """Turn a mixed-type table into a numeric dataset.
 
     Missing numeric cells are imputed with the column mean, missing
@@ -270,24 +246,29 @@ def preprocess(
     levels expands to c indicator columns named ``col=level``; single-level
     columns are dropped with a warning.  Column types must be declared:
     any feature column that is neither numeric nor categorical is an error.
+    Times must be finite and positive and event flags 0 or 1.  The first bad
+    cell (covariate columns in header order, time, event) is named by column
+    and row.
     """
+    columns = _parse_table(table, numeric=numeric, categorical=categorical, time_col=time_col, event_col=event_col)
+    return SurvivalDataset(*columns)
+
+
+def _parse_table(table: RawTable, *, numeric, categorical, time_col: str, event_col: str):
+    """The (x, times, events, feature names) that `preprocess` builds its
+    dataset from; x is (n, 0) when no feature column is left."""
     numeric = list(numeric)
     categorical = list(categorical)
     overlap = set(numeric) & set(categorical)
     if overlap:
         raise ValueError(f"columns declared both numeric and categorical: {sorted(overlap)}")
-    declared = set(numeric) | set(categorical) | {time_col, event_col}
+    declared = (time_col, event_col, *numeric, *categorical)
     for col in declared:
         if col not in table.columns:
             raise ValueError(f"declared column {col!r} not present in the table")
     undeclared = [c for c in table.columns if c not in declared]
     if undeclared:
         raise ValueError(f"feature columns without a declared type: {undeclared}")
-
-    times = _parse_numeric_column(time_col, table.column(time_col))
-    events = _parse_numeric_column(event_col, table.column(event_col))
-    if np.any(np.isnan(times)) or np.any(np.isnan(events)):
-        raise ValueError("time and event columns may not contain missing values")
 
     columns: list[np.ndarray] = []
     names: list[str] = []
@@ -317,11 +298,13 @@ def preprocess(
             for level in levels:
                 columns.append(np.array([1.0 if c == level else 0.0 for c in filled]))
                 names.append(f"{col}={level}")
-    if not columns:
-        raise ValueError("no feature columns survived preprocessing")
-    x = np.column_stack(columns)
+    x = np.column_stack(columns) if columns else np.empty((len(table.rows), 0))
+    times = _parse_numeric_column(time_col, table.column(time_col), "time must be finite and positive",
+                                  lambda t: math.isfinite(t) and t > 0.0)
+    events = _parse_numeric_column(event_col, table.column(event_col), "event flag must be 0 or 1",
+                                   lambda e: e in (0.0, 1.0))
     log.info("preprocessing produced %d feature columns from %d raw columns", x.shape[1], len(table.columns) - 2)
-    return SurvivalDataset(x, times, events, names)
+    return x, times, events, names
 
 
 def kfold_split(data: SurvivalDataset, folds: int, seed: int):
@@ -371,11 +354,11 @@ def cobra_split(train: SurvivalDataset, l_fraction: float, seed: int) -> Dataset
     return DatasetSplit(d_k=d_k, d_l=d_l)
 
 
-def _named(where: str, build, *args):
-    """`build(*args)`, its `ValueError` prefixed with where it happened: the
-    one rule that names a failed split or part."""
+def _named(where, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, its `ValueError` prefixed with where it
+    happened: the one rule that names a failed split, part or file."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 

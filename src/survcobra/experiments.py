@@ -24,11 +24,11 @@ from .data import (
     SurvivalDataset,
     SyntheticConfig,
     _named,
+    _parse_table,
     generate_synthetic,
     kfold_split,
     load_csv,
     load_raw_csv,
-    preprocess,
 )
 from .exceptions import ConfigError, ConvergenceError
 from .learners import LearnerSpec, _json, default_roster, fit
@@ -50,7 +50,8 @@ _PARAMS_KEYS = ("epsilon", "alpha", "l_fraction")
 @dataclass(frozen=True)
 class CsvDataset:
     """A CSV dataset section.  With `numeric` or `categorical` declared the
-    file goes through `preprocess`; with neither it is read by `load_csv`."""
+    file goes through `preprocess`; with neither it is read by `load_csv`.
+    Either way a bad cell is named by path, column and row."""
 
     path: str
     time_col: str
@@ -199,8 +200,9 @@ def load_dataset(cfg: ExperimentConfig) -> SurvivalDataset:
         return generate_synthetic(spec)
     if spec.numeric is None and spec.categorical is None:
         return load_csv(spec.path, spec.time_col, spec.event_col)
-    return preprocess(load_raw_csv(spec.path), numeric=spec.numeric or (), categorical=spec.categorical or (),
-                      time_col=spec.time_col, event_col=spec.event_col)
+    columns = _named(spec.path, _parse_table, load_raw_csv(spec.path), numeric=spec.numeric or (),
+                     categorical=spec.categorical or (), time_col=spec.time_col, event_col=spec.event_col)
+    return SurvivalDataset(*columns)  # `preprocess`, its cell errors prefixed with the path
 
 
 def _resolve_params(cfg: ExperimentConfig, train: SurvivalDataset, tune_seed: int):

@@ -261,6 +261,8 @@ class CoxModel(BaseSurvivalModel):
 
     def predict_values(self, x, grid) -> np.ndarray:
         r = self._risk(_check_matrix(x, self.n_features))
+        if np.isnan(r).any():  # finite covariates whose terms overflow to +inf and -inf
+            raise ValueError(f"cox_{self.penalty_kind}: row {np.isnan(r).argmax()}: the linear predictor is NaN")
         h = self.baseline_cumhaz(grid)
         # exactly 1.0 where the baseline is 0, also for an overflowed (infinite) risk
         return np.exp(-np.multiply(r[:, None], h, out=np.zeros((r.size, h.size)), where=h > 0.0))

@@ -252,6 +252,14 @@ class TestBench:
         assert capsys.readouterr().err.startswith("survcobra: error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_bad_time_cell_names_path_column_and_row(self, tmp_path, capsys, declared):
+        dataset = csv_dataset(tmp_path, infinite="time", **({"numeric": ["a", "b"]} if declared else {}))
+        cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=FAST_ROSTER[:1])
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        cell = "column 'time', row 5: time must be finite and positive, got 'inf'"
+        assert capsys.readouterr().err == f"survcobra: error: {dataset['path']}: {cell}\n"
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
@@ -55,6 +56,15 @@ class TestParams:
         for i, alpha in enumerate([0.2, 0.4, 0.6, 0.8, 1.0], start=1):
             params = CobraParams(0.1, alpha, 0.5, FIVE_ROSTER)
             assert params.consensus_count == i
+
+    def test_consensus_is_at_least_the_fraction_alpha(self):
+        # ceil(5 * alpha - 1e-9) gave 1 here, but 1 of 5 machines is less than alpha
+        assert CobraParams(0.1, 0.2000000001, 0.5, FIVE_ROSTER).consensus_count == 2
+        for machines in range(1, 21):  # the table alphas keep their counts
+            roster = (FIVE_ROSTER * 4)[:machines]
+            for alpha in (0.2, 0.4, 0.6, 0.8, 1.0):
+                need = CobraParams(0.1, alpha, 0.5, roster).consensus_count
+                assert need == min(max(math.ceil(machines * alpha - 1e-9), 1), machines)
 
     def test_epsilon_and_fraction_validation(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,15 @@ class TestBaselineAndPrediction:
             values = model.predict_values([[-1e300, -1e300]], [jumps[0] / 2, jumps[0], jumps[-1]])
         assert values.tolist() == [[1.0, 0.0, 0.0]]
 
+    def test_nan_linear_predictor_names_the_learner_and_row(self):
+        ds = generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.3, dim=4, seed=1))
+        train = SurvivalDataset(ds.x[:40, :2], ds.time[:40], ds.event[:40], ds.feature_names[:2])
+        model = fit_cox(train, "ridge", penalty=1.0)
+        # finite covariates whose standardized terms overflow to +inf and -inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as err:
+            model.predict_values([[0.5, 0.5], [1e308, -1e308]], [0.5, 1.0, 3.0])
+        assert str(err.value) == "cox_ridge: row 1: the linear predictor is NaN"
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(37)
         model = fit_cox(random_dataset(rng, 30, 2), "ridge", penalty=1.0)

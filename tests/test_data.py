@@ -129,8 +129,49 @@ class TestLoadCsv:
     def test_empty_feature_cell_names_row(self, tmp_path):
         p = tmp_path / "gap.csv"
         write_csv(p, ["x1", "time", "event"], [[0.5, 1.0, 1], ["", 2.0, 0]])
-        with pytest.raises(ValueError, match=r"row 2: non-numeric feature value$"):
+        with pytest.raises(ValueError, match=r"column 'x1', row 2: missing value$"):
             load_csv(p, "time", "event")
+
+    def test_nan_covariate_cell_is_refused_not_imputed(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        write_csv(p, ["x1", "time", "event"], [[0.5, 1.0, 1], ["-nan", 2.0, 0], ["", 3.0, 1]])
+        with pytest.raises(ValueError) as err:
+            load_csv(p, "time", "event")
+        assert str(err.value) == f"{p}: column 'x1', row 2: missing value, got '-nan'"
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("time", "soon", "non-numeric value 'soon'"),
+        ("time", "", "missing value"),
+        ("time", "inf", "time must be finite and positive, got 'inf'"),
+        ("time", "0", "time must be finite and positive, got '0'"),
+        ("time", "-1.5", "time must be finite and positive, got '-1.5'"),
+        ("event", "2", "event flag must be 0 or 1, got '2'"),
+        ("event", "NA", "missing value"),
+        ("x1", "abc", "non-numeric value 'abc'"),
+        ("x1", "", "missing value"),  # load_csv only: preprocess imputes it
+    ],
+    ids=["time-text", "time-missing", "time-inf", "time-zero", "time-negative", "event-two", "event-missing",
+         "covariate-text", "covariate-missing"],
+)
+def test_both_csv_paths_name_a_bad_cell_alike(tmp_path, column, cell, message):
+    header = ["x1", "time", "event", "x2"]
+    rows = [["0.5", "1.0", "1", "3"], ["0.2", "2.0", "0", "4"], ["0.9", "3.0", "1", "5"]]
+    rows[1][header.index(column)] = cell
+    path = tmp_path / "bad.csv"
+    write_csv(path, header, rows)
+    with pytest.raises(ValueError) as err:
+        load_csv(path, "time", "event")
+    assert str(err.value) == f"{path}: column {column!r}, row 2: {message}"
+    table = load_raw_csv(path)
+    if column == "x1" and not cell:
+        assert preprocess(table, numeric=["x1", "x2"], categorical=[], time_col="time", event_col="event").x[1, 0] == 0.7
+        return
+    with pytest.raises(ValueError) as err:
+        preprocess(table, numeric=["x1", "x2"], categorical=[], time_col="time", event_col="event")
+    assert str(err.value) == f"column {column!r}, row 2: {message}"
 
 
 @pytest.mark.parametrize(
