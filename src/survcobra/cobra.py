@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, _event_counts, _product_limit, evaluate, kaplan_meier
+from .curves import StepCurve, _checked_times, _event_counts, _product_limit, evaluate, kaplan_meier
 from .data import DatasetSplit, SurvivalDataset, _check_matrix, _check_vector, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
@@ -129,6 +129,12 @@ class CobraModel:
     def population_km(self) -> StepCurve:
         return self.stack.pop_km
 
+    def predict_values(self, queries, times) -> np.ndarray:
+        """`survival[i, k]`: the aggregated curve of query i at `times[k]`,
+        the learners' call, from one chunked distance pass."""
+        times = _checked_times(times)
+        return np.concatenate([np.empty((0, times.size)), *_step_chunks(self, queries, _survival_matrix, times)])
+
 
 @dataclass(frozen=True)
 class ProximityAggregate:
@@ -146,9 +152,9 @@ def fit_cobra(train: SurvivalDataset, params: CobraParams, seed: int) -> CobraMo
     return CobraModel(params, _fit_stack(train, params.roster, params.l_fraction, seed))
 
 
-def _distance_chunks(stack: _CobraStack, queries: np.ndarray, reduce):
-    """Yield `reduce(stack.query_distances(chunk))` over consecutive chunks
-    of `queries`.
+def _distance_chunks(stack: _CobraStack, queries, reduce):
+    """`reduce(stack.query_distances(chunk))` over consecutive chunks of the
+    checked query matrix, lazily; a bad query fails at the call.
 
     A chunk holds as many queries (at least one) as keep within
     `_DISTANCE_BUDGET_BYTES` their rows of the (machines, chunk, n_l)
@@ -159,10 +165,20 @@ def _distance_chunks(stack: _CobraStack, queries: np.ndarray, reduce):
     a cityblock `cdist` is computed on its own, so chunking leaves every
     distance unchanged.
     """
+    q = _check_matrix(queries, stack.split.d_k.n_features)
     per_query = (len(stack.machines) * stack.split.d_l.n + 3 * stack.grid.size) * 8
     size = max(1, _DISTANCE_BUDGET_BYTES // per_query)
-    for start in range(0, queries.shape[0], size):
-        yield reduce(stack.query_distances(queries[start : start + size]))
+    return (reduce(stack.query_distances(q[start : start + size])) for start in range(0, q.shape[0], size))
+
+
+def _step_chunks(model: CobraModel, queries, step, *extra):
+    """`step(d_l, pop_km, distances, epsilon, need, *extra)` over the distance
+    chunks of `queries`, lazily: `_aggregate` or `_survival_matrix`."""
+    d_l, pop_km = model.split.d_l, model.stack.pop_km
+    epsilon, need = model.params.epsilon, model.params.consensus_count
+    return _distance_chunks(
+        model.stack, queries, lambda distances: step(d_l, pop_km, distances, epsilon, need, *extra)
+    )
 
 
 def _member_mask(distances, epsilon, need) -> np.ndarray:
@@ -175,10 +191,9 @@ def _member_mask(distances, epsilon, need) -> np.ndarray:
 def _label_chunks(model: CobraModel, queries):
     """The (chunk, n_l) 0/1 proximity labels of consecutive chunks of a
     query set, lazily, from one chunked distance pass."""
-    q = _check_matrix(queries, model.split.d_k.n_features)
     epsilon, need = model.params.epsilon, model.params.consensus_count
     return _distance_chunks(
-        model.stack, q, lambda distances: _member_mask(distances, epsilon, need).astype(np.int64)
+        model.stack, queries, lambda distances: _member_mask(distances, epsilon, need).astype(np.int64)
     )
 
 
@@ -217,12 +232,11 @@ def _aggregate(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need
     ]
 
 
-def _survival_rows(curves, pop_km: StepCurve, times, pop_row=None) -> np.ndarray:
-    """`survival[i, k]`: aggregated curve i at `times[k]`.  Every fallback
-    (a curve that `is` `pop_km`) takes one shared evaluation of the
-    population KM, `pop_row` when given."""
-    if pop_row is None:
-        pop_row = evaluate(pop_km, times)
+def _survival_matrix(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need, times) -> np.ndarray:
+    """`survival[i, k]`: query i's `_aggregate` curve at `times[k]`.  Every
+    fallback takes one shared evaluation of the population KM."""
+    pop_row = evaluate(pop_km, times)
+    curves = _aggregate(d_l, pop_km, distances, epsilon, need)
     return np.stack([pop_row if c is pop_km else evaluate(c, times) for c in curves])
 
 
@@ -236,10 +250,4 @@ def predict_cobra(model: CobraModel, x) -> StepCurve:
 def predict_cobra_batch(model: CobraModel, queries) -> list[StepCurve]:
     """Element-wise `predict_cobra`, from one chunked distance pass;
     identical results to sequential calls."""
-    q = _check_matrix(queries, model.split.d_k.n_features)
-    d_l, pop_km = model.split.d_l, model.stack.pop_km
-    epsilon, need = model.params.epsilon, model.params.consensus_count
-    chunks = _distance_chunks(
-        model.stack, q, lambda distances: _aggregate(d_l, pop_km, distances, epsilon, need)
-    )
-    return [curve for curves in chunks for curve in curves]
+    return [curve for curves in _step_chunks(model, queries, _aggregate) for curve in curves]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cobra import CobraParams, _survival_rows, fit_cobra, predict_cobra_batch
+from .cobra import CobraParams, fit_cobra, predict_cobra_batch
 from .data import (
     SurvivalDataset,
     SyntheticConfig,
@@ -219,18 +219,19 @@ def _search(cfg: ExperimentConfig, train: SurvivalDataset, seed: int):
 
 
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
-    """Metric reports for the five standalone learners and the ensemble."""
+    """Metric reports for the standalone learners and the ensemble; a metric
+    error names the fold and the model."""
+    where = f"outer fold {fold_id + 1} of {cfg.folds}"
+
+    def report(name, model):
+        return _named(f"{where}, {name}", _report, model.predict_values(test.x, test.time), test, cfg, fold_id)
+
     try:
-        rows = {}
-        for spec in cfg.roster:
-            rows[spec.kind] = _report(fit(spec, train).predict_values(test.x, test.time), test, cfg, fold_id)
+        rows = {spec.kind: report(spec.kind, fit(spec, train)) for spec in cfg.roster}
         params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
-        ensemble = fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id))
-        curves = predict_cobra_batch(ensemble, test.x)
-        survival = _survival_rows(curves, ensemble.population_km, test.time)
-        rows[PROPOSED] = _report(survival, test, cfg, fold_id)
+        rows[PROPOSED] = report(PROPOSED, fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id)))
     except ConvergenceError as exc:
-        raise ConvergenceError(f"outer fold {fold_id + 1} of {cfg.folds}: {exc}", exc.trace, exc.learner) from exc
+        raise ConvergenceError(f"{where}: {exc}", exc.trace, exc.learner) from exc
     return rows
 
 

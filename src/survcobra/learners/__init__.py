@@ -1,9 +1,9 @@
 """The five base survival learners behind one fit / predict-curve contract.
 
-Every fitted model exposes `predict_values(x_matrix, grid)` and
-`predict_curve(x) -> StepCurve` (a valid survival curve), which is
-`predict_values` at the model's own jump times; fits are deterministic
-given the spec (forests carry an explicit seed).
+Every fitted model answers `predict_values(x_matrix, grid)`: the base
+class checks both inputs once, and each learner implements `_values`.
+`predict_curve(x) -> StepCurve` is `predict_values` at the model's own
+jump times; fits are deterministic given the spec (forests carry a seed).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve
-from ..data import _check_vector
+from ..curves import StepCurve, _checked_times
+from ..data import _check_matrix, _check_vector
 
 
 class BaseSurvivalModel:
@@ -28,11 +28,15 @@ class BaseSurvivalModel:
         """Survival values for each row of `x` at each grid point: the same
         floats as evaluating `predict_curve` of that row on `grid`, which is
         this at the model's own jump times."""
+        return self._values(_check_matrix(x, self.n_features), _checked_times(grid))
+
+    def _values(self, x, grid) -> np.ndarray:
+        """`predict_values` on a checked covariate matrix and grid."""
         raise NotImplementedError
 
 
 def standardize_fit(x: np.ndarray):
-    """Column means and standard deviations for scale-sensitive learners.
+    """Standardized `x` with its column means and sds, for scale-sensitive learners.
 
     Zero-variance columns get a unit scale so they stay inert instead of
     producing NaNs.
@@ -40,7 +44,7 @@ def standardize_fit(x: np.ndarray):
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
-    return mean, sd
+    return (x - mean) / sd, mean, sd
 
 
 def halving_step(objective, beta, direction, current):

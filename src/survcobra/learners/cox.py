@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..curves import CUMULATIVE, StepCurve, _event_counts
-from ..data import SurvivalDataset, _check_matrix, _named, kfold_split
+from ..data import SurvivalDataset, _named, kfold_split
 from ..exceptions import ConvergenceError
 from .base import BaseSurvivalModel, halving_step, standardize_fit
 
@@ -259,8 +259,8 @@ class CoxModel(BaseSurvivalModel):
     def _jump_times(self, x) -> np.ndarray:
         return self.baseline_cumhaz.times
 
-    def predict_values(self, x, grid) -> np.ndarray:
-        r = self._risk(_check_matrix(x, self.n_features))
+    def _values(self, x, grid) -> np.ndarray:
+        r = self._risk(x)
         if np.isnan(r).any():  # finite covariates whose terms overflow to +inf and -inf
             raise ValueError(f"cox_{self.penalty_kind}: row {np.isnan(r).argmax()}: the linear predictor is NaN")
         h = self.baseline_cumhaz(grid)
@@ -277,8 +277,8 @@ def breslow_baseline(model: CoxModel, data: SurvivalDataset) -> StepCurve:
 def _standardized(data: SurvivalDataset):
     """`data`'s covariates standardized by its own column means and sds,
     with its times, event flags, means and sds."""
-    mean, sd = standardize_fit(data.x)
-    return (data.x - mean) / sd, data.time, data.event.astype(float), mean, sd
+    z, mean, sd = standardize_fit(data.x)
+    return z, data.time, data.event.astype(float), mean, sd
 
 
 def _cv_penalty(data: SurvivalDataset, pl: _PartialLikelihood, penalty_kind: str, folds: int, seed: int) -> float:

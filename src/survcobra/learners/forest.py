@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from ..curves import _checked_times
-from ..data import SurvivalDataset, _check_matrix
+from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 from .tree import fit_survival_tree_arrays
 
@@ -23,8 +22,7 @@ class RandomSurvivalForestModel(BaseSurvivalModel):
     def _jump_times(self, x) -> np.ndarray:
         return np.unique(np.concatenate([tree._jump_times(x) for tree in self.trees]))
 
-    def predict_values(self, x, grid) -> np.ndarray:
-        x, grid = _check_matrix(x, self.n_features), _checked_times(grid)
+    def _values(self, x, grid) -> np.ndarray:
         total = np.zeros((x.shape[0], grid.size))
         for tree in self.trees:
             total += tree._values(x, grid)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import _checked_times, product_limit_rows
-from ..data import SurvivalDataset, _check_matrix, _check_vector
+from ..curves import product_limit_rows
+from ..data import SurvivalDataset, _check_vector
 from .base import BaseSurvivalModel, standardize_fit
 
 #: Rough size, in bytes, of the (queries, training records, features)
@@ -30,11 +30,16 @@ class KNNSurvivalModel(BaseSurvivalModel):
         self.sd = sd
         self.n_features = z.shape[1]
 
-    def _neighbor_rows(self, x) -> np.ndarray:
-        """(queries, k) nearest training indices for each row of `x`."""
-        zq = (x - self.mean) / self.sd
-        diff = self.z[None, :, :] - zq[:, None, :]
-        dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+    def _neighbor_rows(self, x, first=0) -> np.ndarray:
+        """(queries, k) nearest training indices for each row of `x`, which
+        starts at the caller's row `first`; a non-finite distance is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            zq = (x - self.mean) / self.sd
+            diff = self.z[None, :, :] - zq[:, None, :]
+            dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+        finite = np.isfinite(dist).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"knn_survival: row {first + finite.argmin()}: a distance is not finite")
         return np.argsort(dist, axis=1, kind="stable")[:, : self.k]
 
     def neighbors(self, x) -> np.ndarray:
@@ -45,13 +50,11 @@ class KNNSurvivalModel(BaseSurvivalModel):
         nb = self._neighbor_rows(x[None, :])[0]
         return np.unique(self.times[nb][self.events[nb] == 1])
 
-    def predict_values(self, x, grid) -> np.ndarray:
-        x = _check_matrix(x, self.n_features)
-        grid = _checked_times(grid)
+    def _values(self, x, grid) -> np.ndarray:
         out = np.empty((x.shape[0], grid.size))
         size = max(1, _NEIGHBOR_CHUNK_BYTES // (self.z.size * 8))
         for start in range(0, x.shape[0], size):
-            nb = self._neighbor_rows(x[start : start + size])
+            nb = self._neighbor_rows(x[start : start + size], start)
             out[start : start + size] = product_limit_rows(self.times[nb], self.events[nb], grid)
         return out
 
@@ -62,5 +65,9 @@ def fit_knn_survival(data: SurvivalDataset, k: int | None = None) -> KNNSurvival
         k = int(np.ceil(np.sqrt(data.n)))
     if not 1 <= k <= data.n:
         raise ValueError(f"k must lie in [1, {data.n}], got {k}")
-    mean, sd = standardize_fit(data.x)
-    return KNNSurvivalModel((data.x - mean) / sd, data.time, data.event, int(k), mean, sd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, mean, sd = standardize_fit(data.x)
+    finite = np.isfinite(mean) & np.isfinite(sd)
+    if not finite.all():
+        raise ValueError(f"knn_survival: column {data.feature_names[finite.argmin()]!r}: its mean or sd overflows")
+    return KNNSurvivalModel(z, data.time, data.event, int(k), mean, sd)

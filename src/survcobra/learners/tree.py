@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import _checked_times
 from ..data import SurvivalDataset, _check_matrix
 from .base import BaseSurvivalModel
 
@@ -122,12 +121,7 @@ class SurvivalTreeModel(BaseSurvivalModel):
         lo, hi = np.searchsorted(self.jump_keys, [start, start + self.u.size])
         return self.u[self.jump_keys[lo:hi] - start]
 
-    def predict_values(self, x, grid) -> np.ndarray:
-        grid = _checked_times(grid)
-        return self._values(_check_matrix(x, self.n_features), grid)
-
     def _values(self, x, grid) -> np.ndarray:
-        """`predict_values` on a checked covariate matrix and grid."""
         ids = self._leaf_ids(x)
         if self.jump_keys.size == 0:
             return np.ones((ids.size, grid.size))

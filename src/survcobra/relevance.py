@@ -141,12 +141,6 @@ class RelevanceResult:
         return np.argsort(-self.aggregate, kind="stable")
 
 
-def _standardized_calibration(model: CobraModel):
-    x = model.split.d_l.x
-    mean, sd = standardize_fit(x)
-    return (x - mean) / sd
-
-
 def _relevance_from_labels(features, labels, l2) -> QueryRelevance:
     if labels.min() == labels.max():
         return QueryRelevance(np.zeros(features.shape[1] + 1), True)
@@ -157,7 +151,7 @@ def relevance_for_query(model: CobraModel, x, l2: float = DEFAULT_RIDGE) -> Quer
     """Per-query relevance: regress the proximity labels on the
     standardized calibration covariates."""
     labels = gamma_labels(model, x)
-    return _relevance_from_labels(_standardized_calibration(model), labels, l2)
+    return _relevance_from_labels(standardize_fit(model.split.d_l.x)[0], labels, l2)
 
 
 def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> RelevanceResult:
@@ -169,7 +163,7 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
     |slope_j| over queries whose labels were not degenerate; fails if
     every query degenerates.
     """
-    features = _standardized_calibration(model)
+    features = standardize_fit(model.split.d_l.x)[0]
     results, set_sizes = [], []
     for chunk in _label_chunks(model, queries):
         results.extend(_relevance_from_labels(features, labels, l2) for labels in chunk)

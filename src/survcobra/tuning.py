@@ -17,8 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .cobra import CobraParams, _aggregate, _fit_stack, _member_mask, _survival_rows
-from .curves import evaluate
+from .cobra import CobraParams, _fit_stack, _member_mask, _survival_matrix
 from .data import SurvivalDataset, _named, kfold_split
 from .exceptions import ConvergenceError, TuningError
 from .learners import LearnerSpec, default_roster
@@ -77,7 +76,6 @@ class _PreparedFold:
     distances: np.ndarray  # (machines, n_validation, n_calibration), sorted on machines
     d_l: SurvivalDataset
     pop_km: object
-    pop_row: np.ndarray  # pop_km at val_times, shared by every fallback
     val_times: np.ndarray
     val_events: np.ndarray
 
@@ -104,17 +102,13 @@ def _prepare_fold(folds, fold_idx, roster, l_fraction, seed) -> _PreparedFold:
     fold_train, fold_val = folds[fold_idx]
     stack = _fit_stack(fold_train, roster, l_fraction, _stack_seed(seed, l_fraction))
     distances = stack.query_distances(fold_val.x)
-    pop_row = evaluate(stack.pop_km, fold_val.time)
-    return _PreparedFold(
-        distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
-    )
+    return _PreparedFold(distances, stack.split.d_l, stack.pop_km, fold_val.time, fold_val.event)
 
 
 def _fold_objective(prepared: _PreparedFold, params: CobraParams, objective: str) -> float:
-    curves = _aggregate(
-        prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count
+    survival = _survival_matrix(
+        prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count, prepared.val_times
     )
-    survival = _survival_rows(curves, prepared.pop_km, prepared.val_times, prepared.pop_row)
     if objective == "ibs":
         return integrated_brier(survival, prepared.val_times, prepared.val_events)
     return -concordance_td(survival, prepared.val_times, prepared.val_events)

@@ -10,7 +10,7 @@ paths can be checked against them bit for bit.
 import numpy as np
 
 from survcobra import tuning
-from survcobra.curves import CUMULATIVE, StepCurve, evaluate, product_limit
+from survcobra.curves import CUMULATIVE, StepCurve, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners.base import _check_vector
@@ -394,10 +394,7 @@ def reference_random_search(space, train, inner_folds=3, roster=None):
             fold_train, fold_val = folds[fold_idx]
             stack = tuning._fit_stack(fold_train, roster, l_fraction, tuning._stack_seed(seed, l_fraction))
             distances = stack.query_distances(fold_val.x)
-            pop_row = evaluate(stack.pop_km, fold_val.time)
-            return tuning._PreparedFold(
-                distances, stack.split.d_l, stack.pop_km, pop_row, fold_val.time, fold_val.event
-            )
+            return tuning._PreparedFold(distances, stack.split.d_l, stack.pop_km, fold_val.time, fold_val.event)
 
         return tuning._cached(cache, (fold_idx, l_fraction), prepare, (ValueError, ConvergenceError))
 

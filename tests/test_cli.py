@@ -518,6 +518,48 @@ def test_event_free_fold_exits_one_naming_the_split_and_part(tmp_path, capsys, c
     assert not out.exists()
 
 
+SPARSE_BENCH = {  # 21 of 30 records censored: a test part of six may hold one event time
+    "dataset": {"kind": "synthetic", "n": 30, "censor_fraction": 0.7, "dim": 4, "seed": 3},
+    "roster": [{"kind": "survival_tree"}, {"kind": "knn_survival", "k": 3}],
+    "params": {"epsilon": 0.05, "alpha": 0.5, "l_fraction": 0.4},
+    "folds": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "seed, where, message",
+    [
+        (1, "outer fold 1 of 5, survival_tree", "the integration grid needs at least two time points"),
+        (4, "outer fold 2 of 5, survival_tree", "no comparable pairs: concordance is undefined"),
+    ],
+)
+def test_metric_error_names_the_outer_fold_and_the_model(tmp_path, capsys, seed, where, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SPARSE_BENCH))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"survcobra: error: {where}: {message}\n"
+    assert not out.exists()
+
+
+def test_metric_error_of_the_ensemble_names_it(tmp_path, capsys, monkeypatch):
+    report, calls = experiments._report, []
+
+    def report_or_fail(*args):
+        calls.append(None)
+        if len(calls) == 3:  # the two learners of fold 1, then the ensemble
+            raise ValueError("the integration grid needs at least two time points")
+        return report(*args)
+
+    monkeypatch.setattr(experiments, "_report", report_or_fail)
+    roster = [{"kind": "survival_tree", "max_depth": 2}, {"kind": "knn_survival", "k": 5}]
+    cfg = write_config(tmp_path / "cfg.json", roster=roster, folds=2)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "survcobra: error: outer fold 1 of 2, proposed: the integration grid needs at least two time points\n"
+    )
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("benchmarks/configs/*.json")),

@@ -427,6 +427,31 @@ class TestChunkedPass:
         with pytest.raises(ValueError, match="features"):
             predict_cobra_batch(model, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("per_chunk", [1, 3, None])  # None: every query in one chunk
+    def test_predict_values_equal_the_batch_curves_bitwise(self, monkeypatch, per_chunk):
+        # at this epsilon the uniform queries fall back to the population KM
+        # and the calibration records, at distance 0 from themselves, do not
+        model = small_model(seed=8, epsilon=1e-9, alpha=0.6, roster=FIVE_ROSTER, n=80)
+        rng = np.random.default_rng(4)
+        queries = np.vstack([rng.uniform(size=(4, 2)), model.split.d_l.x[model.split.d_l.event == 1][:3]])
+        times = np.concatenate([[0.0], np.sort(model.split.d_l.time), [np.inf]])
+        if per_chunk is not None:
+            monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", _budget_for(model, per_chunk))
+        sizes = _record_chunk_sizes(monkeypatch)
+        curves = predict_cobra_batch(model, queries)
+        fallback = [c is model.population_km for c in curves]
+        assert any(fallback) and not all(fallback)
+        got = model.predict_values(queries, times)
+        size = per_chunk or len(queries)
+        chunks = [min(size, len(queries) - start) for start in range(0, len(queries), size)]
+        assert sizes == chunks + chunks  # the batch's pass, then this one's
+        assert same_bits(got, np.stack([evaluate(c, times) for c in curves]))
+
+    def test_predict_values_of_no_query_is_an_empty_matrix(self):
+        model = small_model(seed=5)
+        got = model.predict_values(np.empty((0, 2)), [0.5, 1.0, 2.0])
+        assert got.shape == (0, 3) and got.dtype == np.float64
+
 
     def test_chunk_budget_covers_the_curve_matrices(self, monkeypatch):
         # at a small l_fraction the grid is wider than the calibration part,

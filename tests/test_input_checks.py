@@ -13,7 +13,7 @@ from survcobra.cobra import CobraParams, fit_cobra, gamma_labels, predict_cobra,
 from survcobra.curves import censoring_km, product_limit
 from survcobra.data import SurvivalDataset
 from survcobra.experiments import ExperimentConfig
-from survcobra.learners import LearnerSpec
+from survcobra.learners import LEARNER_KINDS, LearnerSpec, fit
 from survcobra.metrics import brier_censored, concordance_td, d_calibration, integrated_brier
 from survcobra.relevance import relevance_study
 from helpers import random_dataset
@@ -82,9 +82,11 @@ NAN_ROWS = np.array([[0.5, np.nan]])
         (lambda m: gamma_labels(m, np.zeros(3)), VECTOR),
         (lambda m: m.machines[1].predict_values(np.zeros((4, 3)), GRID), MATRIX),
         (lambda m: predict_cobra_batch(m, np.zeros((4, 3))), MATRIX),
+        (lambda m: m.predict_values(np.zeros((4, 3)), GRID), MATRIX),
         (lambda m: relevance_study(m, np.zeros((4, 3))), MATRIX),
         (lambda m: m.machines[0].predict_values(NAN_ROWS, GRID), FINITE),
         (lambda m: predict_cobra_batch(m, NAN_ROWS), FINITE),
+        (lambda m: m.predict_values(NAN_ROWS, GRID), FINITE),
         (lambda m: predict_cobra(m, NAN_ROWS[0]), FINITE),
         (lambda _model: SurvivalDataset(np.zeros((4, 3)), np.ones(4), np.ones(4), ["a", "b"]), MATRIX),
         (lambda _model: SurvivalDataset(NAN_ROWS, [1.0], [1], ["a", "b"]), FINITE),
@@ -106,3 +108,14 @@ def test_each_entry_point_gives_the_shared_message(model, call, message):
     with pytest.raises(ValueError) as err:
         call(model)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS + ("proposed",))
+def test_every_model_checks_predict_values_inputs_alike(model, kind):
+    # the learners share one check in the base class, and the ensemble
+    # answers the same call
+    predictor = model if kind == "proposed" else fit(LearnerSpec(kind), model.split.d_k)
+    with pytest.raises(ValueError, match=r"^covariate matrix has shape \(4, 3\)"):
+        predictor.predict_values(np.zeros((4, 3)), GRID)
+    with pytest.raises(ValueError, match="^evaluation times must be nonnegative$"):
+        predictor.predict_values(HALF, [0.5, np.nan])

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from survcobra import curves
 from survcobra.curves import evaluate, kaplan_meier
-from survcobra.data import SurvivalDataset
+from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.learners import base, fit_knn_survival, knn
 from helpers import random_dataset, slow_km
 
@@ -129,3 +131,49 @@ class TestKNNSurvival:
             fit_knn_survival(ds, k=0)
         with pytest.raises(ValueError):
             fit_knn_survival(ds, k=11)
+
+
+class TestNonFiniteDistances:
+    """A distance that is not finite ties every neighbour, so k-NN refuses
+    it, naming the query row or the training column, and warns of nothing."""
+
+    @pytest.fixture(autouse=True)
+    def _no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def records():
+        return generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.3, dim=4, seed=1))
+
+    def test_overflowing_query_is_refused_by_its_row(self, monkeypatch):
+        data = self.records()
+        model = fit_knn_survival(data.subset(np.arange(40)), k=5)
+        queries = data.x[40:46].copy()
+        queries[5, 0] = 1e300  # every distance of row 5 overflows
+        monkeypatch.setattr(knn, "_NEIGHBOR_CHUNK_BYTES", 2 * model.z.size * 8)  # row 5 is in the third chunk
+        with pytest.raises(ValueError, match=r"^knn_survival: row 5: a distance is not finite$"):
+            model.predict_values(queries, [0.5, 1.0, 3.0])
+        for call in (model.predict_curve, model.neighbors):
+            with pytest.raises(ValueError, match=r"^knn_survival: row 0: a distance is not finite$"):
+                call(queries[5])
+
+    def test_rows_with_finite_distances_keep_their_values(self):
+        data = self.records()
+        model = fit_knn_survival(data.subset(np.arange(40)), k=5)
+        queries = data.x[40:46].copy()
+        expected = model.predict_values(queries[:5], [0.5, 1.0, 3.0])
+        queries[5, 0] = 1e150  # finite distances, tied in float
+        got = model.predict_values(queries, [0.5, 1.0, 3.0])
+        assert got[:5].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("column", [np.full(40, 1e308), np.tile([1e200, -1e200], 20)])
+    def test_overflowing_training_column_is_refused_at_fit(self, column):
+        # a mean of 1e308s, or a spread of +-1e200s, overflows to infinity
+        train = self.records().subset(np.arange(40))
+        x = train.x.copy()
+        x[:, 2] = column
+        overflowing = SurvivalDataset(x, train.time, train.event, train.feature_names)
+        with pytest.raises(ValueError, match=r"^knn_survival: column 'x2': its mean or sd overflows$"):
+            fit_knn_survival(overflowing, k=5)

@@ -62,8 +62,11 @@ class TestPredictContract:
                 assert evaluate(curve, 0.0) == 1.0 or curve.times[0] == 0.0
 
     def test_base_class_has_no_predict_values(self):
+        class Bare(BaseSurvivalModel):  # a feature count, and no `_values`
+            n_features = 1
+
         with pytest.raises(NotImplementedError):
-            BaseSurvivalModel().predict_values(np.zeros((1, 1)), np.zeros(2))
+            Bare().predict_values(np.zeros((1, 1)), np.zeros(2))
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_dimension_mismatch_rejected(self, spec):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from survcobra.cobra import CobraParams, _aggregate, _survival_rows, fit_cobra, predict_cobra_batch
+from survcobra.cobra import CobraParams, _aggregate, _survival_matrix, fit_cobra, predict_cobra_batch
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
@@ -17,7 +17,6 @@ from survcobra.tuning import SearchSpace, _score_trials, draw_trials, evaluate_p
 
 from helpers import (
     reference_aggregate,
-    reference_evaluate,
     reference_fold_objective,
     reference_product_limit,
     reference_random_search,
@@ -232,7 +231,7 @@ class TestObjectiveMemo:
         rng = np.random.default_rng(0)
         for _ in range(50):
             distances = np.sort(rng.choice([0.0, 0.1, 0.2, 0.3], size=(3, 2, 3)), axis=0)
-            prepared = tuning._PreparedFold(distances, None, None, None, None, None)
+            prepared = tuning._PreparedFold(distances, None, None, None, None)
             cache, distinct = {}, set()
             calls.clear()
             for _ in range(10):
@@ -466,7 +465,6 @@ def test_fold_objective_matches_the_reference_chain_bitwise(tune_folds):
     for prepared in prepared_folds:
         km_times, km_values = reference_product_limit(prepared.d_l.time, prepared.d_l.event)
         assert same_bits(prepared.pop_km.times, km_times) and same_bits(prepared.pop_km.values, km_values)
-        assert same_bits(prepared.pop_row, reference_evaluate(prepared.pop_km, prepared.val_times))
         for alpha in (0.2, 0.6, 1.0):
             order = prepared.distances[CobraParams(0.1, alpha, 0.5, roster).consensus_count - 1]
             for epsilon in (1e-300, *np.quantile(order[order > 0.0], [0.001, 0.02, 0.1, 0.5]), 10.0):
@@ -475,7 +473,7 @@ def test_fold_objective_matches_the_reference_chain_bitwise(tune_folds):
                 curves, want = _aggregate(*args), reference_aggregate(*args)
                 assert [c is prepared.pop_km for c in curves] == [c is prepared.pop_km for c in want]
                 assert same_bits(
-                    _survival_rows(curves, prepared.pop_km, prepared.val_times, prepared.pop_row),
+                    _survival_matrix(*args, prepared.val_times),
                     reference_survival_rows(want, prepared.pop_km, prepared.val_times),
                 )
                 for objective in tuning.OBJECTIVES:
