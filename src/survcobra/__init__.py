@@ -11,21 +11,16 @@ synthetic benchmark generator, hyperparameter search, and a batch CLI.
 from .cobra import (
     CobraModel,
     CobraParams,
-    ProximityAggregate,
     fit_cobra,
     gamma_labels,
     predict_cobra,
     predict_cobra_batch,
-    proximity_aggregate,
 )
 from .curves import (
     StepCurve,
-    area_distance,
     censoring_km,
-    distance_grid,
     evaluate,
     kaplan_meier,
-    nelson_aalen,
     product_limit,
 )
 from .data import (
@@ -43,7 +38,6 @@ from .data import (
 from .exceptions import ConfigError, ConvergenceError, TuningError
 from .learners import (
     LearnerSpec,
-    breslow_baseline,
     default_roster,
     fit,
     fit_cox,
@@ -53,17 +47,14 @@ from .learners import (
 )
 from .metrics import (
     MetricReport,
-    brier_censored,
     concordance_td,
     d_calibration,
     d_calibration_masses,
     integrated_brier,
 )
 from .relevance import (
-    QueryRelevance,
     RelevanceResult,
     fit_logistic,
-    relevance_for_query,
     relevance_study,
 )
 from .tuning import SearchSpace, TrialResult, evaluate_params, random_search
@@ -73,19 +64,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CobraModel",
     "CobraParams",
-    "ProximityAggregate",
     "fit_cobra",
     "gamma_labels",
     "predict_cobra",
     "predict_cobra_batch",
-    "proximity_aggregate",
     "StepCurve",
-    "area_distance",
     "censoring_km",
-    "distance_grid",
     "evaluate",
     "kaplan_meier",
-    "nelson_aalen",
     "product_limit",
     "DatasetSplit",
     "RawTable",
@@ -101,7 +87,6 @@ __all__ = [
     "ConvergenceError",
     "TuningError",
     "LearnerSpec",
-    "breslow_baseline",
     "default_roster",
     "fit",
     "fit_cox",
@@ -109,15 +94,12 @@ __all__ = [
     "fit_random_survival_forest",
     "fit_survival_tree",
     "MetricReport",
-    "brier_censored",
     "concordance_td",
     "d_calibration",
     "d_calibration_masses",
     "integrated_brier",
-    "QueryRelevance",
     "RelevanceResult",
     "fit_logistic",
-    "relevance_for_query",
     "relevance_study",
     "SearchSpace",
     "TrialResult",

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, _checked_times, _event_counts, _product_limit, evaluate, kaplan_meier
+from .curves import StepCurve, _checked_times, _product_limit, evaluate, kaplan_meier
 from .data import DatasetSplit, SurvivalDataset, _check_matrix, _check_vector, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
@@ -136,16 +136,6 @@ class CobraModel:
         return np.concatenate([np.empty((0, times.size)), *_step_chunks(self, queries, _survival_matrix, times)])
 
 
-@dataclass(frozen=True)
-class ProximityAggregate:
-    """Event times, event counts, and at-risk counts over the proximity set."""
-
-    member_indices: np.ndarray
-    event_times: np.ndarray
-    event_counts: np.ndarray
-    risk_counts: np.ndarray
-
-
 def fit_cobra(train: SurvivalDataset, params: CobraParams, seed: int) -> CobraModel:
     """Split `train`, fit every roster machine on the machine-training part,
     and cache each machine's curve for every calibration record."""
@@ -201,14 +191,6 @@ def gamma_labels(model: CobraModel, x) -> np.ndarray:
     """The 0/1 proximity indicator of every calibration record for query x."""
     x = _check_vector(x, model.split.d_k.n_features)
     return next(_label_chunks(model, x[None, :]))[0]
-
-
-def proximity_aggregate(model: CobraModel, x) -> ProximityAggregate:
-    """Counts behind the aggregated curve at query x."""
-    members = np.flatnonzero(gamma_labels(model, x))
-    d_l = model.split.d_l
-    u, d, r = _event_counts(d_l.time[members], d_l.event[members])
-    return ProximityAggregate(members, u, d.astype(np.int64), r.astype(np.int64))
 
 
 def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon, need) -> StepCurve:

@@ -4,9 +4,8 @@ A `StepCurve` is a right-continuous piecewise-constant function on
 [0, inf).  Survival-kind curves start at 1 and are non-increasing within
 [0, 1]; cumulative-kind curves (cumulative hazards) start at 0 and are
 non-decreasing.  The module also provides the Kaplan-Meier product-limit
-estimator, the Nelson-Aalen cumulative-hazard estimator, the
-censoring-distribution Kaplan-Meier used for inverse-probability-of-
-censoring weights, and the time-averaged area distance between two curves.
+estimator, its batched form on one grid, and the censoring-distribution
+Kaplan-Meier used for inverse-probability-of-censoring weights.
 """
 
 from __future__ import annotations
@@ -204,12 +203,6 @@ def kaplan_meier(times, events) -> StepCurve:
     return curve
 
 
-def nelson_aalen(times, events) -> StepCurve:
-    """Nelson-Aalen estimate of the cumulative hazard (sum of d/r)."""
-    u, d, r = _event_counts(*_checked_sample(times, events))
-    return StepCurve(u, np.cumsum(d / r) if u.size else u, CUMULATIVE)
-
-
 def censoring_km(times, events) -> StepCurve:
     """Kaplan-Meier of the censoring distribution (flipped event flags).
 
@@ -217,31 +210,3 @@ def censoring_km(times, events) -> StepCurve:
     """
     t, e = _checked_sample(times, events)
     return _product_limit(t, 1 - e)
-
-
-def distance_grid(a: StepCurve, b: StepCurve, t_max: float) -> np.ndarray:
-    """Grid on which the area distance of two step curves is exact:
-    the union of both curves' jump times plus the endpoints 0 and t_max."""
-    if not np.isfinite(t_max) or t_max <= 0.0:
-        raise ValueError("t_max must be positive and finite")
-    return np.unique(np.concatenate(([0.0], a.times, b.times, [float(t_max)])))
-
-
-def area_distance(a: StepCurve, b: StepCurve, grid) -> float:
-    """Time-averaged absolute area between two curves over `grid`.
-
-    Left-Riemann sum of |a - b| over consecutive grid points, divided by
-    the grid span.  Exact whenever both curves are constant between grid
-    points; symmetric and within [0, 1] for survival curves.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise ValueError("grid must contain at least two points")
-    if np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    span = g[-1] - g[0]
-    if span <= 0.0:
-        raise ValueError("degenerate grid: zero span")
-    left = g[:-1]
-    gap = np.abs(evaluate(a, left) - evaluate(b, left))
-    return float(np.sum(gap * np.diff(g)) / span)

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 from ..data import SurvivalDataset
 from ..exceptions import ConfigError, ConvergenceError
 from .base import BaseSurvivalModel
-from .cox import CoxModel, breslow_baseline, cox_gradient, cox_log_partial_likelihood, fit_cox
+from .cox import CoxModel, fit_cox
 from .forest import RandomSurvivalForestModel, fit_random_survival_forest
 from .knn import KNNSurvivalModel, fit_knn_survival
 from .tree import SurvivalTreeModel, fit_survival_tree
@@ -34,9 +34,6 @@ __all__ = [
     "fit_survival_tree",
     "fit_random_survival_forest",
     "fit_knn_survival",
-    "breslow_baseline",
-    "cox_gradient",
-    "cox_log_partial_likelihood",
     "LEARNER_KINDS",
 ]
 

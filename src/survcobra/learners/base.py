@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..curves import StepCurve, _checked_times
-from ..data import _check_matrix, _check_vector
+from ..data import SurvivalDataset, _check_matrix, _check_vector
 
 
 class BaseSurvivalModel:
@@ -35,14 +35,21 @@ class BaseSurvivalModel:
         raise NotImplementedError
 
 
-def standardize_fit(x: np.ndarray):
-    """Standardized `x` with its column means and sds, for scale-sensitive learners.
+def standardize_fit(data: SurvivalDataset, learner: str):
+    """`data`'s covariates standardized, with their column means and sds, for
+    scale-sensitive learners.
 
     Zero-variance columns get a unit scale so they stay inert instead of
-    producing NaNs.
+    producing NaNs.  A column whose mean or sd overflows is refused by name
+    (`<learner>: column '<name>': its mean or sd overflows`).
     """
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
+    x = data.x
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        sd = x.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(sd)
+    if not finite.all():
+        raise ValueError(f"{learner}: column {data.feature_names[finite.argmin()]!r}: its mean or sd overflows")
     sd = np.where(sd == 0.0, 1.0, sd)
     return (x - mean) / sd, mean, sd
 

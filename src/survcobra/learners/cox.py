@@ -122,20 +122,6 @@ class _PartialLikelihood:
         return StepCurve(self.u, np.cumsum(self.d / rev_w[self.pos]), kind=CUMULATIVE)
 
 
-def cox_log_partial_likelihood(x, times, events, beta) -> float:
-    """Breslow-ties log partial likelihood at `beta` (no penalty)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pl = _PartialLikelihood(x, np.asarray(times, float), np.asarray(events, float))
-    return pl.value(np.asarray(beta, dtype=float))
-
-
-def cox_gradient(x, times, events, beta) -> np.ndarray:
-    """Analytic gradient of the log partial likelihood at `beta`."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pl = _PartialLikelihood(x, np.asarray(times, float), np.asarray(events, float))
-    return pl.gradient(np.asarray(beta, dtype=float))
-
-
 def _soft_threshold(value: float, cut: float) -> float:
     if value > cut:
         return value - cut
@@ -252,9 +238,12 @@ class CoxModel(BaseSurvivalModel):
     def _risk(self, x: np.ndarray) -> np.ndarray:
         """exp(beta . z) per row, summed row-wise so that a row's score does
         not depend on how many rows come with it (a BLAS dot, a gemv and a
-        one-row gemm can round differently)."""
-        z = (x - self.feature_means) / self.feature_sds
-        return np.exp((z * self.beta_standardized).sum(axis=-1))
+        one-row gemm can round differently).  A row that overflows gets its
+        limit, inf or 0, with no warning; terms that overflow to both signs
+        give NaN, which `_values` refuses."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (x - self.feature_means) / self.feature_sds
+            return np.exp((z * self.beta_standardized).sum(axis=-1))
 
     def _jump_times(self, x) -> np.ndarray:
         return self.baseline_cumhaz.times
@@ -268,16 +257,10 @@ class CoxModel(BaseSurvivalModel):
         return np.exp(-np.multiply(r[:, None], h, out=np.zeros((r.size, h.size)), where=h > 0.0))
 
 
-def breslow_baseline(model: CoxModel, data: SurvivalDataset) -> StepCurve:
-    """Recompute the Breslow baseline of a fitted model on `data`."""
-    z = (data.x - model.feature_means) / model.feature_sds
-    return _PartialLikelihood(z, data.time, data.event.astype(float)).breslow(model.beta_standardized)
-
-
-def _standardized(data: SurvivalDataset):
+def _standardized(data: SurvivalDataset, penalty_kind: str):
     """`data`'s covariates standardized by its own column means and sds,
     with its times, event flags, means and sds."""
-    z, mean, sd = standardize_fit(data.x)
+    z, mean, sd = standardize_fit(data, f"cox_{penalty_kind}")
     return z, data.time, data.event.astype(float), mean, sd
 
 
@@ -304,7 +287,7 @@ def _cv_penalty(data: SurvivalDataset, pl: _PartialLikelihood, penalty_kind: str
     pairs = _named(split, kfold_split, data, folds, seed)
     paths = []
     for train, test in pairs:
-        z, times, events, mean, sd = _standardized(train)
+        z, times, events, mean, sd = _standardized(train, penalty_kind)
         try:
             # held out: covariates centred by the training means, scored
             # with coefficients in feature units
@@ -349,7 +332,7 @@ def fit_cox(
         raise ValueError(f"unknown penalty kind {penalty_kind!r}")
     if penalty is not None and penalty < 0.0:
         raise ValueError("penalty must be nonnegative")
-    z, times, events, mean, sd = _standardized(data)
+    z, times, events, mean, sd = _standardized(data, penalty_kind)
     pl = _PartialLikelihood(z, times, events)
     if penalty is None:
         penalty = _cv_penalty(data, pl, penalty_kind, cv_folds, cv_seed)

@@ -65,9 +65,5 @@ def fit_knn_survival(data: SurvivalDataset, k: int | None = None) -> KNNSurvival
         k = int(np.ceil(np.sqrt(data.n)))
     if not 1 <= k <= data.n:
         raise ValueError(f"k must lie in [1, {data.n}], got {k}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, mean, sd = standardize_fit(data.x)
-    finite = np.isfinite(mean) & np.isfinite(sd)
-    if not finite.all():
-        raise ValueError(f"knn_survival: column {data.feature_names[finite.argmin()]!r}: its mean or sd overflows")
+    z, mean, sd = standardize_fit(data, "knn_survival")
     return KNNSurvivalModel(z, data.time, data.event, int(k), mean, sd)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .curves import StepCurve, _checked_sample, censoring_km, evaluate
+from .curves import _checked_sample, censoring_km, evaluate
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,6 @@ def _brier_scores(times, events, g_at_times, points) -> list[float]:
             total += float(((1.0 - survival_at_t[at_risk]) ** 2 / g_at_t).sum())
         scores.append(total / n_eff)
     return scores
-
-
-def brier_censored(survival_at_t, times, events, t, censoring_curve: StepCurve) -> float:
-    """Censoring-weighted Brier score at time `t`.
-
-    `survival_at_t[i]` is record i's predicted survival at `t`.  Records
-    already censored by `t` contribute nothing; event records are weighted
-    by 1/G(y_i) and at-risk records by 1/G(t), where G is the
-    censoring-distribution Kaplan-Meier.
-    """
-    survival_at_t, times, events = _check_aligned(survival_at_t, times, events, ndim=1)
-    t = float(t)
-    g_at_times = evaluate(censoring_curve, times)
-    g_at_t = float(evaluate(censoring_curve, t))
-    return _brier_scores(times, events, g_at_times, [(t, g_at_t, survival_at_t)])[0]
 
 
 def integrated_brier(survival, times, events) -> float:

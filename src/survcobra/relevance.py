@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .cobra import CobraModel, _label_chunks, gamma_labels
+from .cobra import CobraModel, _label_chunks
 from .exceptions import ConvergenceError
 from .learners.base import halving_step, standardize_fit
 
@@ -45,23 +45,6 @@ def _gradient(x, y, ridge, beta):
     """(gradient of `_objective`, fitted probabilities at `beta`)."""
     sigma = expit(x @ beta)
     return x.T @ (y - sigma) - ridge * beta, sigma
-
-
-def logistic_penalized_loglik(features, labels, l2, coefficients) -> float:
-    """Bernoulli log-likelihood minus the ridge term (intercept unpenalized).
-
-    `coefficients` holds the intercept first.
-    """
-    x = _design(features)
-    return _objective(x, np.asarray(labels, dtype=float), _penalty(x.shape[1], l2),
-                      np.asarray(coefficients, dtype=float))
-
-
-def logistic_gradient(features, labels, l2, coefficients) -> np.ndarray:
-    """Analytic gradient of `logistic_penalized_loglik`."""
-    x = _design(features)
-    return _gradient(x, np.asarray(labels, dtype=float), _penalty(x.shape[1], l2),
-                     np.asarray(coefficients, dtype=float))[0]
 
 
 def _irls(x, y, l2):
@@ -115,18 +98,6 @@ def fit_logistic(features, labels, l2: float = 0.0) -> np.ndarray:
     return coefficients
 
 
-@dataclass(frozen=True)
-class QueryRelevance:
-    """Logistic coefficients (intercept first) for one query point.
-
-    `degenerate` marks queries whose proximity labels were constant; such
-    queries carry zero slopes and are skipped by the aggregation.
-    """
-
-    coefficients: np.ndarray
-    degenerate: bool
-
-
 @dataclass(frozen=True, eq=False)
 class RelevanceResult:
     """Per-query coefficient matrix plus the aggregated relevance scores."""
@@ -141,17 +112,13 @@ class RelevanceResult:
         return np.argsort(-self.aggregate, kind="stable")
 
 
-def _relevance_from_labels(features, labels, l2) -> QueryRelevance:
+def _relevance_from_labels(features, labels, l2):
+    """(logistic coefficients, intercept first; degenerate) for one query's
+    proximity labels.  Constant labels are degenerate: zero coefficients,
+    skipped by the aggregation."""
     if labels.min() == labels.max():
-        return QueryRelevance(np.zeros(features.shape[1] + 1), True)
-    return QueryRelevance(fit_logistic(features, labels, l2), False)
-
-
-def relevance_for_query(model: CobraModel, x, l2: float = DEFAULT_RIDGE) -> QueryRelevance:
-    """Per-query relevance: regress the proximity labels on the
-    standardized calibration covariates."""
-    labels = gamma_labels(model, x)
-    return _relevance_from_labels(standardize_fit(model.split.d_l.x)[0], labels, l2)
+        return np.zeros(features.shape[1] + 1), True
+    return fit_logistic(features, labels, l2), False
 
 
 def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> RelevanceResult:
@@ -163,17 +130,19 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
     |slope_j| over queries whose labels were not degenerate; fails if
     every query degenerates.
     """
-    features = standardize_fit(model.split.d_l.x)[0]
+    d_l = model.split.d_l
+    features = standardize_fit(d_l, "relevance")[0]
     results, set_sizes = [], []
     for chunk in _label_chunks(model, queries):
         results.extend(_relevance_from_labels(features, labels, l2) for labels in chunk)
         set_sizes.extend(chunk.sum(axis=1).tolist())
-    per_query = np.stack([r.coefficients for r in results])
-    degenerate = np.array([r.degenerate for r in results])
+    coefficients, flags = zip(*results)
+    per_query = np.stack(coefficients)
+    degenerate = np.array(flags)
     informative = ~degenerate
     if not informative.any():
         params = model.params
-        full = set_sizes.count(model.split.d_l.n)
+        full = set_sizes.count(d_l.n)
         raise ValueError(
             "every query produced constant proximity labels "
             f"(epsilon {params.epsilon:g}, consensus {params.consensus_count} of "

@@ -4,20 +4,35 @@ Everything here is written independently of the package internals (plain
 loops, textbook formulas) so the fast implementations are checked against
 a second derivation, not against themselves.  The `reference_*` functions
 are earlier versions of package code, kept verbatim so that the current
-paths can be checked against them bit for bit.
+paths can be checked against them bit for bit.  The per-record and
+per-pair entry points below them (`nelson_aalen`, `area_distance`,
+`brier_censored`, the Cox and logistic likelihoods, ...) were public
+package functions that no command calls; they stay here, over the same
+private cores, as the definitions the batched paths are checked against.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from survcobra import tuning
-from survcobra.curves import CUMULATIVE, StepCurve, product_limit
+from survcobra.cobra import gamma_labels
+from survcobra.curves import CUMULATIVE, StepCurve, _checked_sample, _event_counts, evaluate, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
-from survcobra.learners.base import _check_vector
-from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _soft_threshold
-from survcobra.metrics import concordance_td
+from survcobra.learners.base import _check_vector, standardize_fit
+from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _PartialLikelihood, _soft_threshold
+from survcobra.metrics import _brier_scores, _check_aligned, concordance_td
 from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
-from survcobra.relevance import MAX_ITER, _gradient, _objective, _penalty
+from survcobra.relevance import (
+    DEFAULT_RIDGE,
+    MAX_ITER,
+    _design,
+    _gradient,
+    _objective,
+    _penalty,
+    _relevance_from_labels,
+)
 
 
 def slow_km(times, events):
@@ -149,8 +164,6 @@ def oracle_cobra_curve(model, x):
     product-limit over the members.  Returns (times, values) lists."""
     import math
 
-    from survcobra.curves import area_distance, distance_grid
-
     d_k = model.split.d_k
     d_l = model.split.d_l
     t_max = float(d_k.time.max())
@@ -209,9 +222,9 @@ def slow_curvature(x, times, events, beta):
 
 def slow_cv_penalty(data, penalty_kind, folds=3, seed=0):
     """The Cox penalty CV as a cold loop: every (penalty, fold) pair is a
-    fresh `fit_cox` from zero coefficients, scored by the public held-out
-    log partial likelihood.  A penalty fails when any fold raises."""
-    from survcobra.learners import cox_gradient, cox_log_partial_likelihood, fit_cox
+    fresh `fit_cox` from zero coefficients, scored by the held-out
+    `cox_log_partial_likelihood`.  A penalty fails when any fold raises."""
+    from survcobra.learners import fit_cox
 
     x = data.x
     sd = x.std(axis=0)
@@ -633,3 +646,122 @@ def reference_cox_curve(model, x):
     """Cox's former `predict_curve`: exp(-H0 * r) at the baseline's jumps."""
     r = float(model._risk(_check_vector(x, model.n_features)))
     return StepCurve(model.baseline_cumhaz.times, np.exp(-model.baseline_cumhaz.values * r))
+
+
+def nelson_aalen(times, events) -> StepCurve:
+    """Nelson-Aalen estimate of the cumulative hazard (sum of d/r)."""
+    u, d, r = _event_counts(*_checked_sample(times, events))
+    return StepCurve(u, np.cumsum(d / r) if u.size else u, CUMULATIVE)
+
+
+def distance_grid(a: StepCurve, b: StepCurve, t_max: float) -> np.ndarray:
+    """Grid on which the area distance of two step curves is exact:
+    the union of both curves' jump times plus the endpoints 0 and t_max."""
+    if not np.isfinite(t_max) or t_max <= 0.0:
+        raise ValueError("t_max must be positive and finite")
+    return np.unique(np.concatenate(([0.0], a.times, b.times, [float(t_max)])))
+
+
+def area_distance(a: StepCurve, b: StepCurve, grid) -> float:
+    """Time-averaged absolute area between two curves over `grid`.
+
+    Left-Riemann sum of |a - b| over consecutive grid points, divided by
+    the grid span.  Exact whenever both curves are constant between grid
+    points; symmetric and within [0, 1] for survival curves.
+    """
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size < 2:
+        raise ValueError("grid must contain at least two points")
+    if np.any(np.diff(g) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+    span = g[-1] - g[0]
+    if span <= 0.0:
+        raise ValueError("degenerate grid: zero span")
+    left = g[:-1]
+    gap = np.abs(evaluate(a, left) - evaluate(b, left))
+    return float(np.sum(gap * np.diff(g)) / span)
+
+
+def brier_censored(survival_at_t, times, events, t, censoring_curve: StepCurve) -> float:
+    """Censoring-weighted Brier score at time `t`.
+
+    `survival_at_t[i]` is record i's predicted survival at `t`.  Records
+    already censored by `t` contribute nothing; event records are weighted
+    by 1/G(y_i) and at-risk records by 1/G(t), where G is the
+    censoring-distribution Kaplan-Meier.
+    """
+    survival_at_t, times, events = _check_aligned(survival_at_t, times, events, ndim=1)
+    t = float(t)
+    g_at_times = evaluate(censoring_curve, times)
+    g_at_t = float(evaluate(censoring_curve, t))
+    return _brier_scores(times, events, g_at_times, [(t, g_at_t, survival_at_t)])[0]
+
+
+def logistic_penalized_loglik(features, labels, l2, coefficients) -> float:
+    """Bernoulli log-likelihood minus the ridge term (intercept unpenalized).
+
+    `coefficients` holds the intercept first.
+    """
+    x = _design(features)
+    return _objective(x, np.asarray(labels, dtype=float), _penalty(x.shape[1], l2),
+                      np.asarray(coefficients, dtype=float))
+
+
+def logistic_gradient(features, labels, l2, coefficients) -> np.ndarray:
+    """Analytic gradient of `logistic_penalized_loglik`."""
+    x = _design(features)
+    return _gradient(x, np.asarray(labels, dtype=float), _penalty(x.shape[1], l2),
+                     np.asarray(coefficients, dtype=float))[0]
+
+
+class QueryRelevance(NamedTuple):
+    """Logistic coefficients (intercept first) for one query point, and
+    whether its proximity labels were constant."""
+
+    coefficients: np.ndarray
+    degenerate: bool
+
+
+def relevance_for_query(model, x, l2: float = DEFAULT_RIDGE) -> QueryRelevance:
+    """Per-query relevance: regress the proximity labels on the
+    standardized calibration covariates."""
+    labels = gamma_labels(model, x)
+    features = standardize_fit(model.split.d_l, "relevance")[0]
+    return QueryRelevance(*_relevance_from_labels(features, labels, l2))
+
+
+class ProximityAggregate(NamedTuple):
+    """Event times, event counts, and at-risk counts over the proximity set."""
+
+    member_indices: np.ndarray
+    event_times: np.ndarray
+    event_counts: np.ndarray
+    risk_counts: np.ndarray
+
+
+def proximity_aggregate(model, x) -> ProximityAggregate:
+    """Counts behind the aggregated curve at query x."""
+    members = np.flatnonzero(gamma_labels(model, x))
+    d_l = model.split.d_l
+    u, d, r = _event_counts(d_l.time[members], d_l.event[members])
+    return ProximityAggregate(members, u, d.astype(np.int64), r.astype(np.int64))
+
+
+def cox_log_partial_likelihood(x, times, events, beta) -> float:
+    """Breslow-ties log partial likelihood at `beta` (no penalty)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    pl = _PartialLikelihood(x, np.asarray(times, float), np.asarray(events, float))
+    return pl.value(np.asarray(beta, dtype=float))
+
+
+def cox_gradient(x, times, events, beta) -> np.ndarray:
+    """Analytic gradient of the log partial likelihood at `beta`."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    pl = _PartialLikelihood(x, np.asarray(times, float), np.asarray(events, float))
+    return pl.gradient(np.asarray(beta, dtype=float))
+
+
+def breslow_baseline(model, data: SurvivalDataset) -> StepCurve:
+    """Recompute the Breslow baseline of a fitted Cox model on `data`."""
+    z = (data.x - model.feature_means) / model.feature_sds
+    return _PartialLikelihood(z, data.time, data.event.astype(float)).breslow(model.beta_standardized)

@@ -16,11 +16,11 @@ from survcobra.cli import main as cli_main
 from survcobra.cobra import CobraParams, fit_cobra, predict_cobra
 from survcobra.curves import censoring_km, evaluate, kaplan_meier
 from survcobra.data import SyntheticConfig, generate_synthetic
-from survcobra.learners import LearnerSpec, cox_gradient, fit_cox
-from survcobra.metrics import brier_censored, concordance_td, d_calibration, integrated_brier
+from survcobra.learners import LearnerSpec, fit_cox
+from survcobra.metrics import concordance_td, d_calibration, integrated_brier
 from survcobra.seeds import derive_seed
 
-from helpers import oracle_cobra_curve, random_dataset
+from helpers import brier_censored, cox_gradient, oracle_cobra_curve, random_dataset
 from test_cox import fd_gradient, two_group_data, two_group_score_root
 from test_metrics import random_curves, slow_concordance, survival_array
 

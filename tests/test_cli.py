@@ -466,6 +466,28 @@ def test_csv_without_covariates_exits_one(tmp_path, capsys, roster):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, roster, learner",
+    [
+        ("bench", [{"kind": "cox_ridge", "penalty": 1.0}], "cox_ridge"),
+        ("bench", [{"kind": "cox_lasso", "penalty": 1.0}], "cox_lasso"),
+        ("relevance", FAST_ROSTER[:1], "relevance"),
+    ],
+)
+def test_overflowing_column_exits_one_naming_the_learner_and_column(tmp_path, capsys, command, roster, learner):
+    rng = np.random.default_rng(0)
+    rows = [f"{rng.uniform(0.1, 5.0):.6f},{rng.uniform():.6f},1e308,{int(rng.uniform() < 0.7)}" for _ in range(60)]
+    (tmp_path / "data.csv").write_text("time,a,b,event\n" + "\n".join(rows) + "\n")
+    dataset = {"kind": "csv", "path": str(tmp_path / "data.csv"), "time_col": "time", "event_col": "event"}
+    cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=roster, folds=2)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("survcobra: error: ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f"{learner}: column 'b': its mean or sd overflows")
+    assert not out.exists()
+
+
 def rare_event_dataset(tmp_path):
     """A 60-row CSV with two events, and its dataset section: three folds
     always leave one part without any."""

@@ -20,11 +20,10 @@ from survcobra.cobra import (
     gamma_labels,
     predict_cobra,
     predict_cobra_batch,
-    proximity_aggregate,
 )
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.learners import LearnerSpec
-from helpers import oracle_cobra_curve, random_dataset, reference_member_mask, same_bits
+from helpers import oracle_cobra_curve, proximity_aggregate, random_dataset, reference_member_mask, same_bits
 
 TINY_ROSTER = (
     LearnerSpec("knn_survival", {"k": 3}),

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -6,19 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survcobra.curves import evaluate, nelson_aalen
+from survcobra.curves import evaluate
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
 from survcobra.exceptions import ConvergenceError
-from survcobra.learners import (
-    breslow_baseline,
-    cox_gradient,
-    cox_log_partial_likelihood,
-    fit_cox,
-)
+from survcobra.learners import fit_cox
 from survcobra.learners import cox
 from survcobra.seeds import derive_seed
 import helpers
-from helpers import random_dataset, same_bits, slow_curvature, slow_cv_penalty
+from helpers import (
+    breslow_baseline,
+    cox_gradient,
+    cox_log_partial_likelihood,
+    nelson_aalen,
+    random_dataset,
+    same_bits,
+    slow_curvature,
+    slow_cv_penalty,
+)
 
 
 def fd_gradient(x, times, events, beta, h=1e-5):
@@ -43,21 +48,48 @@ def two_group_data(rng, n, hazard_ratio=np.e):
     return SurvivalDataset(group[:, None], times, np.ones(n, dtype=int), ["g"])
 
 
-def two_group_score_root(x, times, events):
-    """Bisection root of the one-covariate partial-likelihood score,
-    computed from explicit risk-set counts."""
+def risk_set_score(x, times, events, b):
+    """The one-covariate partial-likelihood score at `b`, each event's term
+    summed over its explicit risk set (quadratic in the record count)."""
     flat = x[:, 0]
+    total = 0.0
+    for i in range(len(times)):
+        if events[i] != 1:
+            continue
+        at_risk = times >= times[i]
+        w = np.exp(b * flat[at_risk])
+        total += flat[i] - float((w * flat[at_risk]).sum() / w.sum())
+    return total
+
+
+def two_group_score(x, times, events):
+    """`risk_set_score` of a 0/1 covariate as a function of b, from counts.
+
+    One stable sort and a suffix count of the covariate give each event's
+    group-1 and group-0 counts at risk, n1 and n0, so that
+    score(b) = sum over events of g_i - e^b n1_i / (n0_i + e^b n1_i).
+    """
+    flat = x[:, 0]
+    assert np.isin(flat, (0.0, 1.0)).all(), "the count form needs a 0/1 covariate"
+    order = np.argsort(times, kind="stable")
+    ones_from = np.append(np.cumsum(flat[order][::-1])[::-1], 0.0)  # group-1 count from each position on
+    is_event = np.asarray(events) == 1
+    first = np.searchsorted(times[order], times[is_event], side="left")  # first record at risk
+    n1 = ones_from[first]
+    n0 = (len(times) - first) - n1
+    g = flat[is_event]
 
     def score(b):
-        total = 0.0
-        for i in range(len(times)):
-            if events[i] != 1:
-                continue
-            at_risk = times >= times[i]
-            w = np.exp(b * flat[at_risk])
-            total += flat[i] - float((w * flat[at_risk]).sum() / w.sum())
-        return total
+        eb = np.exp(b)
+        return float(np.sum(g - eb * n1 / (n0 + eb * n1)))
 
+    return score
+
+
+def two_group_score_root(x, times, events):
+    """Bisection root of the one-covariate partial-likelihood score,
+    computed from risk-set counts."""
+    score = two_group_score(x, times, events)
     lo, hi = -5.0, 5.0
     assert score(lo) > 0 > score(hi)
     for _ in range(60):
@@ -67,6 +99,19 @@ def two_group_score_root(x, times, events):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_group_score_counts_match_the_risk_set_loop(seed):
+    """The count form of the score oracle against its definition, with
+    tied times and censored records."""
+    rng = np.random.default_rng(seed)
+    ds = two_group_data(rng, 200)
+    times = np.ceil(ds.time * 10.0) / 10.0  # one decimal: many ties
+    events = (rng.uniform(size=200) < 0.7).astype(int)
+    score = two_group_score(ds.x, times, events)
+    for b in (-4.0, -1.0, 0.0, 0.5, 1.0, 3.0):
+        assert score(b) == pytest.approx(risk_set_score(ds.x, times, events, b), rel=1e-12, abs=1e-9)
 
 
 class TestGradient:
@@ -270,11 +315,44 @@ class TestBaselineAndPrediction:
             model.predict_values([[0.5, 0.5], [1e308, -1e308]], [0.5, 1.0, 3.0])
         assert str(err.value) == "cox_ridge: row 1: the linear predictor is NaN"
 
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    def test_overflowing_query_rows_get_their_limits_without_a_warning(self, kind):
+        ds = generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.3, dim=4, seed=1))
+        model = fit_cox(ds.subset(np.arange(40)), kind, penalty=1.0)
+        queries = ds.x[40:44].copy()
+        queries[2, 0] = -1e300  # the risk exp(beta . z) overflows, or underflows to 0
+        queries[3, 0] = 1e308  # the standardized term overflows
+        jumps = model.baseline_cumhaz.times
+        grid = [jumps[0] / 2, jumps[0], jumps[-1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = model.predict_values(queries, grid)
+        assert values[:2].tobytes() == model.predict_values(queries[:2], grid).tobytes()
+        for row in values[2:].tolist():
+            assert row in ([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(37)
         model = fit_cox(random_dataset(rng, 30, 2), "ridge", penalty=1.0)
         with pytest.raises(ValueError, match="shape"):
             model.predict_curve([1.0, 2.0, 3.0])
+
+
+class TestOverflowingColumn:
+    @pytest.mark.parametrize("kind", ["ridge", "lasso"])
+    @pytest.mark.parametrize("penalty", [1.0, None])
+    @pytest.mark.parametrize("column", [np.full(40, 1e308), np.tile([1e200, -1e200], 20)])
+    def test_refused_at_fit_by_name(self, kind, penalty, column):
+        # a mean of 1e308s, or a spread of +-1e200s, overflows to infinity: a
+        # data fault named by learner and column, not a solver failure
+        ds = generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.3, dim=4, seed=1))
+        x = ds.x[:40].copy()
+        x[:, 2] = column
+        overflowing = SurvivalDataset(x, ds.time[:40], ds.event[:40], ds.feature_names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^cox_{kind}: column 'x2': its mean or sd overflows$"):
+                fit_cox(overflowing, kind, penalty=penalty)
 
 
 class TestPenaltyCV:
@@ -301,7 +379,7 @@ def cv_sample(seed, n, p, censor):
 def cv_penalty(data, kind, folds, seed):
     """`cox._cv_penalty` with the likelihood `fit_cox` builds on all of
     `data` and hands to it."""
-    full = cox._PartialLikelihood(*cox._standardized(data)[:3])
+    full = cox._PartialLikelihood(*cox._standardized(data, kind)[:3])
     return cox._cv_penalty(data, full, kind, folds, seed)
 
 
@@ -445,7 +523,7 @@ class TestPenaltyPath:
     @pytest.mark.parametrize("kind", ["ridge", "lasso"])
     def test_warm_start_reaches_the_cold_optimum(self, kind):
         ds = cv_sample(12, 100, 4, 0.4)
-        z, times, events, _, _ = cox._standardized(ds)
+        z, times, events, _, _ = cox._standardized(ds, kind)
         pl = cox._PartialLikelihood(z, times, events)
         solve = cox._newton_ridge if kind == "ridge" else cox._coordinate_descent_lasso
         cold, _ = solve(pl, 1.0)
@@ -457,7 +535,8 @@ class TestPenaltyPath:
 def _fold(x, times, events):
     """A CV part as the plain arrays the likelihoods read; a
     `SurvivalDataset` cannot hold a part without events."""
-    return SimpleNamespace(x=x, time=times, event=np.asarray(events))
+    names = tuple(f"v{j}" for j in range(x.shape[1]))
+    return SimpleNamespace(x=x, time=times, event=np.asarray(events), feature_names=names)
 
 
 class TestPenaltyCVEdges:
@@ -523,6 +602,7 @@ SOLVERS = [
     ("_newton_ridge", helpers.reference_newton_ridge),
     ("_coordinate_descent_lasso", helpers.reference_coordinate_descent_lasso),
 ]
+SOLVER_KINDS = {"_newton_ridge": "ridge", "_coordinate_descent_lasso": "lasso"}
 
 
 class TestSolversMatchReference:
@@ -533,7 +613,7 @@ class TestSolversMatchReference:
     def test_cold_and_warm_fits_are_bitwise_equal(self, name, reference):
         solve = getattr(cox, name)
         for seed, n, p, censor in CV_CASES:
-            z, times, events, _, _ = cox._standardized(cv_sample(seed, n, p, censor))
+            z, times, events, _, _ = cox._standardized(cv_sample(seed, n, p, censor), SOLVER_KINDS[name])
             pl = cox._PartialLikelihood(z, times, events)
             for lam in (0.0, 0.1, 1.0, 10.0):
                 cold = _outcome(solve, pl, lam)
@@ -563,7 +643,7 @@ class TestSolversMatchReference:
         covariate = [float(f"{c:.6f}") for c in np.sort(rng.uniform(size=60))]
         data = SurvivalDataset(np.c_[covariate], np.arange(1.0, 61.0), np.ones(60, dtype=int), ["x"])
         for train, _ in kfold_split(data, 2, derive_seed(1, 1)):
-            pl = cox._PartialLikelihood(*cox._standardized(train)[:3])
+            pl = cox._PartialLikelihood(*cox._standardized(train, "ridge")[:3])
             with np.errstate(all="ignore"):
                 got = _outcome(cox._newton_ridge, pl, 0.0)
                 assert got == _outcome(helpers.reference_newton_ridge, pl, 0.0)
@@ -573,7 +653,7 @@ class TestSolversMatchReference:
     def test_stalled_search_raises_or_stops_as_before(self, name, reference):
         # from zero every try fails and the gradient is not small: the same
         # error; from the optimum every try fails too, and the fit stops there
-        z, times, events, _, _ = cox._standardized(cv_sample(3, 80, 4, 0.5))
+        z, times, events, _, _ = cox._standardized(cv_sample(3, 80, 4, 0.5), SOLVER_KINDS[name])
         solve = getattr(cox, name)
         zero = np.zeros(4)
         pl = _StallingLikelihood(z, times, events, zero)

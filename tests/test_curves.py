@@ -8,17 +8,17 @@ from survcobra.curves import (
     SURVIVAL,
     StepCurve,
     _event_counts,
-    area_distance,
     censoring_km,
-    distance_grid,
     evaluate,
     kaplan_meier,
-    nelson_aalen,
     product_limit,
     product_limit_rows,
 )
 
 from helpers import (
+    area_distance,
+    distance_grid,
+    nelson_aalen,
     reference_event_counts,
     reference_evaluate,
     reference_event_table,

@@ -14,9 +14,9 @@ from survcobra.curves import censoring_km, product_limit
 from survcobra.data import SurvivalDataset
 from survcobra.experiments import ExperimentConfig
 from survcobra.learners import LEARNER_KINDS, LearnerSpec, fit
-from survcobra.metrics import brier_censored, concordance_td, d_calibration, integrated_brier
+from survcobra.metrics import concordance_td, d_calibration, integrated_brier
 from survcobra.relevance import relevance_study
-from helpers import random_dataset
+from helpers import brier_censored, random_dataset
 
 CONFIG = {
     "dataset": {"kind": "synthetic", "n": 60, "dim": 4},

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -177,3 +180,46 @@ def test_property_predict_curve_matches_the_former_bodies(seed, n, p, event_rate
         got, want = model.predict_curve(q), REFERENCE_CURVES[spec.kind](model, q)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
+
+
+#: Cells whose mean, spread or standardized distance may overflow.
+EXTREME_CELLS = (1e308, -1e308, 1e-308)
+
+
+@st.composite
+def extreme_inputs(draw):
+    """A small training sample whose columns are plain, constant or hold
+    extreme cells, and query rows inside and far outside its range."""
+    n, p = draw(st.integers(12, 24)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = random_dataset(rng, n, p)
+    x = data.x.copy()
+    for j in range(p):
+        column = draw(st.sampled_from(["plain", "constant", "cells"]))
+        if column == "constant":
+            x[:, j] = draw(st.sampled_from((0.0, 1.0) + EXTREME_CELLS))
+        elif column == "cells":
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                x[i, j] = draw(st.sampled_from(EXTREME_CELLS))
+    far = st.sampled_from((-1e308, -1e300, -1e6, 1e-308, 1e6, 1e300, 1e308))
+    outside = draw(st.lists(st.lists(far, min_size=p, max_size=p), min_size=1, max_size=3))
+    queries = np.vstack([rng.uniform(size=(2, p)), outside])
+    return SurvivalDataset(x, data.time, data.event, data.feature_names), queries
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from(SPECS), case=extreme_inputs())
+def test_property_extreme_inputs_are_refused_by_name_or_predicted_in_range(spec, case):
+    # every learner either refuses the input in one line naming itself and
+    # the column or row, or predicts finite survival values in [0, 1]; no
+    # numpy warning escapes either way
+    data, queries = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = fit(spec, data).predict_values(queries, [0.0, 0.5, 1.0, 2.0, np.inf])
+        except ValueError as exc:
+            assert re.fullmatch(rf"{spec.kind}: (column '\w+'|row \d+): [^\n]+", str(exc)), str(exc)
+            return
+    assert values.shape == (queries.shape[0], 5)
+    assert ((values >= 0.0) & (values <= 1.0)).all()  # NaN fails both

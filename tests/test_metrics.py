@@ -7,14 +7,19 @@ from scipy.stats import chi2
 from survcobra.curves import CUMULATIVE, StepCurve, censoring_km, evaluate, kaplan_meier
 from survcobra.metrics import (
     MetricReport,
-    brier_censored,
     concordance_td,
     d_calibration,
     d_calibration_masses,
     integrated_brier,
 )
 
-from helpers import reference_brier_from_values, reference_evaluate, reference_integrated_brier, same_bits
+from helpers import (
+    brier_censored,
+    reference_brier_from_values,
+    reference_evaluate,
+    reference_integrated_brier,
+    same_bits,
+)
 
 
 def survival_array(curves, times):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +9,9 @@ from survcobra.cobra import CobraModel, CobraParams, fit_cobra
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.exceptions import ConvergenceError
 from survcobra.learners import LearnerSpec
-from survcobra.relevance import (
-    _irls,
-    fit_logistic,
-    logistic_gradient,
-    logistic_penalized_loglik,
-    relevance_for_query,
-    relevance_study,
-)
+from survcobra.relevance import _irls, fit_logistic, relevance_study
 import helpers
+from helpers import logistic_gradient, logistic_penalized_loglik, relevance_for_query
 
 
 def fd_gradient(features, labels, l2, beta, h=1e-5):
@@ -199,6 +194,20 @@ class TestRelevanceStudy:
             single = relevance_for_query(model, q)
             assert np.array_equal(result.per_query[i], single.coefficients)
             assert result.degenerate[i] == single.degenerate
+
+    def test_overflowing_column_is_refused_by_name(self):
+        # the tree fits a column of 1e308s; standardizing it for the
+        # regressions overflows, which is a data fault, not an IRLS failure
+        train = generate_synthetic(SyntheticConfig(n=120, censor_fraction=0.3, dim=5, seed=5))
+        x = train.x.copy()
+        x[:, 2] = 1e308
+        roster = (LearnerSpec("survival_tree", {"max_depth": 3, "min_leaf": 5}),)
+        overflowing = SurvivalDataset(x, train.time, train.event, train.feature_names)
+        model = fit_cobra(overflowing, CobraParams(0.05, 1.0, 0.5, roster), seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^relevance: column 'x2': its mean or sd overflows$"):
+                relevance_study(model, x[:4])
 
     def test_dimension_mismatch_rejected(self):
         model = small_relevance_model(seed=6)
