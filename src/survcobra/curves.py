@@ -1,11 +1,10 @@
 """Step-function survival curves and the nonparametric estimators on them.
 
-A `StepCurve` is a right-continuous piecewise-constant function on
-[0, inf).  Survival-kind curves start at 1 and are non-increasing within
-[0, 1]; cumulative-kind curves (cumulative hazards) start at 0 and are
-non-decreasing.  The module also provides the Kaplan-Meier product-limit
-estimator, its batched form on one grid, and the censoring-distribution
-Kaplan-Meier used for inverse-probability-of-censoring weights.
+A `StepCurve` is a right-continuous piecewise-constant survival function
+on [0, inf): it starts at 1 and is non-increasing within [0, 1].  The
+module also provides the Kaplan-Meier product-limit estimator, its batched
+form on one grid, and the censoring-distribution Kaplan-Meier used for
+inverse-probability-of-censoring weights.
 """
 
 from __future__ import annotations
@@ -13,11 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-SURVIVAL = "survival"
-CUMULATIVE = "cumulative"
-
-_BASELINES = {SURVIVAL: 1.0, CUMULATIVE: 0.0}
 
 
 def _frozen(arr: np.ndarray, original) -> np.ndarray:
@@ -31,24 +25,20 @@ def _frozen(arr: np.ndarray, original) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepCurve:
-    """Right-continuous step function with jumps at `times`.
+    """Right-continuous survival step function with jumps at `times`.
 
-    `values[i]` is the function value on [times[i], times[i+1]); before the
-    first jump the curve sits at its baseline (1 for survival curves, 0 for
-    cumulative-hazard curves).  Curves are immutable and safe to share.
+    `values[i]` is the survival on [times[i], times[i+1]); before the first
+    jump the curve sits at 1.  Curves are immutable and safe to share.
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str = SURVIVAL
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if self.kind not in _BASELINES:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
         if times.size:
             if not (np.isfinite(times).all() and np.isfinite(values).all()):
                 raise ValueError("curve times and values must be finite")
@@ -56,42 +46,22 @@ class StepCurve:
                 raise ValueError("jump times must be nonnegative")
             if (times[1:] <= times[:-1]).any():
                 raise ValueError("jump times must be strictly increasing")
-            if self.kind == SURVIVAL:
-                if values.min() < 0.0 or values.max() > 1.0:
-                    raise ValueError("survival values must lie in [0, 1]")
-                if (values[1:] > values[:-1]).any():
-                    raise ValueError("survival values must be non-increasing")
-            else:
-                if values.min() < 0.0:
-                    raise ValueError("cumulative values must be nonnegative")
-                if (values[1:] < values[:-1]).any():
-                    raise ValueError("cumulative values must be non-decreasing")
+            if values.min() < 0.0 or values.max() > 1.0:
+                raise ValueError("survival values must lie in [0, 1]")
+            if (values[1:] > values[:-1]).any():
+                raise ValueError("survival values must be non-increasing")
         object.__setattr__(self, "times", _frozen(times, self.times))
         object.__setattr__(self, "values", _frozen(values, self.values))
-
-    @property
-    def baseline(self) -> float:
-        return _BASELINES[self.kind]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepCurve):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.values, other.values)
-        )
+        return np.array_equal(self.times, other.times) and np.array_equal(self.values, other.values)
 
     __hash__ = None
 
     def __call__(self, t):
         return evaluate(self, t)
-
-    def to_rows(self):
-        """Yield (time, value) pairs for CSV serialization, baseline first."""
-        yield (0.0, self.baseline)
-        for t, v in zip(self.times.tolist(), self.values.tolist()):
-            yield (t, v)
 
 
 def _checked_times(t) -> np.ndarray:
@@ -103,12 +73,20 @@ def _checked_times(t) -> np.ndarray:
     return arr
 
 
+def _steps_at(jumps, values, t, before):
+    """Right-continuous read at `t` of steps that jump at ascending `jumps`:
+    `values[..., i]` on [jumps[i], jumps[i+1]), `before` ahead of jumps[0].
+    `values` is one row of steps or a (rows, jumps) matrix."""
+    idx = jumps.searchsorted(t, side="right")
+    if values.ndim == 1:  # one curve: the read `evaluate` makes per call, kept cheap
+        return np.concatenate(([before], values))[idx]
+    return np.concatenate((np.full((len(values), 1), before), values), axis=1)[:, idx]
+
+
 def evaluate(curve: StepCurve, t):
     """Evaluate a step curve at scalar or array `t` (right-continuously)."""
     arr = _checked_times(t)
-    # steps[i] holds on [times[i-1], times[i]), with the baseline before times[0]
-    steps = np.concatenate(([curve.baseline], curve.values))
-    out = steps[curve.times.searchsorted(arr, side="right")]
+    out = _steps_at(curve.times, curve.values, arr, 1.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -152,7 +130,7 @@ def _event_counts(t: np.ndarray, e: np.ndarray):
 def _product_limit(t: np.ndarray, e: np.ndarray) -> StepCurve:
     """`product_limit` on checked arrays."""
     u, d, r = _event_counts(t, e)
-    return StepCurve(u, np.cumprod(1.0 - d / r) if u.size else u, SURVIVAL)
+    return StepCurve(u, np.cumprod(1.0 - d / r) if u.size else u)
 
 
 def product_limit(times, events) -> StepCurve:
@@ -179,16 +157,13 @@ def product_limit_rows(times, events, grid) -> np.ndarray:
     g = _checked_times(grid)
     u = np.unique(t[is_event])
     rows, k = t.shape[0], u.size
-    if k == 0:
-        return np.ones((rows, g.size))
     last = np.searchsorted(u, t, side="right") - 1  # -1: gone before the first event
     cell = last + (np.arange(rows) * k)[:, None]
     at_risk = np.bincount(cell[last >= 0], minlength=rows * k).reshape(rows, k)
     r = np.cumsum(at_risk[:, ::-1], axis=1)[:, ::-1].astype(float)
     d = np.bincount(cell[is_event], minlength=rows * k).reshape(rows, k).astype(float)
     surv = np.cumprod(1.0 - np.divide(d, r, out=np.zeros_like(d), where=d > 0.0), axis=1)
-    idx = np.searchsorted(u, g, side="right") - 1
-    return np.where(idx < 0, 1.0, surv[:, np.maximum(idx, 0)])
+    return _steps_at(u, surv, g, 1.0)
 
 
 def kaplan_meier(times, events) -> StepCurve:

@@ -336,7 +336,7 @@ def write_relevance_reports(cfg: ExperimentConfig, feature_names, study, curves,
     points = [
         [q, repr(float(t)), repr(float(v))]
         for q, curve in enumerate(curves)
-        for t, v in curve.to_rows()
+        for t, v in [(0.0, 1.0), *zip(curve.times.tolist(), curve.values.tolist())]
     ]
     _write_csv(out / "curves.csv", ["query", "time", "value"], points)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..curves import CUMULATIVE, StepCurve, _event_counts
+from ..curves import _event_counts, _steps_at
 from ..data import SurvivalDataset, _named, kfold_split
 from ..exceptions import ConvergenceError
 from .base import BaseSurvivalModel, halving_step, standardize_fit
@@ -106,20 +106,21 @@ class _PartialLikelihood:
         eta, _, w, rev_w = self._weights(beta)
         base = self.d / rev_w[self.pos]
         base2 = self.d / rev_w[self.pos] ** 2
-        cum_a = np.cumsum(base)
-        cum_b = np.cumsum(base2)
-        last = np.searchsorted(self.u, self.ys, side="right") - 1
-        a = np.where(last >= 0, cum_a[np.maximum(last, 0)], 0.0)
-        b = np.where(last >= 0, cum_b[np.maximum(last, 0)], 0.0)
+        a = _steps_at(self.u, np.cumsum(base), self.ys, 0.0)
+        b = _steps_at(self.u, np.cumsum(base2), self.ys, 0.0)
         g = self.es - w * a
         h = np.maximum(w * a - w * w * b, 0.0)
         return eta, g, h
 
-    def breslow(self, beta) -> StepCurve:
-        """Breslow cumulative-hazard estimate at `beta`: jump d(t) / sum of
-        exp(beta . x_j) over the risk set at each event time."""
+    def breslow(self, beta) -> np.ndarray:
+        """Breslow cumulative-hazard estimate at `beta` at each event time of
+        `u`: the running sum of d(t) / sum of exp(beta . x_j) over the risk
+        set."""
         rev_w = np.cumsum(np.exp(self.xs @ beta)[::-1])[::-1]
-        return StepCurve(self.u, np.cumsum(self.d / rev_w[self.pos]), kind=CUMULATIVE)
+        cumhaz = np.cumsum(self.d / rev_w[self.pos])
+        if not np.isfinite(cumhaz).all():
+            raise ValueError("curve times and values must be finite")
+        return cumhaz
 
 
 def _soft_threshold(value: float, cut: float) -> float:
@@ -223,7 +224,8 @@ class CoxModel(BaseSurvivalModel):
     """Fitted proportional-hazards model."""
 
     beta: np.ndarray
-    baseline_cumhaz: StepCurve
+    baseline_times: np.ndarray  # the Breslow baseline jumps at the training event times
+    baseline_cumhaz: np.ndarray  # to its cumulative hazard there; 0 before the first
     feature_means: np.ndarray
     feature_sds: np.ndarray
     beta_standardized: np.ndarray
@@ -246,13 +248,13 @@ class CoxModel(BaseSurvivalModel):
             return np.exp((z * self.beta_standardized).sum(axis=-1))
 
     def _jump_times(self, x) -> np.ndarray:
-        return self.baseline_cumhaz.times
+        return self.baseline_times
 
     def _values(self, x, grid) -> np.ndarray:
         r = self._risk(x)
         if np.isnan(r).any():  # finite covariates whose terms overflow to +inf and -inf
             raise ValueError(f"cox_{self.penalty_kind}: row {np.isnan(r).argmax()}: the linear predictor is NaN")
-        h = self.baseline_cumhaz(grid)
+        h = _steps_at(self.baseline_times, self.baseline_cumhaz, grid, 0.0)
         # exactly 1.0 where the baseline is 0, also for an overflowed (infinite) risk
         return np.exp(-np.multiply(r[:, None], h, out=np.zeros((r.size, h.size)), where=h > 0.0))
 
@@ -340,6 +342,7 @@ def fit_cox(
     beta_std, trace = solve(pl, float(penalty))
     return CoxModel(
         beta=beta_std / sd,
+        baseline_times=pl.u,
         baseline_cumhaz=pl.breslow(beta_std),
         feature_means=mean,
         feature_sds=sd,

@@ -2,7 +2,8 @@
 
 Each internal node stores the (feature, threshold) pair maximizing the
 two-sample log-rank statistic among candidate thresholds (midpoints
-between consecutive distinct feature values).  Growth stops at
+between consecutive distinct feature values, or the lower value where the
+rounded midpoint falls outside [lower, upper)).  Growth stops at
 `max_depth`, when a child would fall below `min_leaf`, or when no split
 has a positive statistic.
 
@@ -78,8 +79,11 @@ def _best_split(xt, is_event, rows, ranks, cols, d, r, candidates, min_leaf):
         i = stat.argmax()
         top = float(stat[i])
         if 0.0 < top < np.inf and (best is None or top > best[0]):
-            q = cut[i]
-            best = (top, int(f), 0.5 * (float(fs[q]) + float(fs[q + 1])))
+            low, high = float(fs[cut[i]]), float(fs[cut[i] + 1])
+            mid = 0.5 * (low + high)
+            # the midpoint overflows beyond about 9e307 and can round up to
+            # `high` between neighbouring floats; `low` splits the same rows
+            best = (top, int(f), mid if low <= mid < high else low)
     return best
 
 

@@ -31,15 +31,15 @@ class MetricReport:
     fold_id: int
 
 
-def _check_aligned(survival, times, events, ndim=2):
+def _check_aligned(survival, times, events):
     """Float arrays of a sample checked by `curves._checked_sample`;
-    `survival` holds one value per record (ndim=1) or one row per record and
-    one column per record time (ndim=2), each finite and in [0, 1]."""
+    `survival` holds one row per record and one column per record time,
+    each finite and in [0, 1]."""
     times, events = _checked_sample(times, events)
     survival = np.asarray(survival, dtype=float)
-    if survival.shape != (times.size,) * ndim:
+    if survival.shape != (times.size, times.size):
         raise ValueError(
-            f"survival has shape {survival.shape}, expected {(times.size,) * ndim} for {times.size} records"
+            f"survival has shape {survival.shape}, expected {(times.size, times.size)} for {times.size} records"
         )
     if not ((survival >= 0.0) & (survival <= 1.0)).all():  # NaN fails both
         raise ValueError("survival values must be finite and lie in [0, 1]")

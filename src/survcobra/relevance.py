@@ -128,7 +128,7 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
     bounded size, and each chunk's regressions are fit before the next
     chunk is computed.  The aggregate for covariate j is the mean of
     |slope_j| over queries whose labels were not degenerate; fails if
-    every query degenerates.
+    the query set is empty or every query degenerates.
     """
     d_l = model.split.d_l
     features = standardize_fit(d_l, "relevance")[0]
@@ -136,6 +136,8 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
     for chunk in _label_chunks(model, queries):
         results.extend(_relevance_from_labels(features, labels, l2) for labels in chunk)
         set_sizes.extend(chunk.sum(axis=1).tolist())
+    if not results:
+        raise ValueError("the query set is empty: relevance needs at least one query")
     coefficients, flags = zip(*results)
     per_query = np.stack(coefficients)
     degenerate = np.array(flags)

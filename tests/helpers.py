@@ -17,12 +17,12 @@ import numpy as np
 
 from survcobra import tuning
 from survcobra.cobra import gamma_labels
-from survcobra.curves import CUMULATIVE, StepCurve, _checked_sample, _event_counts, evaluate, product_limit
+from survcobra.curves import StepCurve, _checked_sample, _event_counts, evaluate, product_limit
 from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners.base import _check_vector, standardize_fit
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _PartialLikelihood, _soft_threshold
-from survcobra.metrics import _brier_scores, _check_aligned, concordance_td
+from survcobra.metrics import _brier_scores, concordance_td
 from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
 from survcobra.relevance import (
     DEFAULT_RIDGE,
@@ -293,16 +293,17 @@ def reference_product_limit(times, events):
     return u, (np.cumprod(1.0 - d / r) if u.size else u)
 
 
-def reference_evaluate(curve, t):
-    """A step curve at scalar or array `t`, right-continuously."""
+def reference_evaluate(curve, t, baseline=1.0):
+    """A step curve (ascending jump `times` and their `values`) at scalar
+    or array `t`, right-continuously, with `baseline` before the first jump."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("evaluation times must be nonnegative")
     if curve.times.size == 0:
-        out = np.full(arr.shape, curve.baseline)
+        out = np.full(arr.shape, baseline)
         return float(out) if arr.ndim == 0 else out
     idx = np.searchsorted(curve.times, arr, side="right") - 1
-    out = np.where(idx < 0, curve.baseline, curve.values[np.maximum(idx, 0)])
+    out = np.where(idx < 0, baseline, curve.values[np.maximum(idx, 0)])
     return float(out) if arr.ndim == 0 else out
 
 
@@ -468,14 +469,15 @@ def reference_risk_structure(times, events):
     return order, ys, es, unique_times, d.astype(float), first_at_risk
 
 
-def reference_breslow_from_arrays(beta_standardized, z, times, events) -> StepCurve:
-    """Breslow cumulative-hazard estimate on standardized covariates:
-    jump d(t) / sum of exp(beta . z_j) over the risk set at each event time."""
+def reference_breslow_from_arrays(beta_standardized, z, times, events):
+    """Breslow cumulative-hazard estimate on standardized covariates, as
+    (event times, cumulative hazards): jump d(t) / sum of exp(beta . z_j)
+    over the risk set at each event time."""
     order, ys, es, u, d, pos = reference_risk_structure(times, events)
     w = np.exp(z[order] @ beta_standardized)
     rev_w = np.cumsum(w[::-1])[::-1]
     jumps = d / rev_w[pos]
-    return StepCurve(u, np.cumsum(jumps), kind=CUMULATIVE)
+    return u, np.cumsum(jumps)
 
 
 def reference_newton_ridge(pl, lam, start=None):
@@ -645,13 +647,14 @@ def reference_knn_curve(model, x):
 def reference_cox_curve(model, x):
     """Cox's former `predict_curve`: exp(-H0 * r) at the baseline's jumps."""
     r = float(model._risk(_check_vector(x, model.n_features)))
-    return StepCurve(model.baseline_cumhaz.times, np.exp(-model.baseline_cumhaz.values * r))
+    return StepCurve(model.baseline_times, np.exp(-model.baseline_cumhaz * r))
 
 
-def nelson_aalen(times, events) -> StepCurve:
-    """Nelson-Aalen estimate of the cumulative hazard (sum of d/r)."""
+def nelson_aalen(times, events):
+    """Nelson-Aalen estimate of the cumulative hazard (sum of d/r), as
+    (event times, cumulative hazards); the hazard is 0 before the first."""
     u, d, r = _event_counts(*_checked_sample(times, events))
-    return StepCurve(u, np.cumsum(d / r) if u.size else u, CUMULATIVE)
+    return u, (np.cumsum(d / r) if u.size else u)
 
 
 def distance_grid(a: StepCurve, b: StepCurve, t_max: float) -> np.ndarray:
@@ -690,7 +693,12 @@ def brier_censored(survival_at_t, times, events, t, censoring_curve: StepCurve) 
     by 1/G(y_i) and at-risk records by 1/G(t), where G is the
     censoring-distribution Kaplan-Meier.
     """
-    survival_at_t, times, events = _check_aligned(survival_at_t, times, events, ndim=1)
+    times, events = _checked_sample(times, events)
+    survival_at_t = np.asarray(survival_at_t, dtype=float)
+    if survival_at_t.shape != times.shape:
+        raise ValueError(f"survival has shape {survival_at_t.shape}, expected {times.shape} for {times.size} records")
+    if not ((survival_at_t >= 0.0) & (survival_at_t <= 1.0)).all():  # NaN fails both
+        raise ValueError("survival values must be finite and lie in [0, 1]")
     t = float(t)
     g_at_times = evaluate(censoring_curve, times)
     g_at_t = float(evaluate(censoring_curve, t))
@@ -761,7 +769,9 @@ def cox_gradient(x, times, events, beta) -> np.ndarray:
     return pl.gradient(np.asarray(beta, dtype=float))
 
 
-def breslow_baseline(model, data: SurvivalDataset) -> StepCurve:
-    """Recompute the Breslow baseline of a fitted Cox model on `data`."""
+def breslow_baseline(model, data: SurvivalDataset):
+    """Recompute the Breslow baseline of a fitted Cox model on `data`, as
+    (event times, cumulative hazards)."""
     z = (data.x - model.feature_means) / model.feature_sds
-    return _PartialLikelihood(z, data.time, data.event.astype(float)).breslow(model.beta_standardized)
+    pl = _PartialLikelihood(z, data.time, data.event.astype(float))
+    return pl.u, pl.breslow(model.beta_standardized)

@@ -258,30 +258,37 @@ class TestBaselineAndPrediction:
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, 40, 2)
         model = fit_cox(ds, "ridge", penalty=1e12)  # beta effectively zero
-        na = nelson_aalen(ds.time, ds.event)
-        assert np.array_equal(model.baseline_cumhaz.times, na.times)
-        assert np.allclose(model.baseline_cumhaz.values, na.values, atol=1e-9)
+        na_times, na = nelson_aalen(ds.time, ds.event)
+        assert np.array_equal(model.baseline_times, na_times)
+        assert np.allclose(model.baseline_cumhaz, na, atol=1e-9)
 
     def test_single_record_baseline_jump(self):
         ds = SurvivalDataset([[0.7]], [2.0], [1], ["x"])
         model = fit_cox(ds, "ridge", penalty=1.0)
-        assert np.array_equal(model.baseline_cumhaz.times, [2.0])
+        assert np.array_equal(model.baseline_times, [2.0])
         # the lone record sits at the feature mean, so its weight is exp(0)
-        assert model.baseline_cumhaz.values[0] == pytest.approx(1.0)
+        assert model.baseline_cumhaz[0] == pytest.approx(1.0)
 
     def test_prediction_at_feature_means_is_baseline_survival(self):
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, 50, 3)
         model = fit_cox(ds, "ridge", penalty=0.5)
         curve = model.predict_curve(model.feature_means)
-        assert np.allclose(curve.values, np.exp(-model.baseline_cumhaz.values))
+        assert np.allclose(curve.values, np.exp(-model.baseline_cumhaz))
+
+    def test_non_finite_breslow_baseline_refused(self):
+        # every weight exp(beta . x) underflows to 0, so each jump d / 0 is inf
+        pl = cox._PartialLikelihood(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        with np.errstate(divide="ignore", under="ignore"), pytest.raises(ValueError) as err:
+            pl.breslow(np.array([-1000.0]))
+        assert str(err.value) == "curve times and values must be finite"
 
     def test_breslow_recompute_matches_fit(self):
         rng = np.random.default_rng(33)
         ds = random_dataset(rng, 45, 2)
         model = fit_cox(ds, "ridge", penalty=0.2)
-        again = breslow_baseline(model, ds)
-        assert again == model.baseline_cumhaz
+        times, cumhaz = breslow_baseline(model, ds)
+        assert np.array_equal(times, model.baseline_times) and np.array_equal(cumhaz, model.baseline_cumhaz)
 
     def test_predict_values_matches_predict_curve(self):
         # at p = 9 a matrix-vector product and a one-row dot product round
@@ -301,7 +308,7 @@ class TestBaselineAndPrediction:
         ds = generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.3, dim=4, seed=1))
         train = SurvivalDataset(ds.x[:40, :2], ds.time[:40], ds.event[:40], ds.feature_names[:2])
         model = fit_cox(train, "ridge", penalty=1.0)
-        jumps = model.baseline_cumhaz.times
+        jumps = model.baseline_times
         with np.errstate(over="ignore"):  # the risk exp(beta . z) overflows to inf
             values = model.predict_values([[-1e300, -1e300]], [jumps[0] / 2, jumps[0], jumps[-1]])
         assert values.tolist() == [[1.0, 0.0, 0.0]]
@@ -322,7 +329,7 @@ class TestBaselineAndPrediction:
         queries = ds.x[40:44].copy()
         queries[2, 0] = -1e300  # the risk exp(beta . z) overflows, or underflows to 0
         queries[3, 0] = 1e308  # the standardized term overflows
-        jumps = model.baseline_cumhaz.times
+        jumps = model.baseline_times
         grid = [jumps[0] / 2, jumps[0], jumps[-1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -405,8 +412,7 @@ def test_property_risk_sets_and_baselines_match_the_references(seed, n, p, span,
     for got, want in ((pl.ys, ys), (pl.es, es), (pl.u, u), (pl.d, d), (pl.pos, pos)):
         assert same_bits(got, want)
     beta = rng.normal(size=p)
-    got, want = pl.breslow(beta), helpers.reference_breslow_from_arrays(beta, x, times, events)
-    assert same_bits(got.times, want.times) and same_bits(got.values, want.values)
+    assert same_bits(pl.breslow(beta), helpers.reference_breslow_from_arrays(beta, x, times, events)[1])
     data = SurvivalDataset(x, times, events.astype(int), [f"x{j}" for j in range(p)])
     for kind, penalty in (("ridge", 1.0), ("lasso", 0.1), ("ridge", None), ("lasso", None)):
         try:
@@ -415,8 +421,8 @@ def test_property_risk_sets_and_baselines_match_the_references(seed, n, p, span,
             continue
         z = (x - model.feature_means) / model.feature_sds
         want = helpers.reference_breslow_from_arrays(model.beta_standardized, z, times, events)
-        for got in (model.baseline_cumhaz, breslow_baseline(model, data)):
-            assert same_bits(got.times, want.times) and same_bits(got.values, want.values)
+        for got in ((model.baseline_times, model.baseline_cumhaz), breslow_baseline(model, data)):
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 @pytest.mark.parametrize("kind", ["ridge", "lasso"])
@@ -467,7 +473,8 @@ class TestPenaltyPath:
         cold = fit_cox(ds, kind, penalty=chosen.penalty)
         assert np.array_equal(chosen.beta_standardized, cold.beta_standardized)
         assert np.array_equal(chosen.beta, cold.beta)
-        assert chosen.baseline_cumhaz == cold.baseline_cumhaz
+        assert np.array_equal(chosen.baseline_times, cold.baseline_times)
+        assert np.array_equal(chosen.baseline_cumhaz, cold.baseline_cumhaz)
         assert chosen.objective_trace == cold.objective_trace
 
     def test_solver_iterates_are_pinned(self):

@@ -1,13 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survcobra.curves import (
-    CUMULATIVE,
-    SURVIVAL,
     StepCurve,
     _event_counts,
+    _steps_at,
     censoring_km,
     evaluate,
     kaplan_meier,
@@ -62,10 +63,6 @@ class TestStepCurve:
         out = evaluate(c, [0.0, 1.0, 2.9, 3.0, 100.0])
         assert np.array_equal(out, [1.0, 0.8, 0.8, 0.2, 0.2])
 
-    def test_cumulative_baseline_is_zero(self):
-        c = StepCurve([1.0], [0.7], kind=CUMULATIVE)
-        assert evaluate(c, 0.5) == 0.0
-
     def test_empty_curve_is_constant_baseline(self):
         c = StepCurve(np.empty(0), np.empty(0))
         assert evaluate(c, 123.0) == 1.0
@@ -82,8 +79,6 @@ class TestStepCurve:
             StepCurve([1.0, 2.0], [0.4, 0.5])  # increasing survival values
         with pytest.raises(ValueError):
             StepCurve([1.0], [1.5])  # above 1
-        with pytest.raises(ValueError):
-            StepCurve([1.0, 2.0], [0.5, 0.4], kind=CUMULATIVE)  # decreasing hazard
 
     def test_does_not_freeze_caller_arrays(self):
         times = np.array([1.0, 2.0])
@@ -93,37 +88,40 @@ class TestStepCurve:
 
 EMPTY = np.empty(0)
 
+EVALUATION_TIMES = pytest.mark.parametrize(
+    "t",
+    [0.0, 1.0, 1.9, 2.0, 3.0, 1e9, np.float64(2.5), np.nan, [0.0, 1.0, 2.9, 3.0, 100.0],
+     np.array([[0.5, 2.0], [3.0, 0.0]]), EMPTY, [np.nan, 1.0], np.inf, [0.0, np.inf]],
+    ids=["0", "1", "1.9", "2", "3", "1e9", "float64", "nan", "list", "2-d", "empty", "nan in list",
+         "inf", "inf in list"],
+)
+
 INVALID_CURVES = [
-    ([[1.0]], [0.5], SURVIVAL, "times and values must be 1-d arrays of equal length"),
-    ([1.0, 2.0], [0.5], SURVIVAL, "times and values must be 1-d arrays of equal length"),
-    ([1.0], [0.5], "hazard", "unknown curve kind 'hazard'"),
-    ([np.nan], [0.5], SURVIVAL, "curve times and values must be finite"),
-    ([1.0, np.inf], [0.5, 0.4], SURVIVAL, "curve times and values must be finite"),
-    ([1.0], [np.nan], SURVIVAL, "curve times and values must be finite"),
-    ([2.0, 1.0], [np.nan, 1.5], SURVIVAL, "curve times and values must be finite"),
-    ([1.0], [-np.inf], CUMULATIVE, "curve times and values must be finite"),
-    ([-1.0, 2.0], [0.5, 0.4], SURVIVAL, "jump times must be nonnegative"),
-    ([-1.0, -2.0], [1.5, 0.4], SURVIVAL, "jump times must be nonnegative"),
-    ([2.0, 1.0], [0.5, 0.4], SURVIVAL, "jump times must be strictly increasing"),
-    ([1.0, 1.0], [0.5, 0.4], SURVIVAL, "jump times must be strictly increasing"),
-    ([1.0, -1.0], [0.5, 0.4], SURVIVAL, "jump times must be strictly increasing"),
-    ([1.0, 2.0, 2.0], [0.5, 0.6, 1.5], SURVIVAL, "jump times must be strictly increasing"),
-    ([1.0], [1.5], SURVIVAL, "survival values must lie in [0, 1]"),
-    ([1.0], [-0.1], SURVIVAL, "survival values must lie in [0, 1]"),
-    ([1.0, 2.0], [0.5, 1.5], SURVIVAL, "survival values must lie in [0, 1]"),
-    ([1.0, 2.0], [0.4, 0.5], SURVIVAL, "survival values must be non-increasing"),
-    ([0.0, 1.0, 2.0], [1.0, 0.0, 1e-300], SURVIVAL, "survival values must be non-increasing"),
-    ([1.0], [-0.5], CUMULATIVE, "cumulative values must be nonnegative"),
-    ([1.0, 2.0], [-1.0, -2.0], CUMULATIVE, "cumulative values must be nonnegative"),
-    ([1.0, 2.0], [0.5, 0.4], CUMULATIVE, "cumulative values must be non-decreasing"),
-    ([1.0, 2.0, 3.0], [2.0, 5.0, 4.999], CUMULATIVE, "cumulative values must be non-decreasing"),
+    ([[1.0]], [0.5], "times and values must be 1-d arrays of equal length"),
+    ([1.0, 2.0], [0.5], "times and values must be 1-d arrays of equal length"),
+    ([np.nan], [0.5], "curve times and values must be finite"),
+    ([1.0, np.inf], [0.5, 0.4], "curve times and values must be finite"),
+    ([1.0], [np.nan], "curve times and values must be finite"),
+    ([2.0, 1.0], [np.nan, 1.5], "curve times and values must be finite"),
+    ([1.0], [-np.inf], "curve times and values must be finite"),
+    ([-1.0, 2.0], [0.5, 0.4], "jump times must be nonnegative"),
+    ([-1.0, -2.0], [1.5, 0.4], "jump times must be nonnegative"),
+    ([2.0, 1.0], [0.5, 0.4], "jump times must be strictly increasing"),
+    ([1.0, 1.0], [0.5, 0.4], "jump times must be strictly increasing"),
+    ([1.0, -1.0], [0.5, 0.4], "jump times must be strictly increasing"),
+    ([1.0, 2.0, 2.0], [0.5, 0.6, 1.5], "jump times must be strictly increasing"),
+    ([1.0], [1.5], "survival values must lie in [0, 1]"),
+    ([1.0], [-0.1], "survival values must lie in [0, 1]"),
+    ([1.0, 2.0], [0.5, 1.5], "survival values must lie in [0, 1]"),
+    ([1.0, 2.0], [0.4, 0.5], "survival values must be non-increasing"),
+    ([0.0, 1.0, 2.0], [1.0, 0.0, 1e-300], "survival values must be non-increasing"),
 ]
 
 
-@pytest.mark.parametrize("times, values, kind, message", INVALID_CURVES)
-def test_invalid_curve_gets_its_message(times, values, kind, message):
+@pytest.mark.parametrize("times, values, message", INVALID_CURVES)
+def test_invalid_curve_gets_its_message(times, values, message):
     with pytest.raises(ValueError) as err:
-        StepCurve(times, values, kind)
+        StepCurve(times, values)
     assert str(err.value) == message
 
 
@@ -149,8 +147,8 @@ class TestBitwiseReference:
         want_times, want_values = reference_product_limit(times, events)
         assert same_bits(curve.times, want_times) and same_bits(curve.values, want_values)
         u, d, r = reference_event_table(times, events)
-        hazard = nelson_aalen(times, events)
-        assert same_bits(hazard.times, u) and same_bits(hazard.values, np.cumsum(d / r) if u.size else u)
+        hazard_times, hazard = nelson_aalen(times, events)
+        assert same_bits(hazard_times, u) and same_bits(hazard, np.cumsum(d / r) if u.size else u)
 
     @pytest.mark.parametrize("name", SAMPLES)
     def test_product_limit_on_edge_samples(self, name):
@@ -179,18 +177,10 @@ class TestBitwiseReference:
             StepCurve([2.0], [0.5]),
             StepCurve([0.0, 1.0, 3.0], [0.9, 0.8, 0.0]),
             StepCurve(EMPTY, EMPTY),
-            StepCurve([1.0, 2.5], [0.7, 1.2], kind=CUMULATIVE),
-            StepCurve(EMPTY, EMPTY, kind=CUMULATIVE),
         ],
-        ids=["one jump", "jump at zero", "empty", "cumulative", "empty cumulative"],
+        ids=["one jump", "jump at zero", "empty"],
     )
-    @pytest.mark.parametrize(
-        "t",
-        [0.0, 1.0, 1.9, 2.0, 3.0, 1e9, np.float64(2.5), np.nan, [0.0, 1.0, 2.9, 3.0, 100.0],
-         np.array([[0.5, 2.0], [3.0, 0.0]]), EMPTY, [np.nan, 1.0], np.inf, [0.0, np.inf]],
-        ids=["0", "1", "1.9", "2", "3", "1e9", "float64", "nan", "list", "2-d", "empty", "nan in list",
-             "inf", "inf in list"],
-    )
+    @EVALUATION_TIMES
     def test_evaluate(self, curve, t):
         if np.isnan(t).any():
             # the reference read a NaN as past the last jump; it is rejected
@@ -198,6 +188,16 @@ class TestBitwiseReference:
                 evaluate(curve, t)
         else:
             assert same_bits(evaluate(curve, t), reference_evaluate(curve, t))
+
+    @pytest.mark.parametrize("jumps, hazards", [([1.0, 2.5], [0.7, 1.2]), (EMPTY, EMPTY)], ids=["hazard", "empty"])
+    @EVALUATION_TIMES
+    def test_steps_at_from_zero(self, jumps, hazards, t):
+        # Cox's read of its cumulative-hazard baseline, 0 before the first
+        # jump; its grid is checked before, so a NaN reads past the last jump
+        # here as in the reference
+        steps = SimpleNamespace(times=np.asarray(jumps), values=np.asarray(hazards))
+        got = _steps_at(steps.times, steps.values, np.asarray(t, dtype=float), 0.0)
+        assert same_bits(got if np.ndim(t) else float(got), reference_evaluate(steps, t, baseline=0.0))
 
     @pytest.mark.parametrize("t", [-0.1, [1.0, -1e-300], np.array([[0.0], [-np.inf]])])
     def test_evaluate_rejects_negative_times(self, t):
@@ -262,10 +262,10 @@ def test_property_kaplan_meier_matches_sequential_oracle(records):
 @given(records=TIED_RECORDS)
 def test_property_nelson_aalen_matches_sequential_oracle(records):
     times, events = map(list, zip(*records))
-    curve = nelson_aalen(times, events)
+    hazard_times, hazard = nelson_aalen(times, events)
     oracle_times, oracle_values = slow_na(times, events)
-    assert curve.times.tolist() == oracle_times
-    assert curve.values.tolist() == oracle_values
+    assert hazard_times.tolist() == oracle_times
+    assert hazard.tolist() == oracle_values
 
 
 @settings(max_examples=30, deadline=None)
@@ -316,23 +316,41 @@ class TestProductLimitRows:
         got = product_limit_rows(np.array([[1.0, 2.0]]), np.array([[1, 0]]), [0.0, np.inf])
         assert got.tolist() == [[1.0, 0.5]]
 
+    @pytest.mark.parametrize(
+        "events, want", [([[1, 0], [0, 1]], [0.5, 1.0]), ([[0, 0], [0, 0]], [1.0, 1.0])], ids=["events", "no event"]
+    )
+    def test_scalar_grid_gives_one_value_per_row(self, events, want):
+        got = product_limit_rows(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array(events), 1.5)
+        assert got.shape == (2,) and got.tolist() == want
+
+
+def test_steps_at_reads_each_row_of_a_matrix_as_one_row():
+    rng = np.random.default_rng(8)
+    jumps = np.array([0.5, 1.0, 2.0, 4.0])
+    values = np.sort(rng.uniform(size=(5, 4)), axis=1)[:, ::-1]
+    grid = np.array([0.0, 0.5, 0.7, 1.0, 3.9, 4.0, np.inf])
+    got = _steps_at(jumps, values, grid, 1.0)
+    assert got.shape == (5, grid.size)
+    for row, want in zip(got, values):
+        assert same_bits(row, _steps_at(jumps, want, grid, 1.0))
+    assert same_bits(got[:, 0], np.ones(5)) and same_bits(got[:, -1], values[:, -1])
+
 
 class TestNelsonAalen:
     def test_hand_sum(self):
-        c = nelson_aalen([3.0, 5.0, 7.0], [1, 0, 1])
-        assert np.array_equal(c.times, [3.0, 7.0])
-        assert np.allclose(c.values, [1.0 / 3.0, 1.0 / 3.0 + 1.0])
-        assert c.kind == CUMULATIVE
+        times, hazard = nelson_aalen([3.0, 5.0, 7.0], [1, 0, 1])
+        assert np.array_equal(times, [3.0, 7.0])
+        assert np.allclose(hazard, [1.0 / 3.0, 1.0 / 3.0 + 1.0])
 
     def test_no_events_is_zero(self):
-        c = nelson_aalen([1.0, 2.0], [0, 0])
-        assert c.times.size == 0
-        assert evaluate(c, 5.0) == 0.0
+        times, hazard = nelson_aalen([1.0, 2.0], [0, 0])
+        assert times.size == 0
+        assert _steps_at(times, hazard, 5.0, 0.0) == 0.0
 
     def test_single_event(self):
-        c = nelson_aalen([1.0], [1])
-        assert np.array_equal(c.times, [1.0])
-        assert np.array_equal(c.values, [1.0])
+        times, hazard = nelson_aalen([1.0], [1])
+        assert np.array_equal(times, [1.0])
+        assert np.array_equal(hazard, [1.0])
 
     def test_exp_minus_na_dominates_km(self):
         rng = np.random.default_rng(3)
@@ -342,9 +360,9 @@ class TestNelsonAalen:
             events = rng.integers(0, 2, size=n)
             events[int(rng.integers(n))] = 1
             km = kaplan_meier(times, events)
-            na = nelson_aalen(times, events)
+            na_times, na = nelson_aalen(times, events)
             grid = np.unique(times)
-            assert np.all(np.exp(-evaluate(na, grid)) >= evaluate(km, grid) - 1e-12)
+            assert np.all(np.exp(-_steps_at(na_times, na, grid, 0.0)) >= evaluate(km, grid) - 1e-12)
 
 
 class TestCensoringKM:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survcobra.cobra import CobraParams, fit_cobra, predict_cobra
-from survcobra.curves import SURVIVAL, evaluate
+from survcobra.curves import evaluate
 from survcobra.data import SurvivalDataset
 from survcobra.exceptions import ConvergenceError
 from survcobra.learners import LEARNER_KINDS, BaseSurvivalModel, LearnerSpec, default_roster, fit
@@ -61,7 +61,6 @@ class TestPredictContract:
             assert model.n_features == 3
             for q in rng.uniform(size=(6, 3)):
                 curve = model.predict_curve(q)  # constructor enforces monotone [0,1]
-                assert curve.kind == SURVIVAL
                 assert evaluate(curve, 0.0) == 1.0 or curve.times[0] == 0.0
 
     def test_base_class_has_no_predict_values(self):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from survcobra.curves import CUMULATIVE, StepCurve, censoring_km, evaluate, kaplan_meier
+from survcobra.curves import StepCurve, censoring_km, evaluate, kaplan_meier
 from survcobra.metrics import (
     MetricReport,
     concordance_td,
@@ -249,7 +249,6 @@ class TestBitwiseReference:
         "reaches zero": StepCurve([1.0, 2.0, 3.0], [0.6, 0.2, 0.0]),
         "zero at once": StepCurve([0.0], [0.0]),
         "constant one": StepCurve(np.empty(0), np.empty(0)),
-        "cumulative": StepCurve([1.0, 2.0], [0.5, 2.0], kind=CUMULATIVE),
     }
 
     @pytest.mark.parametrize("name", CENSORING)

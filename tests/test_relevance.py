@@ -214,6 +214,13 @@ class TestRelevanceStudy:
         with pytest.raises(ValueError, match="features"):
             relevance_study(model, np.zeros((3, 4)))
 
+    def test_empty_query_set_rejected(self):
+        model = small_relevance_model(seed=6)
+        with pytest.raises(ValueError, match="^the query set is empty: relevance needs at least one query$"):
+            relevance_study(model, np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="features"):  # the columns are checked first
+            relevance_study(model, np.zeros((0, 4)))
+
 
 def _irls_outcome(solve, x, y, l2):
     """An IRLS run as comparable bytes: ("fit", coefficients, trace) or

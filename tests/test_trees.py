@@ -131,6 +131,24 @@ class TestSurvivalTree:
         )
         assert chosen_stat == pytest.approx(best_stat, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(2.697867137638703, np.nextafter(2.697867137638703, 3.0)), (1e308, 1.5e308), (-1.5e308, -1e308)],
+        ids=["neighbouring floats", "midpoint overflows", "midpoint overflows below"],
+    )
+    def test_threshold_separates_its_two_values(self, low, high):
+        # ten early and ten late records at two values whose rounded midpoint
+        # is `high` or infinite: the threshold is `low`, and each group gets
+        # its own curve
+        x = np.repeat([low, high], 10)[:, None]
+        times = np.concatenate([np.linspace(0.1, 1.0, 10), np.linspace(2.0, 3.0, 10)])
+        ds = SurvivalDataset(x, times, np.ones(20, dtype=int), ["x"])
+        tree = fit_survival_tree(ds, max_depth=1, min_leaf=2)
+        assert tree.root.threshold == low
+        assert tree.leaf_ids(np.array([[low], [high]])).tolist() == [0, 1]
+        for group, value in ((slice(0, 10), low), (slice(10, 20), high)):
+            assert tree.predict_curve([value]) == kaplan_meier(times[group], np.ones(10))
+
     def test_split_is_argmax_on_random_data(self):
         for seed in range(6):
             rng = np.random.default_rng(100 + seed)
@@ -223,7 +241,6 @@ class TestRandomSurvivalForest:
         forest = fit_random_survival_forest(ds, n_trees=12, min_leaf=4, seed=3)
         for q in rng.uniform(size=(10, 3)):
             curve = forest.predict_curve(q)  # constructor enforces the invariants
-            assert curve.kind == "survival"
             assert evaluate(curve, 0.0) <= 1.0
 
     def test_seeded_determinism(self):
