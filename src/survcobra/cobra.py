@@ -26,12 +26,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, _checked_times, _product_limit, evaluate, kaplan_meier
+from .curves import StepCurve, _checked_grid, _product_limit, evaluate, kaplan_meier
 from .data import DatasetSplit, SurvivalDataset, _check_matrix, _check_vector, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
 #: Upper bound, in bytes, on what one chunk of a query set holds at a time
-#: (see `_distance_chunks`).
+#: (see `_step_chunks`).
 _DISTANCE_BUDGET_BYTES = 32 * 2**20
 
 
@@ -132,7 +132,7 @@ class CobraModel:
     def predict_values(self, queries, times) -> np.ndarray:
         """`survival[i, k]`: the aggregated curve of query i at `times[k]`,
         the learners' call, from one chunked distance pass."""
-        times = _checked_times(times)
+        times = _checked_grid(times)
         return np.concatenate([np.empty((0, times.size)), *_step_chunks(self, queries, _survival_matrix, times)])
 
 
@@ -142,32 +142,30 @@ def fit_cobra(train: SurvivalDataset, params: CobraParams, seed: int) -> CobraMo
     return CobraModel(params, _fit_stack(train, params.roster, params.l_fraction, seed))
 
 
-def _distance_chunks(stack: _CobraStack, queries, reduce):
-    """`reduce(stack.query_distances(chunk))` over consecutive chunks of the
-    checked query matrix, lazily; a bad query fails at the call.
+def _step_chunks(model: CobraModel, queries, step, *extra):
+    """`step(d_l, pop_km, distances, epsilon, need, *extra)` over the distance
+    tensors of consecutive chunks of the checked query matrix, lazily: a bad
+    query fails at the call, and the steps are `_aggregate`,
+    `_survival_matrix` and `_labels`.
 
     A chunk holds as many queries (at least one) as keep within
     `_DISTANCE_BUDGET_BYTES` their rows of the (machines, chunk, n_l)
     float64 tensor and of the running machine's (chunk, grid) curve
     matrices, of which ridge Cox holds three (the product, its `exp` and
-    `_weighted`'s copy).  No name holds a tensor past its `reduce`, so one
-    is alive at a time.  Every row of a learner's `predict_values` and of
-    a cityblock `cdist` is computed on its own, so chunking leaves every
+    `_weighted`'s copy).  No name holds a tensor past its step, so one is
+    alive at a time.  Every row of a learner's `predict_values` and of a
+    cityblock `cdist` is computed on its own, so chunking leaves every
     distance unchanged.
     """
+    stack = model.stack
     q = _check_matrix(queries, stack.split.d_k.n_features)
     per_query = (len(stack.machines) * stack.split.d_l.n + 3 * stack.grid.size) * 8
     size = max(1, _DISTANCE_BUDGET_BYTES // per_query)
-    return (reduce(stack.query_distances(q[start : start + size])) for start in range(0, q.shape[0], size))
-
-
-def _step_chunks(model: CobraModel, queries, step, *extra):
-    """`step(d_l, pop_km, distances, epsilon, need, *extra)` over the distance
-    chunks of `queries`, lazily: `_aggregate` or `_survival_matrix`."""
-    d_l, pop_km = model.split.d_l, model.stack.pop_km
+    d_l, pop_km = stack.split.d_l, stack.pop_km
     epsilon, need = model.params.epsilon, model.params.consensus_count
-    return _distance_chunks(
-        model.stack, queries, lambda distances: step(d_l, pop_km, distances, epsilon, need, *extra)
+    return (
+        step(d_l, pop_km, stack.query_distances(q[start : start + size]), epsilon, need, *extra)
+        for start in range(0, q.shape[0], size)
     )
 
 
@@ -178,19 +176,16 @@ def _member_mask(distances, epsilon, need) -> np.ndarray:
     return distances[need - 1] <= epsilon
 
 
-def _label_chunks(model: CobraModel, queries):
-    """The (chunk, n_l) 0/1 proximity labels of consecutive chunks of a
-    query set, lazily, from one chunked distance pass."""
-    epsilon, need = model.params.epsilon, model.params.consensus_count
-    return _distance_chunks(
-        model.stack, queries, lambda distances: _member_mask(distances, epsilon, need).astype(np.int64)
-    )
+def _labels(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need) -> np.ndarray:
+    """The (queries, n_l) bool proximity labels of a distance tensor, one
+    byte a label."""
+    return _member_mask(distances, epsilon, need)
 
 
 def gamma_labels(model: CobraModel, x) -> np.ndarray:
     """The 0/1 proximity indicator of every calibration record for query x."""
     x = _check_vector(x, model.split.d_k.n_features)
-    return next(_label_chunks(model, x[None, :]))[0]
+    return next(_step_chunks(model, x[None, :], _labels))[0].astype(np.int64)
 
 
 def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon, need) -> StepCurve:

@@ -73,6 +73,14 @@ def _checked_times(t) -> np.ndarray:
     return arr
 
 
+def _checked_grid(t) -> np.ndarray:
+    """`_checked_times` of a prediction grid, which must be 1-d."""
+    arr = _checked_times(t)
+    if arr.ndim != 1:
+        raise ValueError(f"evaluation times must be a 1-d array, got shape {arr.shape}")
+    return arr
+
+
 def _steps_at(jumps, values, t, before):
     """Right-continuous read at `t` of steps that jump at ascending `jumps`:
     `values[..., i]` on [jumps[i], jumps[i+1]), `before` ahead of jumps[0].

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curves import StepCurve, _checked_times
+from ..curves import StepCurve, _checked_grid
 from ..data import SurvivalDataset, _check_matrix, _check_vector
 
 
@@ -28,7 +28,7 @@ class BaseSurvivalModel:
         """Survival values for each row of `x` at each grid point: the same
         floats as evaluating `predict_curve` of that row on `grid`, which is
         this at the model's own jump times."""
-        return self._values(_check_matrix(x, self.n_features), _checked_times(grid))
+        return self._values(_check_matrix(x, self.n_features), _checked_grid(grid))
 
     def _values(self, x, grid) -> np.ndarray:
         """`predict_values` on a checked covariate matrix and grid."""

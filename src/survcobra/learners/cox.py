@@ -56,18 +56,6 @@ class _PartialLikelihood:
         log_w = np.log(rev_w[self.pos]) + shift
         return event_term - float(self.d @ log_w)
 
-    def _risk_moments(self, beta):
-        """Weights, risk-set totals W_k and weighted risk-set means mu_k at
-        each distinct event time."""
-        _, _, w, rev_w = self._weights(beta)
-        rev_wx = np.cumsum((w[:, None] * self.xs)[::-1], axis=0)[::-1]
-        wk = rev_w[self.pos]
-        return w, wk, rev_wx[self.pos] / wk[:, None]
-
-    def gradient(self, beta) -> np.ndarray:
-        _, _, mu = self._risk_moments(beta)
-        return self._sx_events - self.d @ mu
-
     def gradient_and_curvature(self, beta):
         """The gradient and the curvature from one pass over the risk sets.
 
@@ -82,7 +70,11 @@ class _PartialLikelihood:
         and each (rows, p, p) temporary holds about `_CURVATURE_BUDGET_BYTES`
         at most, not n p^2 floats.
         """
-        w, wk, mu = self._risk_moments(beta)
+        _, _, w, rev_w = self._weights(beta)
+        rev_wx = np.cumsum((w[:, None] * self.xs)[::-1], axis=0)[::-1]
+        # W_k and mu_k: each event time's risk-set total weight and weighted mean
+        wk = rev_w[self.pos]
+        mu = rev_wx[self.pos] / wk[:, None]
         p = self.p
         h = np.zeros((p, p))
         carry = np.zeros((1, p, p))
@@ -279,7 +271,7 @@ def _cv_penalty(data: SurvivalDataset, pl: _PartialLikelihood, penalty_kind: str
     within the solver tolerance, and `fit_cox` refits cold at the penalty
     chosen here.
     """
-    lam_max = float(np.max(np.abs(pl.gradient(np.zeros(pl.p)))))
+    lam_max = float(np.max(np.abs(pl.gradient_and_curvature(np.zeros(pl.p))[0])))
     if lam_max == 0.0:
         lam_max = 1.0
     grid = lam_max * np.logspace(0.0, -4.0, 10)

@@ -137,6 +137,8 @@ def d_calibration_masses(survival, times, events, bins: int = 10) -> np.ndarray:
     to its own bin, uniform mass to every lower bin).  Masses sum to the
     record count.
     """
+    if not isinstance(bins, (int, np.integer)):
+        raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 2:
         raise ValueError("bins must be at least 2")
     survival, times, events = _check_aligned(survival, times, events)
@@ -163,6 +165,8 @@ def d_calibration(survival, times, events, bins: int = 10, level: float = 0.05):
 
     Returns (passed, p_value), passing when the p-value exceeds `level`.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     masses = d_calibration_masses(survival, times, events, bins)
     n = len(times)
     expected = n / bins

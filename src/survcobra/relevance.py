@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .cobra import CobraModel, _label_chunks
+from .cobra import CobraModel, _labels, _step_chunks
 from .exceptions import ConvergenceError
 from .learners.base import halving_step, standardize_fit
 
@@ -133,7 +133,7 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
     d_l = model.split.d_l
     features = standardize_fit(d_l, "relevance")[0]
     results, set_sizes = [], []
-    for chunk in _label_chunks(model, queries):
+    for chunk in _step_chunks(model, queries, _labels):
         results.extend(_relevance_from_labels(features, labels, l2) for labels in chunk)
         set_sizes.extend(chunk.sum(axis=1).tolist())
     if not results:

@@ -48,8 +48,8 @@ class SearchSpace:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         lo, hi = self.epsilon_range
-        if not 0.0 < lo < hi:
-            raise ValueError("epsilon_range must satisfy 0 < low < high")
+        if not 0.0 < lo < hi < np.inf:
+            raise ValueError("epsilon_range must satisfy 0 < low < high < inf")
         if not self.alpha_choices or not self.l_fraction_choices:
             raise ValueError("choice lists may not be empty")
 

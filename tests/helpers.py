@@ -766,7 +766,7 @@ def cox_gradient(x, times, events, beta) -> np.ndarray:
     """Analytic gradient of the log partial likelihood at `beta`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     pl = _PartialLikelihood(x, np.asarray(times, float), np.asarray(events, float))
-    return pl.gradient(np.asarray(beta, dtype=float))
+    return pl.gradient_and_curvature(np.asarray(beta, dtype=float))[0]
 
 
 def breslow_baseline(model, data: SurvivalDataset):

@@ -119,3 +119,7 @@ def test_every_model_checks_predict_values_inputs_alike(model, kind):
         predictor.predict_values(np.zeros((4, 3)), GRID)
     with pytest.raises(ValueError, match="^evaluation times must be nonnegative$"):
         predictor.predict_values(HALF, [0.5, np.nan])
+    for grid, shape in ((1.0, "()"), ([[0.5, 1.0]], "(1, 2)")):
+        with pytest.raises(ValueError) as err:
+            predictor.predict_values(HALF, grid)
+        assert str(err.value) == f"evaluation times must be a 1-d array, got shape {shape}"

@@ -371,6 +371,14 @@ class TestDCalibration:
     def test_bins_validation(self):
         with pytest.raises(ValueError):
             d_calibration(np.full((1, 1), 0.5), [1.0], [1], bins=1)
+        with pytest.raises(ValueError, match=r"^bins must be an integer, got 2\.5$"):
+            _masses([0.5], [1], bins=2.5)
+
+    @pytest.mark.parametrize("level", [2.0, -0.5, float("nan"), 0.0, 1.0])
+    def test_level_validation(self, level):
+        with pytest.raises(ValueError) as err:
+            d_calibration(np.full((1, 1), 0.5), [1.0], [1], level=level)
+        assert str(err.value) == f"level must lie strictly between 0 and 1, got {level}"
 
     @pytest.mark.parametrize("bins", [2, 5, 10, 20])
     def test_pvalue_is_the_chi_square_survival_function(self, bins):

@@ -43,6 +43,8 @@ class TestSearchSpace:
             SearchSpace(trials=1, objective="accuracy")
         with pytest.raises(ValueError):
             SearchSpace(trials=1, epsilon_range=(0.0, 0.9))
+        with pytest.raises(ValueError, match="epsilon_range"):
+            SearchSpace(trials=2, epsilon_range=(0.1, float("inf")))
 
     def test_benchmark_defaults(self):
         space = SearchSpace(trials=5)
