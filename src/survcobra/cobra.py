@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import StepCurve, _checked_grid, _product_limit, evaluate, kaplan_meier
+from .curves import StepCurve, _checked_grid, _event_counts, _steps_at, evaluate, kaplan_meier
 from .data import DatasetSplit, SurvivalDataset, _check_matrix, _check_vector, cobra_split
 from .learners import BaseSurvivalModel, LearnerSpec, fit
 
@@ -125,10 +125,6 @@ class CobraModel:
     def machines(self) -> tuple[BaseSurvivalModel, ...]:
         return self.stack.machines
 
-    @property
-    def population_km(self) -> StepCurve:
-        return self.stack.pop_km
-
     def predict_values(self, queries, times) -> np.ndarray:
         """`survival[i, k]`: the aggregated curve of query i at `times[k]`,
         the learners' call, from one chunked distance pass."""
@@ -188,33 +184,36 @@ def gamma_labels(model: CobraModel, x) -> np.ndarray:
     return next(_step_chunks(model, x[None, :], _labels))[0].astype(np.int64)
 
 
-def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon, need) -> StepCurve:
-    """The product-limit curve of one query's proximity set, or `pop_km`
-    itself when the set is empty or event-free.  `d_l`'s arrays were
-    checked when the dataset was built, so the curve skips those checks."""
-    members = _member_mask(distances_mq, epsilon, need).nonzero()[0]
-    if members.size == 0:
-        return pop_km
+def _predict_one(d_l: SurvivalDataset, pop_km: StepCurve, distances_mq, epsilon, need):
+    """The steps `(jump times, survival values)` of the product-limit curve
+    of one query's proximity set, or `pop_km` itself when the set is
+    event-free (an empty set included).  `d_l`'s arrays were checked when
+    the dataset was built, so the steps skip those checks."""
+    members = _member_mask(distances_mq, epsilon, need)
     events = d_l.event[members]
     if not events.any():
         return pop_km
-    return _product_limit(d_l.time[members], events)
+    u, d, r = _event_counts(d_l.time[members], events)
+    return u, np.cumprod(1.0 - d / r)
 
 
 def _aggregate(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need) -> list[StepCurve]:
-    """`_predict_one` for every query of a (machines, queries, n_l) distance tensor."""
-    return [
-        _predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
-        for i in range(distances.shape[1])
-    ]
+    """The curve of `_predict_one` for every query of a (machines, queries,
+    n_l) distance tensor: `pop_km` passes through, steps become a curve."""
+    steps = (_predict_one(d_l, pop_km, distances[:, i, :], epsilon, need) for i in range(distances.shape[1]))
+    return [s if s is pop_km else StepCurve(*s) for s in steps]
 
 
 def _survival_matrix(d_l: SurvivalDataset, pop_km: StepCurve, distances, epsilon, need, times) -> np.ndarray:
-    """`survival[i, k]`: query i's `_aggregate` curve at `times[k]`.  Every
-    fallback takes one shared evaluation of the population KM."""
-    pop_row = evaluate(pop_km, times)
-    curves = _aggregate(d_l, pop_km, distances, epsilon, need)
-    return np.stack([pop_row if c is pop_km else evaluate(c, times) for c in curves])
+    """`survival[i, k]`: query i's `_predict_one` steps at the checked
+    `times[k]`, written in place into a matrix that starts as one shared
+    evaluation of the population KM in every row."""
+    out = np.tile(evaluate(pop_km, times), (distances.shape[1], 1))
+    for i in range(distances.shape[1]):
+        steps = _predict_one(d_l, pop_km, distances[:, i, :], epsilon, need)
+        if steps is not pop_km:
+            out[i] = _steps_at(*steps, times, 1.0)
+    return out
 
 
 def predict_cobra(model: CobraModel, x) -> StepCurve:

@@ -129,14 +129,6 @@ class DatasetSplit:
     d_k: SurvivalDataset
     d_l: SurvivalDataset
 
-    @property
-    def k(self) -> int:
-        return self.d_k.n
-
-    @property
-    def l(self) -> int:
-        return self.d_l.n
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -258,11 +250,10 @@ def _parse_table(table: RawTable, *, numeric, categorical, time_col: str, event_
     """The (x, times, events, feature names) that `preprocess` builds its
     dataset from; x is (n, 0) when no feature column is left."""
     numeric = list(numeric)
-    categorical = list(categorical)
-    overlap = set(numeric) & set(categorical)
-    if overlap:
-        raise ValueError(f"columns declared both numeric and categorical: {sorted(overlap)}")
     declared = (time_col, event_col, *numeric, *categorical)
+    repeated = sorted({col for col in declared if declared.count(col) > 1})
+    if repeated:
+        raise ValueError(f"columns declared more than once (as time, event, numeric or categorical): {repeated}")
     for col in declared:
         if col not in table.columns:
             raise ValueError(f"declared column {col!r} not present in the table")

@@ -9,6 +9,7 @@ jump times; fits are deterministic given the spec (forests carry a seed).
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping
@@ -71,13 +72,16 @@ LEARNER_KINDS = tuple(_KINDS)
 def _json(key: str, value, json_type):
     """`value` when it has `json_type`, a number as a float and an array as
     a tuple; else a `ConfigError` "<key> must be <type>, got <value>".
-    `true` is only a boolean, and an integer is also a number."""
+    `true` is only a boolean, an integer is also a number, and a number is
+    finite as a float (JSON's `NaN` and `Infinity` are not numbers)."""
     if isinstance(value, bool) or json_type is bool:
         valid = isinstance(value, bool) and json_type is bool
     elif json_type is list:
         valid = isinstance(value, list) and all(isinstance(item, str) for item in value)
+    elif json_type is float:  # NaN compares false, and an integer compares exactly
+        valid = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
-        valid = isinstance(value, (int, float) if json_type is float else json_type)
+        valid = isinstance(value, json_type)
     if not valid:
         raise ConfigError(f"{key} must be {_JSON_TYPE_NAMES[json_type]}, got {value!r}")
     return float(value) if json_type is float else tuple(value) if json_type is list else value

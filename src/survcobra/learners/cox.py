@@ -324,8 +324,8 @@ def fit_cox(
     """
     if penalty_kind not in ("ridge", "lasso"):
         raise ValueError(f"unknown penalty kind {penalty_kind!r}")
-    if penalty is not None and penalty < 0.0:
-        raise ValueError("penalty must be nonnegative")
+    if penalty is not None and not (np.isfinite(penalty) and penalty >= 0.0):
+        raise ValueError(f"penalty must be a finite number >= 0, got {penalty}")
     z, times, events, mean, sd = _standardized(data, penalty_kind)
     pl = _PartialLikelihood(z, times, events)
     if penalty is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..curves import product_limit_rows
-from ..data import SurvivalDataset, _check_vector
+from ..data import SurvivalDataset
 from .base import BaseSurvivalModel, standardize_fit
 
 #: Rough size, in bytes, of the (queries, training records, features)
@@ -41,10 +41,6 @@ class KNNSurvivalModel(BaseSurvivalModel):
         if not finite.all():
             raise ValueError(f"knn_survival: row {first + finite.argmin()}: a distance is not finite")
         return np.argsort(dist, axis=1, kind="stable")[:, : self.k]
-
-    def neighbors(self, x) -> np.ndarray:
-        """Indices of the k nearest training records (stable tie-break)."""
-        return self._neighbor_rows(_check_vector(x, self.n_features)[None, :])[0]
 
     def _jump_times(self, x) -> np.ndarray:
         nb = self._neighbor_rows(x[None, :])[0]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import SurvivalDataset, _check_matrix
+from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 
 
@@ -102,11 +102,8 @@ class SurvivalTreeModel(BaseSurvivalModel):
         self.n_leaves = n_leaves
         self.n_features = n_features
 
-    def leaf_ids(self, x) -> np.ndarray:
-        """Leaf index for each row of `x`."""
-        return self._leaf_ids(_check_matrix(x, self.n_features))
-
     def _leaf_ids(self, x) -> np.ndarray:
+        """Leaf index for each row of the checked matrix `x`."""
         out = np.empty(x.shape[0], dtype=np.int64)
 
         def assign(node, rows):

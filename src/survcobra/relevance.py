@@ -84,8 +84,8 @@ def _irls(x, y, l2):
 
 def fit_logistic(features, labels, l2: float = 0.0) -> np.ndarray:
     """Maximum penalized-likelihood logistic coefficients (intercept first)."""
-    if l2 < 0.0:
-        raise ValueError("l2 must be nonnegative")
+    if not (np.isfinite(l2) and l2 >= 0.0):
+        raise ValueError(f"l2 must be a finite number >= 0, got {l2}")
     x = _design(features)
     y = np.asarray(labels, dtype=float)
     if y.shape != (x.shape[0],):

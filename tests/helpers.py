@@ -640,7 +640,7 @@ def reference_forest_curve(forest, x):
 
 def reference_knn_curve(model, x):
     """k-NN's former `predict_curve`: the neighbours' product-limit curve."""
-    nb = model.neighbors(x)
+    nb = model._neighbor_rows(_check_vector(x, model.n_features)[None, :])[0]
     return product_limit(model.times[nb], model.events[nb])
 
 

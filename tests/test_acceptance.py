@@ -57,9 +57,9 @@ class TestCobraOracle:
                 model = fit_cobra(train, params, seed=instance_seed)
             except ValueError:
                 continue  # degenerate random split: one half without events
-            if model.split.l > 20:
+            if model.split.d_l.n > 20:
                 continue
-            queries = [r.uniform(size=2), model.split.d_l.x[int(r.integers(model.split.l))]]
+            queries = [r.uniform(size=2), model.split.d_l.x[int(r.integers(model.split.d_l.n))]]
             for q in queries:
                 got = predict_cobra(model, np.asarray(q))
                 times, values = oracle_cobra_curve(model, np.asarray(q))

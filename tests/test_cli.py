@@ -350,6 +350,18 @@ class TestConfigRejectedBeforeAnyFit:
             ("bench", {"params": {"epsilon": [0.05], **PARAMS}}, "params.epsilon must be a number, got [0.05]"),
             ("bench", {"params": {"epsilon": "0.05", **PARAMS}}, "params.epsilon must be a number, got '0.05'"),
             ("bench", {"params": {"epsilon": 0.05, "alpha": 1.5, "l_fraction": 0.4}}, "params.alpha must lie in (0, 1]"),
+            # JSON's NaN and Infinity are not numbers
+            ("bench", {"params": {"epsilon": float("nan"), **PARAMS}}, "params.epsilon must be a number, got nan"),
+            (
+                "bench",
+                {"roster": roster_with(3, penalty=float("inf"))},
+                "cox_lasso: hyperparameter penalty must be a number, got inf",
+            ),
+            (
+                "bench",
+                {"roster": roster_with(2, penalty=float("inf"))},
+                "cox_ridge: hyperparameter penalty must be a number, got inf",
+            ),
             (
                 "bench",
                 {"roster": roster_with(2, cv_seed=None)},

@@ -21,7 +21,7 @@ from survcobra.cobra import (
     predict_cobra,
     predict_cobra_batch,
 )
-from survcobra.curves import evaluate, kaplan_meier
+from survcobra.curves import StepCurve, evaluate, kaplan_meier
 from survcobra.learners import LearnerSpec
 from helpers import oracle_cobra_curve, proximity_aggregate, random_dataset, reference_member_mask, same_bits
 
@@ -77,7 +77,7 @@ class TestParams:
 class TestFit:
     def test_calibration_cache_dimensions(self):
         model = small_model(n=100, l_fraction=0.4, alpha=0.6, roster=FIVE_ROSTER)
-        assert model.split.l == 40
+        assert model.split.d_l.n == 40
         stack = model.stack
         assert len(stack.cal_weighted) == 5
         for machine, held in zip(model.machines, stack.cal_weighted):
@@ -274,7 +274,7 @@ class TestPredict:
         model = _model_with_censored_calibration_point()
         d_l = model.split.d_l
         j = int(np.flatnonzero(d_l.event == 0)[0])
-        assert predict_cobra(model, d_l.x[j]) == model.population_km
+        assert predict_cobra(model, d_l.x[j]) == model.stack.pop_km
 
     def test_fallback_on_empty_proximity_set(self):
         # a continuous-response machine maps distinct queries to distinct
@@ -284,7 +284,7 @@ class TestPredict:
         )
         q = np.array([0.123456, 0.654321])  # not a calibration point
         assert not gamma_labels(model, q).any()
-        assert predict_cobra(model, q) == model.population_km
+        assert predict_cobra(model, q) == model.stack.pop_km
 
     def test_matches_oracle_on_small_instances(self):
         checked = 0
@@ -304,7 +304,7 @@ class TestPredict:
                 )
             except ValueError:
                 continue  # a degenerate random split: no events in one half
-            if model.split.l > 20:
+            if model.split.d_l.n > 20:
                 continue
             queries = [rng.uniform(size=2) for _ in range(3)]
             queries.append(model.split.d_l.x[0])
@@ -449,13 +449,23 @@ class TestChunkedPass:
             monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", _budget_for(model, per_chunk))
         sizes = _record_chunk_sizes(monkeypatch)
         curves = predict_cobra_batch(model, queries)
-        fallback = [c is model.population_km for c in curves]
+        fallback = [c is model.stack.pop_km for c in curves]
         assert any(fallback) and not all(fallback)
         got = model.predict_values(queries, times)
         size = per_chunk or len(queries)
         chunks = [min(size, len(queries) - start) for start in range(0, len(queries), size)]
         assert sizes == chunks + chunks  # the batch's pass, then this one's
         assert same_bits(got, np.stack([evaluate(c, times) for c in curves]))
+
+    def test_predict_values_builds_no_curve(self):
+        # the calibration records with events, at distance 0 from
+        # themselves, aggregate their own proximity sets
+        model = small_model(seed=8, epsilon=1e-9, alpha=0.6, roster=FIVE_ROSTER, n=80)
+        queries = model.split.d_l.x[model.split.d_l.event == 1][:3]
+        assert not any(c is model.stack.pop_km for c in predict_cobra_batch(model, queries))
+        with mock.patch.object(StepCurve, "__post_init__", autospec=True, side_effect=StepCurve.__post_init__) as built:
+            model.predict_values(queries, np.sort(model.split.d_l.time))
+        assert built.call_count == 0
 
     def test_predict_values_of_no_query_is_an_empty_matrix(self):
         model = small_model(seed=5)
@@ -484,13 +494,25 @@ class TestChunkedPass:
         assert model.stack.grid.size < model.split.d_l.n / 10
         budget = 64 * 2**10
         monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", budget)
-        peaks = _step_peaks(model, rng.uniform(size=(200, 6)))
+        queries = rng.uniform(size=(200, 6))
+        peaks = _step_peaks(model, queries)
+        # on the calibration part's sorted times a (chunk, n_l) survival
+        # matrix is as large as the tensor's machine slice
+        peaks["survival_matrix_at_calibration_times"] = _distance_pass_peak(
+            model, queries, cobra._survival_matrix, np.sort(model.split.d_l.time)
+        )
         ratios = {name: peak / budget for name, peak in peaks.items()}
-        # `_aggregate` and `_survival_matrix` also hold the curves of the
-        # chunk's queries, of up to n_l jumps each, and the bool labels add
-        # an eighth of the tensor; a tensor copied by any step (0.8 of the
-        # budget here) would still take its peak past its bound
-        bounds = {"no-op": 1.5, "labels": 1.5, "aggregate": 2.0, "survival_matrix": 2.0}
+        # `_aggregate` also holds the curves of the chunk's queries, of up to
+        # n_l jumps each, `_survival_matrix` its output, and the bool labels
+        # add an eighth of the tensor; a tensor copied by any step (0.8 of
+        # the budget here) would still take its peak past its bound
+        bounds = {
+            "no-op": 1.5,
+            "labels": 1.5,
+            "aggregate": 2.0,
+            "survival_matrix": 2.0,
+            "survival_matrix_at_calibration_times": 2.0,
+        }
         assert all(ratios[name] < bound for name, bound in bounds.items()), ratios
 
     def test_transient_memory_does_not_grow_with_the_query_count(self, monkeypatch):
@@ -541,7 +563,7 @@ def test_property_batch_equals_sequential_and_saturation_gives_km(
         assert batch == [predict_cobra(model, q) for q in queries]
         largest = max(float(model.stack.query_distances(queries).max()), 1e-300)
         saturated = CobraModel(dataclasses.replace(model.params, epsilon=largest), model.stack)
-        assert all(c == model.population_km for c in predict_cobra_batch(saturated, queries))
+        assert all(c == model.stack.pop_km for c in predict_cobra_batch(saturated, queries))
 
 
 @settings(max_examples=12, deadline=None)

@@ -218,6 +218,14 @@ class TestRidge:
                 fit_cox(train, "ridge", penalty=0)
 
 
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+@pytest.mark.parametrize("penalty", [np.nan, np.inf])
+def test_non_finite_penalty_refused(kind, penalty):
+    ds = random_dataset(np.random.default_rng(3), 40, 2)
+    with pytest.raises(ValueError, match=rf"^penalty must be a finite number >= 0, got {penalty!r}$"):
+        fit_cox(ds, kind, penalty=penalty)
+
+
 class TestLasso:
     def test_agrees_with_ridge_at_zero_penalty(self):
         rng = np.random.default_rng(7)

@@ -174,6 +174,15 @@ def test_both_csv_paths_name_a_bad_cell_alike(tmp_path, column, cell, message):
     assert str(err.value) == f"column {column!r}, row 2: {message}"
 
 
+@pytest.mark.parametrize("flags", [["1", "1", "1"], ["1", "0", "1"]], ids=["all-events", "with-censoring"])
+def test_load_csv_refuses_one_column_as_time_and_event(tmp_path, flags):
+    path = tmp_path / "same.csv"
+    write_csv(path, ["x1", "event"], [["0.5", flags[0]], ["0.2", flags[1]], ["0.9", flags[2]]])
+    with pytest.raises(ValueError) as err:
+        load_csv(path, "event", "event")
+    assert str(err.value) == f"{path}: columns declared more than once (as time, event, numeric or categorical): ['event']"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -284,6 +293,22 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="entirely missing"):
             preprocess(table, numeric=["v"], categorical=[], time_col="time", event_col="event")
 
+    @pytest.mark.parametrize(
+        "roles, repeated",
+        [
+            (dict(numeric=["v"], categorical=["g"], time_col="event", event_col="event"), "['event']"),
+            (dict(numeric=["v", "time"], categorical=["g"], time_col="time", event_col="event"), "['time']"),
+            (dict(numeric=["v", "v"], categorical=["g"], time_col="time", event_col="event"), "['v']"),
+            (dict(numeric=["v", "g"], categorical=["g"], time_col="time", event_col="event"), "['g']"),
+        ],
+        ids=["time-is-event", "numeric-time", "numeric-twice", "numeric-and-categorical"],
+    )
+    def test_declared_roles_name_distinct_columns(self, roles, repeated):
+        table = RawTable(("v", "g", "time", "event"), (("1", "a", "1.0", "1"), ("2", "b", "2.0", "1")))
+        with pytest.raises(ValueError) as err:
+            preprocess(table, **roles)
+        assert str(err.value) == f"columns declared more than once (as time, event, numeric or categorical): {repeated}"
+
     def test_undeclared_column_fails(self):
         table = RawTable(("v", "time", "event"), (("1", "1.0", "1"),))
         with pytest.raises(ValueError, match="declared"):
@@ -357,13 +382,13 @@ class TestCobraSplit:
             np.ones((100, 1)), np.arange(1.0, 101.0), np.ones(100, dtype=int), ["x"]
         )
         split = cobra_split(ds, 0.4, seed=3)
-        assert split.k == 60
-        assert split.l == 40
+        assert split.d_k.n == 60
+        assert split.d_l.n == 40
 
     def test_boundary_two_records(self):
         ds = SurvivalDataset(np.ones((2, 1)), [1.0, 2.0], [1, 1], ["x"])
         split = cobra_split(ds, 0.5, seed=0)
-        assert split.k == 1 and split.l == 1
+        assert split.d_k.n == 1 and split.d_l.n == 1
 
     def test_partition(self):
         rng = np.random.default_rng(9)
@@ -380,7 +405,7 @@ class TestCobraSplit:
         )
         for frac in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
             split = cobra_split(ds, frac, seed=1)
-            assert split.l == round(frac * 50)
+            assert split.d_l.n == round(frac * 50)
 
     def test_degenerate_fraction_rejected(self):
         ds = SurvivalDataset(np.ones((4, 1)), [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], ["x"])

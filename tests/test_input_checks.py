@@ -62,6 +62,8 @@ NAN_ROWS = np.array([[0.5, np.nan]])
         (config(params={**CONFIG["params"], "epsilon": None}), "params.epsilon must be a number, got None"),
         (dataset(n=True), "dataset.n must be an integer, got True"),
         (dataset(censor_fraction=[0.3]), "dataset.censor_fraction must be a number, got [0.3]"),
+        (dataset(censor_fraction=float("nan")), "dataset.censor_fraction must be a number, got nan"),
+        (config(dcal_level=float("inf")), "dcal_level must be a number, got inf"),
         (csv_dataset(path=5), "dataset.path must be a string, got 5"),
         (csv_dataset(numeric=["a", 1]), "dataset.numeric must be an array of strings, got ['a', 1]"),
         (

@@ -38,7 +38,7 @@ class TestKNNSurvival:
         sd = x[:, 0].std()
         dist = np.abs((x[:, 0] - x[:, 0].mean()) / sd - (query[0] - x[:, 0].mean()) / sd)
         expected = np.argsort(dist, kind="stable")[:3]
-        assert np.array_equal(model.neighbors(query), expected)
+        assert np.array_equal(model._neighbor_rows(query[None, :])[0], expected)
         t_oracle, v_oracle = slow_km(times[expected], events[expected])
         curve = model.predict_curve(query)
         assert np.array_equal(curve.times, t_oracle)
@@ -48,7 +48,7 @@ class TestKNNSurvival:
         x = np.array([[0.0], [2.0], [2.0], [2.0]])
         ds = SurvivalDataset(x, [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], ["x"])
         model = fit_knn_survival(ds, k=2)
-        nb = model.neighbors(np.array([2.0]))
+        nb = model._neighbor_rows(np.array([[2.0]]))[0]
         assert np.array_equal(nb, [1, 2])
 
     def test_duplicate_of_non_neighbor_changes_nothing(self):
@@ -155,7 +155,7 @@ class TestNonFiniteDistances:
         monkeypatch.setattr(knn, "_NEIGHBOR_CHUNK_BYTES", 2 * model.z.size * 8)  # row 5 is in the third chunk
         with pytest.raises(ValueError, match=r"^knn_survival: row 5: a distance is not finite$"):
             model.predict_values(queries, [0.5, 1.0, 3.0])
-        for call in (model.predict_curve, model.neighbors):
+        for call in (model.predict_curve, lambda q: model._neighbor_rows(q[None, :])):
             with pytest.raises(ValueError, match=r"^knn_survival: row 0: a distance is not finite$"):
                 call(queries[5])
 

@@ -75,6 +75,12 @@ class TestFitLogistic:
         with pytest.raises(ConvergenceError, match="l2 > 0"):
             fit_logistic(x, y, l2=0.0)
 
+    @pytest.mark.parametrize("l2", [np.nan, np.inf])
+    def test_non_finite_penalty_refused(self, l2):
+        x = np.linspace(-1, 1, 20)[:, None]
+        with pytest.raises(ValueError, match=rf"^l2 must be a finite number >= 0, got {l2!r}$"):
+            fit_logistic(x, (x[:, 0] > 0.3).astype(float), l2=l2)
+
     def test_constant_labels_rejected_without_ridge(self):
         x = np.ones((5, 1))
         with pytest.raises(ValueError, match="constant"):

@@ -145,7 +145,7 @@ class TestSurvivalTree:
         ds = SurvivalDataset(x, times, np.ones(20, dtype=int), ["x"])
         tree = fit_survival_tree(ds, max_depth=1, min_leaf=2)
         assert tree.root.threshold == low
-        assert tree.leaf_ids(np.array([[low], [high]])).tolist() == [0, 1]
+        assert tree._leaf_ids(np.array([[low], [high]])).tolist() == [0, 1]
         for group, value in ((slice(0, 10), low), (slice(10, 20), high)):
             assert tree.predict_curve([value]) == kaplan_meier(times[group], np.ones(10))
 
@@ -335,7 +335,7 @@ def test_pinned_splits_hold_with_int32_counts(monkeypatch):
 def test_property_leaves_are_product_limit_curves_of_their_records(sample, max_depth, min_leaf):
     x, times, events = (np.array(v, dtype=float) for v in sample)
     tree = fit_survival_tree_arrays(x, times, events.astype(int), max_depth, min_leaf)
-    ids = tree.leaf_ids(x)
+    ids = tree._leaf_ids(x)
     assert set(ids.tolist()) == set(range(tree.n_leaves))
     for leaf in range(tree.n_leaves):
         rows = np.flatnonzero(ids == leaf)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from survcobra.cobra import CobraParams, _aggregate, _survival_matrix, fit_cobra, predict_cobra_batch
+from survcobra.cobra import CobraParams, _aggregate, _predict_one, _survival_matrix, fit_cobra, predict_cobra_batch
 from survcobra.curves import evaluate, kaplan_meier
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
@@ -474,6 +474,11 @@ def test_fold_objective_matches_the_reference_chain_bitwise(tune_folds):
                 args = (prepared.d_l, prepared.pop_km, prepared.distances, params.epsilon, params.consensus_count)
                 curves, want = _aggregate(*args), reference_aggregate(*args)
                 assert [c is prepared.pop_km for c in curves] == [c is prepared.pop_km for c in want]
+                for i, curve in enumerate(want):
+                    steps = _predict_one(*args[:2], prepared.distances[:, i, :], *args[3:])
+                    assert (steps is prepared.pop_km) == (curve is prepared.pop_km)
+                    if curve is not prepared.pop_km:
+                        assert same_bits(steps[0], curve.times) and same_bits(steps[1], curve.values)
                 assert same_bits(
                     _survival_matrix(*args, prepared.val_times),
                     reference_survival_rows(want, prepared.pop_km, prepared.val_times),
