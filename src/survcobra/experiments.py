@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -219,8 +218,8 @@ def _search(cfg: ExperimentConfig, train: SurvivalDataset, seed: int):
 
 
 def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
-    """Metric reports for the standalone learners and the ensemble; a metric
-    error names the fold and the model."""
+    """Metric reports for the standalone learners and the ensemble; an
+    ensemble fit error and a metric error name the fold and the model."""
     where = f"outer fold {fold_id + 1} of {cfg.folds}"
 
     def report(name, model):
@@ -229,7 +228,8 @@ def _fold_metrics(train, test, cfg: ExperimentConfig, fold_id: int):
     try:
         rows = {spec.kind: report(spec.kind, fit(spec, train)) for spec in cfg.roster}
         params, _ = _resolve_params(cfg, train, derive_seed(cfg.seed, 3, fold_id))
-        rows[PROPOSED] = report(PROPOSED, fit_cobra(train, params, derive_seed(cfg.seed, 2, fold_id)))
+        seed = derive_seed(cfg.seed, 2, fold_id)
+        rows[PROPOSED] = report(PROPOSED, _named(f"{where}, {PROPOSED}", fit_cobra, train, params, seed))
     except ConvergenceError as exc:
         raise ConvergenceError(f"{where}: {exc}", exc.trace, exc.learner) from exc
     return rows
@@ -261,6 +261,8 @@ def run_bench(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     trains, tests = zip(*_named(split, kfold_split, data, cfg.folds, derive_seed(cfg.seed, 1)))
     fold_args = (trains, tests, [cfg] * cfg.folds, range(cfg.folds))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when asked
+
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.folds)) as pool:
             fold_rows = list(pool.map(_fold_metrics, *fold_args))
     else:

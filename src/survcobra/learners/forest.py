@@ -50,7 +50,7 @@ def fit_random_survival_forest(
     if mtry is None:
         mtry = int(math.ceil(math.sqrt(p)))
     if not 1 <= mtry <= p:
-        raise ValueError(f"mtry must lie in [1, {p}], got {mtry}")
+        raise ValueError(f"random_survival_forest: mtry must lie in [1, {p}], got {mtry}")
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(n_trees):

@@ -60,6 +60,6 @@ def fit_knn_survival(data: SurvivalDataset, k: int | None = None) -> KNNSurvival
     if k is None:
         k = int(np.ceil(np.sqrt(data.n)))
     if not 1 <= k <= data.n:
-        raise ValueError(f"k must lie in [1, {data.n}], got {k}")
+        raise ValueError(f"knn_survival: k must lie in [1, {data.n}], got {k}")
     z, mean, sd = standardize_fit(data, "knn_survival")
     return KNNSurvivalModel(z, data.time, data.event, int(k), mean, sd)

@@ -53,24 +53,17 @@ def concordance_td(survival, times, events) -> float:
     pairs (i, j) with an observed event for i and t_i < t_j, the fraction
     where record i's predicted survival at t_i is lower than record j's;
     prediction ties count one half.  1 is perfect ranking, 0.5 is random.
+    The counts are integers, so the ratio has the same bits in any order.
     """
     survival, times, events = _check_aligned(survival, times, events)
-    n = times.size
-    num = 0.0
-    den = 0
-    for i in range(n):
-        if events[i] != 1:
-            continue
-        comparable = times > times[i]
-        if not comparable.any():
-            continue
-        s_i = survival[i, i]
-        s_j = survival[comparable, i]
-        num += float((s_i < s_j).sum()) + 0.5 * float((s_i == s_j).sum())
-        den += int(comparable.sum())
+    comparable = (times[:, None] > times) & (events == 1)  # [j, i]: pair (i, j)
+    den = np.count_nonzero(comparable)
     if den == 0:
         raise ValueError("no comparable pairs: concordance is undefined")
-    return num / den
+    diagonal = np.diagonal(survival)
+    less = np.count_nonzero(comparable & (survival > diagonal))
+    tied = np.count_nonzero(comparable & (survival == diagonal))
+    return (int(less) + 0.5 * int(tied)) / int(den)
 
 
 def _brier_scores(times, events, g_at_times, points) -> list[float]:
@@ -135,7 +128,7 @@ def d_calibration_masses(survival, times, events, bins: int = 10) -> np.ndarray:
     Each uncensored record drops unit mass into the bin holding that
     probability; a censored record spreads its mass below it (partial mass
     to its own bin, uniform mass to every lower bin).  Masses sum to the
-    record count.
+    record count: each bin sums its (records x bins) column in record order.
     """
     if not isinstance(bins, (int, np.integer)):
         raise ValueError(f"bins must be an integer, got {bins!r}")
@@ -143,20 +136,14 @@ def d_calibration_masses(survival, times, events, bins: int = 10) -> np.ndarray:
         raise ValueError("bins must be at least 2")
     survival, times, events = _check_aligned(survival, times, events)
     width = 1.0 / bins
-    masses = np.zeros(bins)
-    for pi, event in zip(np.diagonal(survival), events):
-        b = min(int(pi * bins), bins - 1)
-        if event == 1:
-            masses[b] += 1.0
-            continue
-        if pi <= 0.0:
-            masses[0] += 1.0
-            continue
-        lower_edge = b * width
-        masses[b] += (pi - lower_edge) / pi
-        if b:
-            masses[:b] += width / pi
-    return masses
+    pi = np.diagonal(survival)
+    b = np.minimum((pi * bins).astype(np.int64), int(bins) - 1)
+    spread = (events == 0) & (pi > 0.0)  # the rest put 1.0 in their own bin
+    table = np.zeros((pi.size, bins))
+    np.divide(width, pi[:, None], out=table, where=spread[:, None] & (np.arange(bins) < b[:, None]))
+    table[np.arange(pi.size), b] = 1.0
+    table[spread, b[spread]] = (pi[spread] - b[spread] * width) / pi[spread]
+    return table.sum(axis=0)  # down the slow axis: one row after another
 
 
 def d_calibration(survival, times, events, bins: int = 10, level: float = 0.05):

@@ -22,7 +22,7 @@ from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners.base import _check_vector, standardize_fit
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _PartialLikelihood, _soft_threshold
-from survcobra.metrics import _brier_scores, concordance_td
+from survcobra.metrics import _brier_scores, _check_aligned
 from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
 from survcobra.relevance import (
     DEFAULT_RIDGE,
@@ -352,6 +352,51 @@ def reference_integrated_brier(survival, times, events):
     return area / float(t_grid[-1] - t_grid[0])
 
 
+def reference_concordance_td(survival, times, events) -> float:
+    """`metrics.concordance_td` as a loop over event records."""
+    survival, times, events = _check_aligned(survival, times, events)
+    n = times.size
+    num = 0.0
+    den = 0
+    for i in range(n):
+        if events[i] != 1:
+            continue
+        comparable = times > times[i]
+        if not comparable.any():
+            continue
+        s_i = survival[i, i]
+        s_j = survival[comparable, i]
+        num += float((s_i < s_j).sum()) + 0.5 * float((s_i == s_j).sum())
+        den += int(comparable.sum())
+    if den == 0:
+        raise ValueError("no comparable pairs: concordance is undefined")
+    return num / den
+
+
+def reference_d_calibration_masses(survival, times, events, bins: int = 10) -> np.ndarray:
+    """`metrics.d_calibration_masses` as a loop over records."""
+    if not isinstance(bins, (int, np.integer)):
+        raise ValueError(f"bins must be an integer, got {bins!r}")
+    if bins < 2:
+        raise ValueError("bins must be at least 2")
+    survival, times, events = _check_aligned(survival, times, events)
+    width = 1.0 / bins
+    masses = np.zeros(bins)
+    for pi, event in zip(np.diagonal(survival), events):
+        b = min(int(pi * bins), bins - 1)
+        if event == 1:
+            masses[b] += 1.0
+            continue
+        if pi <= 0.0:
+            masses[0] += 1.0
+            continue
+        lower_edge = b * width
+        masses[b] += (pi - lower_edge) / pi
+        if b:
+            masses[:b] += width / pi
+    return masses
+
+
 def reference_predict_one(d_l, pop_km, distances_mq, epsilon, need):
     """One query's aggregated curve, or `pop_km` itself on a fallback."""
     members = np.flatnonzero((distances_mq <= epsilon).sum(axis=0) >= need)
@@ -387,7 +432,7 @@ def reference_fold_objective(prepared, params, objective):
     survival = reference_survival_rows(curves, prepared.pop_km, prepared.val_times)
     if objective == "ibs":
         return reference_integrated_brier(survival, prepared.val_times, prepared.val_events)
-    return -concordance_td(survival, prepared.val_times, prepared.val_events)
+    return -reference_concordance_td(survival, prepared.val_times, prepared.val_events)
 
 
 def reference_member_mask(distances, epsilon, need):

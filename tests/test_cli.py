@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -316,7 +317,7 @@ class TestBench:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         results = experiments.run_bench(cfg, jobs=8)
         assert asked == [cfg.folds] == [3]
         assert [r.fold_id for r in results["proposed"]] == [0, 1, 2]
@@ -592,6 +593,48 @@ def test_metric_error_of_the_ensemble_names_it(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "survcobra: error: outer fold 1 of 2, proposed: the integration grid needs at least two time points\n"
     )
+
+
+@pytest.mark.parametrize(
+    "roster, message",
+    [
+        (  # the learners fit on 100 records, the ensemble's machines on 60
+            [{"kind": "knn_survival", "k": 90}, {"kind": "cox_ridge", "penalty": 1.0}],
+            "outer fold 1 of 2, proposed: knn_survival: k must lie in [1, 60], got 90",
+        ),
+        (
+            [{"kind": "random_survival_forest", "n_trees": 2, "mtry": 9}],
+            "random_survival_forest: mtry must lie in [1, 4], got 9",
+        ),
+    ],
+    ids=["knn-k-in-the-ensemble", "forest-mtry"],
+)
+def test_hyperparameter_too_large_for_the_split_names_the_learner(tmp_path, capsys, roster, message):
+    dataset = {"kind": "synthetic", "n": 200, "censor_fraction": 0.4, "dim": 4}
+    cfg = write_config(tmp_path / "cfg.json", dataset=dataset, roster=roster, folds=2)
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"survcobra: error: {message}\n"
+    assert not out.exists()
+
+
+def test_tune_trial_with_too_large_k_names_the_learner(tmp_path):
+    # 75 records per inner training fold: an l_fraction of 0.6 leaves the
+    # machines 30 records, one of 0.7 leaves them 22
+    roster = [{"kind": "knn_survival", "k": 25}, {"kind": "cox_ridge", "penalty": 1.0}]
+    cfg = write_config(tmp_path / "cfg.json", roster=roster, search={"trials": 8}, inner_folds=2)
+    raw = json.loads(cfg.read_text())
+    del raw["params"]
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "trials.csv", newline="") as fh:
+        trials = list(csv.DictReader(fh))
+    failed = [t for t in trials if t["error"]]
+    assert 0 < len(failed) < len(trials)
+    for trial in failed:
+        assert float(trial["l_fraction"]) >= 0.7
+        assert re.fullmatch(r"knn_survival: k must lie in \[1, \d+\], got 25", trial["error"])
 
 
 @pytest.mark.parametrize(

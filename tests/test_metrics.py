@@ -16,6 +16,8 @@ from survcobra.metrics import (
 from helpers import (
     brier_censored,
     reference_brier_from_values,
+    reference_concordance_td,
+    reference_d_calibration_masses,
     reference_evaluate,
     reference_integrated_brier,
     same_bits,
@@ -472,6 +474,43 @@ def test_property_reversed_ranking_gives_one_minus_concordance(data, n):
     assume(comparable.any())
     c = concordance_td(survival, times, events)
     assert concordance_td(1.0 - survival, times, events) == pytest.approx(1.0 - c, abs=1e-12)
+
+
+# ties, both ends, and 0.3, 0.6 and 0.7, where `b * width` exceeds the value
+VALUES = st.one_of(st.sampled_from([0.0, 0.3, 0.6, 0.7, 1.0]), st.floats(0.0, 1.0))
+BINS = st.integers(2, 20).flatmap(lambda b: st.sampled_from([b, np.int64(b), np.uint8(b)]))
+
+
+def _value_or_message(metric, *args):
+    try:
+        return metric(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), bins=BINS)
+def test_property_concordance_and_masses_keep_the_bits_of_the_loops(data, n, bins):
+    survival = np.array(data.draw(st.lists(VALUES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    times = np.array(data.draw(st.lists(st.one_of(TIMES, st.floats(0.0, 5.0)), min_size=n, max_size=n)))
+    events = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    want = _value_or_message(reference_concordance_td, survival, times, events)
+    got = _value_or_message(concordance_td, survival, times, events)
+    assert same_bits(got, want) if isinstance(want, float) else got == want
+    want = reference_d_calibration_masses(survival, times, events, bins)
+    assert same_bits(d_calibration_masses(survival, times, events, bins), want)
+
+
+@pytest.mark.parametrize(
+    "times, events",
+    [([1.0], [1]), ([1.0, 2.0, 3.0], [0, 0, 0]), ([2.0, 2.0, 2.0], [1, 1, 0]), ([1.0, 2.0, 3.0], [0, 0, 1])],
+    ids=["one-record", "no-event", "tied-times", "last-event"],
+)
+def test_no_comparable_pair_raises_the_error_of_the_loop(times, events):
+    survival = np.full((len(times), len(times)), 0.5)
+    for metric in (concordance_td, reference_concordance_td):
+        with pytest.raises(ValueError, match="^no comparable pairs: concordance is undefined$"):
+            metric(survival, times, events)
 
 
 METRICS = {
