@@ -84,7 +84,10 @@ def _checked_grid(t) -> np.ndarray:
 def _steps_at(jumps, values, t, before):
     """Right-continuous read at `t` of steps that jump at ascending `jumps`:
     `values[..., i]` on [jumps[i], jumps[i+1]), `before` ahead of jumps[0].
-    `values` is one row of steps or a (rows, jumps) matrix."""
+    `values` is one row of steps or a (rows, jumps) matrix, and `t` has any
+    shape.  Steps that open with a jump of their own at or below every `t`,
+    as each leaf of a survival tree does on its integer keys, never read
+    `before`."""
     idx = jumps.searchsorted(t, side="right")
     if values.ndim == 1:  # one curve: the read `evaluate` makes per call, kept cheap
         return np.concatenate(([before], values))[idx]

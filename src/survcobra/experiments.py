@@ -116,6 +116,8 @@ class ExperimentConfig:
         else:
             _check_keys("search", space, ("trials", "objective"), required=("trials",))
             _json("search.trials", space["trials"], int)
+            if "objective" in space:
+                _json("search.objective", space["objective"], str)
             search = _parsed("search", SearchSpace, **space)
         dcal_level = _json("dcal_level", raw.get("dcal_level", 0.05), float)
         if not 0.0 < dcal_level < 1.0:
@@ -254,8 +256,13 @@ def run_bench(cfg: ExperimentConfig, jobs: int = 1) -> dict:
 
     With `jobs > 1` the folds run in a process pool of at most one worker
     per fold that receives each fold's datasets, so every fold sees the
-    data loaded once here.
+    data loaded once here.  The reports key their rows by learner kind, so
+    a roster that repeats a kind is refused before the data is loaded.
     """
+    kinds = [spec.kind for spec in cfg.roster]
+    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise ConfigError(f"bench reports one row per learner kind; the roster repeats {', '.join(repeated)}")
     data = load_dataset(cfg)
     split = f"outer {cfg.folds}-fold split"
     trains, tests = zip(*_named(split, kfold_split, data, cfg.folds, derive_seed(cfg.seed, 1)))

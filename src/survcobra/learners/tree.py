@@ -11,15 +11,16 @@ A tree ranks its training records once against its own distinct event
 times, so every node reads its event counts from a `bincount` of those
 ranks and its at-risk counts from a search of them in sorted order.  A
 leaf's curve is the product-limit curve of its records, formed from the
-counts its node already holds.  The leaves are kept in three flat arrays:
-the tree's event times `u`, the ascending keys leaf * len(u) + column of
-every leaf's jumps, and the survival value after each jump.
+counts its node already holds.  The leaves are one run of steps over
+ascending integer keys, each leaf opening with a step at 1.0 of its own,
+so `curves._steps_at` reads all leaves at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..curves import _steps_at
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel
 
@@ -90,8 +91,9 @@ def _best_split(xt, is_event, rows, ranks, cols, d, r, candidates, min_leaf):
 class SurvivalTreeModel(BaseSurvivalModel):
     """Fitted survival tree: a binary partition with one curve per leaf.
 
-    Leaf `l` jumps at `u[jump_keys[j] - l * len(u)]` to `jump_values[j]`
-    for the j with `l * len(u) <= jump_keys[j] < (l + 1) * len(u)`.
+    Leaf `l` owns the `jump_keys` from `l * (len(u) + 1)`: the first holds
+    1.0, and key `l * (len(u) + 1) + 1 + c` holds its survival after its
+    jump at `u[c]`.
     """
 
     def __init__(self, root, u, jump_keys, jump_values, n_leaves, n_features):
@@ -118,23 +120,14 @@ class SurvivalTreeModel(BaseSurvivalModel):
         return out
 
     def _jump_times(self, x) -> np.ndarray:
-        start = self._leaf_ids(x[None, :])[0] * self.u.size
+        start = self._leaf_ids(x[None, :])[0] * (self.u.size + 1) + 1  # past the leading key
         lo, hi = np.searchsorted(self.jump_keys, [start, start + self.u.size])
         return self.u[self.jump_keys[lo:hi] - start]
 
     def _values(self, x, grid) -> np.ndarray:
-        ids = self._leaf_ids(x)
-        if self.jump_keys.size == 0:
-            return np.ones((ids.size, grid.size))
-        # each leaf's last jump at or before each grid point: one search over
-        # (leaf, column) keys; no key, or a key of an earlier leaf, means no
-        # jump yet (pos -1 reads the last key, and `pos >= 0` discards it)
-        start = (np.arange(self.n_leaves) * self.u.size)[:, None]
-        col = np.searchsorted(self.u, grid, side="right") - 1
-        pos = np.searchsorted(self.jump_keys, start + col, side="right") - 1
-        own = (pos >= 0) & (self.jump_keys[pos] >= start)
-        leaf_values = np.where(own, self.jump_values[pos], 1.0)
-        return leaf_values[ids]
+        start = np.arange(self.n_leaves) * (self.u.size + 1)
+        keys = start[:, None] + self.u.searchsorted(grid, side="right")
+        return _steps_at(self.jump_keys, self.jump_values, keys, 1.0)[self._leaf_ids(x)]
 
 
 def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=None, rng=None):
@@ -172,8 +165,8 @@ def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=N
                 candidates = np.sort(rng.choice(p, size=mtry, replace=False))
             split = _best_split(xt, is_event, rows, ranks, cols, d, r, candidates, min_leaf)
         if split is None:
-            keys.append(len(keys) * k + cols)
-            values.append(np.cumprod(1.0 - d / r))
+            keys.append(len(keys) * (k + 1) + np.concatenate(([0], cols + 1)))
+            values.append(np.concatenate(([1.0], np.cumprod(1.0 - d / r))))
             return _Node(leaf_id=len(keys) - 1)
         _, feature, threshold = split
         mask = xt[feature].take(rows) <= threshold

@@ -158,10 +158,12 @@ def random_dataset(rng, n, p=2, event_rate=0.7, scale=3.0):
     return SurvivalDataset(x, times, events, [f"x{i}" for i in range(p)])
 
 
-def oracle_cobra_curve(model, x):
-    """Reference prediction: enumerate the proximity indicator straight from
-    its definition (per-pair distance grids), then hand-roll the
-    product-limit over the members.  Returns (times, values) lists."""
+def oracle_cobra_curves(model, queries):
+    """Reference predictions: enumerate the proximity indicator straight
+    from its definition (per-pair distance grids), then hand-roll the
+    product-limit over the members.  Each machine's curve of each query
+    and of each calibration record is formed once.  Returns one
+    (times, values) pair of lists per row of `queries`."""
     import math
 
     d_k = model.split.d_k
@@ -169,23 +171,26 @@ def oracle_cobra_curve(model, x):
     t_max = float(d_k.time.max())
     machines = model.machines
     need = math.ceil(len(machines) * model.params.alpha - 1e-9)
-    members = []
-    for j in range(d_l.n):
-        close = 0
-        for machine in machines:
-            a = machine.predict_curve(x)
-            b = machine.predict_curve(d_l.x[j])
-            dist = area_distance(a, b, distance_grid(a, b, t_max))
-            if dist <= model.params.epsilon:
-                close += 1
-        if close >= need:
-            members.append(j)
-    times = [float(d_l.time[j]) for j in members]
-    events = [int(d_l.event[j]) for j in members]
-    if not members or not any(events):
-        times = [float(t) for t in d_l.time]
-        events = [int(e) for e in d_l.event]
-    return slow_km(times, events)
+    calibration = [[machine.predict_curve(x) for x in d_l.x] for machine in machines]
+    out = []
+    for q in queries:
+        mine = [machine.predict_curve(q) for machine in machines]
+        members = []
+        for j in range(d_l.n):
+            close = 0
+            for a, curves in zip(mine, calibration):
+                b = curves[j]
+                if area_distance(a, b, distance_grid(a, b, t_max)) <= model.params.epsilon:
+                    close += 1
+            if close >= need:
+                members.append(j)
+        times = [float(d_l.time[j]) for j in members]
+        events = [int(d_l.event[j]) for j in members]
+        if not members or not any(events):
+            times = [float(t) for t in d_l.time]
+            events = [int(e) for e in d_l.event]
+        out.append(slow_km(times, events))
+    return out
 
 
 def slow_curvature(x, times, events, beta):
@@ -665,12 +670,12 @@ def reference_irls(x, y, l2):
 
 def reference_tree_curve(tree, x):
     """The survival tree's former `predict_curve`: walk the nodes to x's
-    leaf and slice that leaf's jumps."""
+    leaf and slice that leaf's jumps, past its leading key."""
     x = _check_vector(x, tree.n_features)
     node = tree.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
-    start = node.leaf_id * tree.u.size
+    start = node.leaf_id * (tree.u.size + 1) + 1
     lo, hi = np.searchsorted(tree.jump_keys, [start, start + tree.u.size])
     return StepCurve(tree.u[tree.jump_keys[lo:hi] - start], tree.jump_values[lo:hi])
 

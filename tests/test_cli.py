@@ -332,6 +332,13 @@ def roster_with(index, **hyperparameters):
 
 PARAMS = {"alpha": 0.6, "l_fraction": 0.4}
 
+# two k-NN machines: the ensemble takes them, bench's per-kind rows cannot
+REPEATED_KIND_ROSTER = [
+    {"kind": "knn_survival", "k": 3},
+    {"kind": "knn_survival", "k": 25},
+    {"kind": "cox_ridge", "penalty": 1.0},
+]
+
 
 class TestConfigRejectedBeforeAnyFit:
     """Each bad value exits 1 naming its key, before a learner is fit and
@@ -395,6 +402,16 @@ class TestConfigRejectedBeforeAnyFit:
                 "search.objective must be one of",
             ),
             (
+                "tune",
+                {"params": None, "search": {"trials": 2, "objective": 5}},
+                "search.objective must be a string, got 5",
+            ),
+            (
+                "tune",
+                {"params": None, "search": {"trials": 2, "objective": None}},
+                "search.objective must be a string, got None",
+            ),
+            (
                 "bench",
                 {"dataset": {"kind": "synthetic", "n": 150, "censor_frac": 0.3, "dim": 4}},
                 "unknown dataset keys: ['censor_frac']",
@@ -431,6 +448,19 @@ class TestConfigRejectedBeforeAnyFit:
         err = capsys.readouterr().err
         assert err.startswith("survcobra: error: ")
         assert message in err
+        assert not out.exists()
+
+    def test_bench_with_a_repeated_learner_kind_exits_one_before_loading_data(self, tmp_path, capsys, monkeypatch):
+        def load_dataset(_cfg):
+            raise AssertionError("the dataset was loaded before the roster was refused")
+
+        monkeypatch.setattr(experiments, "load_dataset", load_dataset)
+        cfg = write_config(tmp_path / "cfg.json", roster=REPEATED_KIND_ROSTER)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "survcobra: error: bench reports one row per learner kind; the roster repeats knn_survival\n"
+        )
         assert not out.exists()
 
     def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
@@ -722,6 +752,24 @@ class TestTune:
         err = capsys.readouterr().err
         assert err.startswith("survcobra: error: search.trials must be an integer, got ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "simulate"])
+def test_repeated_learner_kind_runs_outside_bench(tmp_path, command):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        dataset={"kind": "synthetic", "n": 200, "censor_fraction": 0.3, "dim": 4},
+        roster=REPEATED_KIND_ROSTER,
+        folds=2,
+    )
+    if command == "tune":
+        raw = json.loads(cfg.read_text())
+        del raw["params"]
+        raw["search"] = {"trials": 2}
+        cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "run.json").exists()
 
 
 class TestSimulate:
