@@ -86,12 +86,10 @@ def _steps_at(jumps, values, t, before):
     `values[..., i]` on [jumps[i], jumps[i+1]), `before` ahead of jumps[0].
     `values` is one row of steps or a (rows, jumps) matrix, and `t` has any
     shape.  Steps that open with a jump of their own at or below every `t`,
-    as each leaf of a survival tree does on its integer keys, never read
-    `before`."""
+    as each leaf of a survival forest does on its global leaf keys, never
+    read `before`."""
     idx = jumps.searchsorted(t, side="right")
-    if values.ndim == 1:  # one curve: the read `evaluate` makes per call, kept cheap
-        return np.concatenate(([before], values))[idx]
-    return np.concatenate((np.full((len(values), 1), before), values), axis=1)[:, idx]
+    return np.concatenate((np.full(values.shape[:-1] + (1,), before), values), axis=-1)[..., idx]
 
 
 def evaluate(curve: StepCurve, t):

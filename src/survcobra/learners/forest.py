@@ -7,26 +7,12 @@ import math
 import numpy as np
 
 from ..data import SurvivalDataset
-from .base import BaseSurvivalModel
-from .tree import fit_survival_tree_arrays
+from .tree import _fit_trees, _Forest
 
 
-class RandomSurvivalForestModel(BaseSurvivalModel):
+class RandomSurvivalForestModel(_Forest):
     """Fitted forest; the prediction is the pointwise mean of the trees'
     curves on the union of their jump times."""
-
-    def __init__(self, trees, n_features):
-        self.trees = trees
-        self.n_features = n_features
-
-    def _jump_times(self, x) -> np.ndarray:
-        return np.unique(np.concatenate([tree._jump_times(x) for tree in self.trees]))
-
-    def _values(self, x, grid) -> np.ndarray:
-        total = np.zeros((x.shape[0], grid.size))
-        for tree in self.trees:
-            total += tree._values(x, grid)
-        return total / len(self.trees)
 
 
 def fit_random_survival_forest(
@@ -52,22 +38,7 @@ def fit_random_survival_forest(
     if not 1 <= mtry <= p:
         raise ValueError(f"random_survival_forest: mtry must lie in [1, {p}], got {mtry}")
     rng = np.random.default_rng(seed)
-    trees = []
-    for _ in range(n_trees):
-        tree_rng = np.random.default_rng(int(rng.integers(2**63)))
-        if bootstrap:
-            idx = tree_rng.integers(0, data.n, size=data.n)
-        else:
-            idx = np.arange(data.n)
-        trees.append(
-            fit_survival_tree_arrays(
-                data.x[idx],
-                data.time[idx],
-                data.event[idx],
-                max_depth=max_depth,
-                min_leaf=min_leaf,
-                mtry=mtry,
-                rng=tree_rng,
-            )
-        )
-    return RandomSurvivalForestModel(trees, p)
+    # each tree's generator and rows are drawn as the tree is grown
+    tree_rngs = (np.random.default_rng(int(rng.integers(2**63))) for _ in range(n_trees))
+    samples = ((r.integers(0, data.n, size=data.n) if bootstrap else np.arange(data.n), r) for r in tree_rngs)
+    return _fit_trees(RandomSurvivalForestModel, data.x, data.time, data.event, samples, max_depth, min_leaf, mtry)

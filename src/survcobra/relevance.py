@@ -105,7 +105,6 @@ class RelevanceResult:
     per_query: np.ndarray  # (queries, 1 + features), intercept first
     degenerate: np.ndarray  # (queries,) bool
     aggregate: np.ndarray  # (features,) mean |slope| over informative queries
-    query_count: int
 
     def ranking(self) -> np.ndarray:
         """Covariate indices from most to least relevant."""
@@ -152,4 +151,4 @@ def relevance_study(model: CobraModel, queries, l2: float = DEFAULT_RIDGE) -> Re
             f"member and {full} had every calibration record as a member"
         )
     aggregate = np.abs(per_query[informative, 1:]).mean(axis=0)
-    return RelevanceResult(per_query, degenerate, aggregate, len(results))
+    return RelevanceResult(per_query, degenerate, aggregate)

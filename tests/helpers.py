@@ -668,23 +668,35 @@ def reference_irls(x, y, l2):
     return beta, tuple(trace)
 
 
+def reference_leaf_curve(model, root, x):
+    """Walk one tree of a fitted tree or forest node by node from `root` to
+    the checked vector x's leaf (`x[feature] <= threshold` goes left) and
+    slice that leaf's jumps, past its leading key."""
+    node = root
+    while model.leaf[node] < 0:
+        node = model.child[node, 0 if x[model.feature[node]] <= model.threshold[node] else 1]
+    return leaf_curve(model, model.leaf[node])
+
+
+def leaf_curve(model, leaf):
+    """Leaf `leaf` of a fitted tree or forest as a curve: its jumps past its
+    leading key."""
+    start = leaf * (model.u.size + 1) + 1
+    lo, hi = np.searchsorted(model.jump_keys, [start, start + model.u.size])
+    return StepCurve(model.u[model.jump_keys[lo:hi] - start], model.jump_values[lo:hi])
+
+
 def reference_tree_curve(tree, x):
-    """The survival tree's former `predict_curve`: walk the nodes to x's
-    leaf and slice that leaf's jumps, past its leading key."""
-    x = _check_vector(x, tree.n_features)
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    start = node.leaf_id * (tree.u.size + 1) + 1
-    lo, hi = np.searchsorted(tree.jump_keys, [start, start + tree.u.size])
-    return StepCurve(tree.u[tree.jump_keys[lo:hi] - start], tree.jump_values[lo:hi])
+    """The survival tree's former `predict_curve`: its one tree's leaf curve
+    at x."""
+    return reference_leaf_curve(tree, tree.roots[0], _check_vector(x, tree.n_features))
 
 
 def reference_forest_curve(forest, x):
     """The forest's former `predict_curve`: `predict_values` on the union of
-    its trees' former curves' jump times."""
+    its trees' leaf curves' jump times."""
     x = _check_vector(x, forest.n_features)
-    grid = np.unique(np.concatenate([reference_tree_curve(tree, x).times for tree in forest.trees]))
+    grid = np.unique(np.concatenate([reference_leaf_curve(forest, root, x).times for root in forest.roots]))
     return StepCurve(grid, forest.predict_values(x[None, :], grid)[0])
 
 

@@ -194,7 +194,7 @@ class TestRelevanceStudy:
         per_query_bytes = len(roster) * model.split.d_l.n * 8
         monkeypatch.setattr(cobra, "_DISTANCE_BUDGET_BYTES", 3 * per_query_bytes)
         result = relevance_study(model, queries)
-        assert result.query_count == 12
+        assert result.per_query.shape[0] == 12
         assert not result.degenerate.all()
         for i, q in enumerate(queries):
             single = relevance_for_query(model, q)

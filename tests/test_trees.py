@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +11,7 @@ from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.learners import fit_random_survival_forest, fit_survival_tree
 from survcobra.learners import tree as tree_module
 from survcobra.learners.tree import fit_survival_tree_arrays
-from helpers import all_splits_logrank, random_dataset, reference_node_split, slow_logrank
+from helpers import all_splits_logrank, leaf_curve, random_dataset, reference_node_split, slow_logrank
 
 # (feature, threshold) of every split in preorder, for the first three trees
 # of the forest in `test_split_sequences_are_pinned`
@@ -111,21 +114,21 @@ class TestSurvivalTree:
         x = rng.uniform(size=(30, 2))
         ds = SurvivalDataset(x, np.full(30, 2.0), np.ones(30, dtype=int), ["a", "b"])
         tree = fit_survival_tree(ds, max_depth=5, min_leaf=2)
-        assert tree.root.is_leaf
+        assert tree.leaf.tolist() == [0]  # the root is the one leaf
         assert tree.predict_curve(x[0]) == kaplan_meier(ds.time, ds.event)
 
     def test_perfect_separation_splits_on_informative_feature(self):
         rng = np.random.default_rng(1)
         ds = clustered_dataset(rng)
         tree = fit_survival_tree(ds, max_depth=1, min_leaf=5)
-        root = tree.root
-        assert not root.is_leaf
-        assert root.feature == 1
-        assert root.threshold == pytest.approx(0.5, abs=0.06)
+        root = tree.roots[0]
+        assert tree.leaf[root] < 0
+        assert tree.feature[root] == 1
+        assert tree.threshold[root] == pytest.approx(0.5, abs=0.06)
         # brute force: the chosen split attains the maximal log-rank statistic
         splits = all_splits_logrank(ds.x, ds.time, ds.event, min_leaf=5)
         best_stat = max(s for _, _, s in splits)
-        left = ds.x[:, root.feature] <= root.threshold
+        left = ds.x[:, tree.feature[root]] <= tree.threshold[root]
         chosen_stat = slow_logrank(
             ds.time[left], ds.event[left], ds.time[~left], ds.event[~left]
         )
@@ -144,8 +147,8 @@ class TestSurvivalTree:
         times = np.concatenate([np.linspace(0.1, 1.0, 10), np.linspace(2.0, 3.0, 10)])
         ds = SurvivalDataset(x, times, np.ones(20, dtype=int), ["x"])
         tree = fit_survival_tree(ds, max_depth=1, min_leaf=2)
-        assert tree.root.threshold == low
-        assert tree._leaf_ids(np.array([[low], [high]])).tolist() == [0, 1]
+        assert tree.threshold[tree.roots[0]] == low
+        assert tree._leaf_ids(np.array([[low], [high]])).tolist() == [[0], [1]]
         for group, value in ((slice(0, 10), low), (slice(10, 20), high)):
             assert tree.predict_curve([value]) == kaplan_meier(times[group], np.ones(10))
 
@@ -156,10 +159,11 @@ class TestSurvivalTree:
             tree = fit_survival_tree(ds, max_depth=1, min_leaf=3)
             splits = all_splits_logrank(ds.x, ds.time, ds.event, min_leaf=3)
             positive = [s for _, _, s in splits if s > 0.0]
-            if tree.root.is_leaf:
+            root = tree.roots[0]
+            if tree.leaf[root] >= 0:
                 assert not positive
                 continue
-            left = ds.x[:, tree.root.feature] <= tree.root.threshold
+            left = ds.x[:, tree.feature[root]] <= tree.threshold[root]
             chosen = slow_logrank(
                 ds.time[left], ds.event[left], ds.time[~left], ds.event[~left]
             )
@@ -180,15 +184,15 @@ class TestSurvivalTree:
         ds = random_dataset(rng, 40, p=2)
         tree = fit_survival_tree(ds, max_depth=8, min_leaf=10)
 
-        def check(node, x, times, events):
-            if node.is_leaf:
-                assert times.size >= 10
+        def check(node, rows):
+            if tree.leaf[node] >= 0:
+                assert rows.size >= 10
                 return
-            mask = x[:, node.feature] <= node.threshold
-            check(node.left, x[mask], times[mask], events[mask])
-            check(node.right, x[~mask], times[~mask], events[~mask])
+            mask = ds.x[rows, tree.feature[node]] <= tree.threshold[node]
+            check(tree.child[node, 0], rows[mask])
+            check(tree.child[node, 1], rows[~mask])
 
-        check(tree.root, ds.x, ds.time, ds.event)
+        check(tree.roots[0], np.arange(ds.n))
 
     def test_record_order_invariance(self):
         rng = np.random.default_rng(4)
@@ -303,22 +307,84 @@ class TestRandomSurvivalForest:
             fit_survival_tree(ds, **setting)
 
 
-def preorder(node):
-    if node.is_leaf:
-        return []
-    return [(node.feature, node.threshold)] + preorder(node.left) + preorder(node.right)
+def preorder(model, tree=0):
+    """(feature, threshold) of every split of `model`'s tree `tree`, walked
+    node by node from its root in preorder."""
+
+    def walk(node):
+        if model.leaf[node] >= 0:
+            return []
+        split = (int(model.feature[node]), float(model.threshold[node]))
+        return [split] + walk(model.child[node, 0]) + walk(model.child[node, 1])
+
+    return walk(model.roots[tree])
 
 
 def test_split_sequences_are_pinned():
     data = generate_synthetic(SyntheticConfig(n=120, censor_fraction=0.4, dim=4, seed=3))
     forest = fit_random_survival_forest(data, n_trees=3, min_leaf=10, seed=5)
-    assert [preorder(tree.root) for tree in forest.trees] == PINNED_SPLITS
+    assert [preorder(forest, t) for t in range(3)] == PINNED_SPLITS
 
 
 def test_large_tree_split_sequence_is_pinned():
     data = generate_synthetic(SyntheticConfig(n=1600, censor_fraction=0.4, dim=9, seed=3))
     forest = fit_random_survival_forest(data, n_trees=1, seed=3)
-    assert preorder(forest.trees[0].root) == PINNED_SPLITS_LARGE
+    assert preorder(forest) == PINNED_SPLITS_LARGE
+
+
+def test_forest_trees_are_the_trees_of_their_bootstraps():
+    # a forest ranks every tree against the whole sample's event times; each
+    # tree keeps the splits and leaf curves of a tree grown alone on its
+    # bootstrap rows, which ranks against that bootstrap's own event times,
+    # also where the bootstrap misses the sample's earliest event
+    missed = 0
+    for seed in range(4):
+        data = generate_synthetic(SyntheticConfig(n=60, censor_fraction=0.4, dim=4, seed=seed))
+        earliest = data.time[data.event == 1].min()
+        forest = fit_random_survival_forest(data, n_trees=6, mtry=2, min_leaf=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        for t in range(6):
+            tree_rng = np.random.default_rng(int(rng.integers(2**63)))
+            rows = tree_rng.integers(0, data.n, size=data.n)
+            missed += earliest not in data.time[rows]
+            tree = fit_survival_tree_arrays(
+                data.x[rows], data.time[rows], data.event[rows], 10, 3, mtry=2, rng=tree_rng
+            )
+            assert [(f, c.hex()) for f, c in preorder(forest, t)] == [(f, c.hex()) for f, c in preorder(tree)]
+            lo, hi = forest.leaf_bounds[t : t + 2]
+            assert [leaf_curve(forest, leaf) for leaf in range(lo, hi)] == [
+                leaf_curve(tree, leaf) for leaf in range(tree.leaf_bounds[1])
+            ]
+    assert missed > 0
+
+
+def test_forest_fit_leaves_no_cyclic_garbage():
+    # a fit makes no reference cycles: with the collector off, nothing it
+    # allocated waits for the collector once it returns.  A first pass keeps
+    # what it finds in `gc.garbage` (and empties the free lists); the
+    # garbage is what the second pass then frees.
+    data = generate_synthetic(SyntheticConfig(n=250, censor_fraction=0.4, dim=9, seed=1))
+    enabled, saved = gc.isenabled(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        forest = fit_random_survival_forest(data, seed=3)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        gc.set_debug(0)
+        del gc.garbage[saved:]
+        gc.collect()
+        garbage = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[saved:]
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert garbage < 64 * 1024, f"{garbage} bytes of cyclic garbage"
+    assert forest.roots.size == 100
 
 
 def test_pinned_splits_hold_with_int32_counts(monkeypatch):
@@ -335,9 +401,9 @@ def test_pinned_splits_hold_with_int32_counts(monkeypatch):
 def test_property_leaves_are_product_limit_curves_of_their_records(sample, max_depth, min_leaf):
     x, times, events = (np.array(v, dtype=float) for v in sample)
     tree = fit_survival_tree_arrays(x, times, events.astype(int), max_depth, min_leaf)
-    ids = tree._leaf_ids(x)
-    assert set(ids.tolist()) == set(range(tree.n_leaves))
-    for leaf in range(tree.n_leaves):
+    ids = tree._leaf_ids(x)[:, 0]
+    assert set(ids.tolist()) == set(range(tree.leaf_bounds[1]))
+    for leaf in range(tree.leaf_bounds[1]):
         rows = np.flatnonzero(ids == leaf)
         assert tree.predict_curve(x[rows[0]]) == product_limit(times[rows], events[rows])
     # before the first event, on and between the event times, past the last
