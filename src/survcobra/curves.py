@@ -2,9 +2,9 @@
 
 A `StepCurve` is a right-continuous piecewise-constant survival function
 on [0, inf): it starts at 1 and is non-increasing within [0, 1].  The
-module also provides the Kaplan-Meier product-limit estimator, its batched
-form on one grid, and the censoring-distribution Kaplan-Meier used for
-inverse-probability-of-censoring weights.
+module also provides the Kaplan-Meier product-limit estimator and the
+censoring-distribution Kaplan-Meier used for inverse-probability-of-censoring
+weights.
 """
 
 from __future__ import annotations
@@ -123,9 +123,6 @@ def _event_counts(t: np.ndarray, e: np.ndarray):
     event time are still at risk at that time.
     """
     s = np.sort(t[e == 1])
-    if s.size == 0:
-        empty = np.empty(0, dtype=float)
-        return empty, empty.copy(), empty.copy()
     # where each run of equal event times starts, plus the end of the last run
     edges = np.empty(s.size + 1, dtype=bool)
     edges[0] = edges[-1] = True
@@ -139,7 +136,7 @@ def _event_counts(t: np.ndarray, e: np.ndarray):
 def _product_limit(t: np.ndarray, e: np.ndarray) -> StepCurve:
     """`product_limit` on checked arrays."""
     u, d, r = _event_counts(t, e)
-    return StepCurve(u, np.cumprod(1.0 - d / r) if u.size else u)
+    return StepCurve(u, np.cumprod(1.0 - d / r))
 
 
 def product_limit(times, events) -> StepCurve:
@@ -149,30 +146,6 @@ def product_limit(times, events) -> StepCurve:
     the at-least-one-event check on top of this.
     """
     return _product_limit(*_checked_sample(times, events))
-
-
-def product_limit_rows(times, events, grid) -> np.ndarray:
-    """`evaluate(product_limit(times[i], events[i]), grid)` for every row i
-    of (rows, m) member arrays, bitwise, from one cumulative product.
-
-    The rows share the distinct event times u of the whole batch.  Where a
-    row has no event at u[j] its factor is exactly 1.0, so its cumulative
-    product at each of its own event times is the one `product_limit`
-    forms.  Members are counted at their last at-risk event time, so the
-    at-risk counts are a reverse cumulative sum of those counts.
-    """
-    t = np.asarray(times, dtype=float)
-    is_event = np.asarray(events) == 1
-    g = _checked_times(grid)
-    u = np.unique(t[is_event])
-    rows, k = t.shape[0], u.size
-    last = np.searchsorted(u, t, side="right") - 1  # -1: gone before the first event
-    cell = last + (np.arange(rows) * k)[:, None]
-    at_risk = np.bincount(cell[last >= 0], minlength=rows * k).reshape(rows, k)
-    r = np.cumsum(at_risk[:, ::-1], axis=1)[:, ::-1].astype(float)
-    d = np.bincount(cell[is_event], minlength=rows * k).reshape(rows, k).astype(float)
-    surv = np.cumprod(1.0 - np.divide(d, r, out=np.zeros_like(d), where=d > 0.0), axis=1)
-    return _steps_at(u, surv, g, 1.0)
 
 
 def kaplan_meier(times, events) -> StepCurve:

@@ -4,13 +4,20 @@ The prediction for a query point is the product-limit curve of its k
 nearest training records under Euclidean distance on standardized
 covariates (distance ties broken toward the lower record index).  With
 k = n this is the population Kaplan-Meier of the training data.
+
+The fit ranks every training record once against the distinct event
+times `u` of the whole sample, as a forest does.  A neighbourhood's
+product-limit counts are then a `bincount` of its members' ranks, and
+where it has no event at some u[j] its factor there is exactly 1.0, so
+its cumulative product at each of its own event times is the one
+`product_limit` forms on its records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..curves import product_limit_rows
+from ..curves import _steps_at
 from ..data import SurvivalDataset
 from .base import BaseSurvivalModel, standardize_fit
 
@@ -25,6 +32,9 @@ class KNNSurvivalModel(BaseSurvivalModel):
         self.z = z
         self.times = times
         self.events = events
+        self.u = np.unique(times[events == 1])
+        # each record's last at-risk event time in u; -1: gone before the first
+        self.ranks = self.u.searchsorted(times, side="right") - 1
         self.k = k
         self.mean = mean
         self.sd = sd
@@ -49,9 +59,18 @@ class KNNSurvivalModel(BaseSurvivalModel):
     def _values(self, x, grid) -> np.ndarray:
         out = np.empty((x.shape[0], grid.size))
         size = max(1, _NEIGHBOR_CHUNK_BYTES // (self.z.size * 8))
+        width = self.u.size
         for start in range(0, x.shape[0], size):
             nb = self._neighbor_rows(x[start : start + size], start)
-            out[start : start + size] = product_limit_rows(self.times[nb], self.events[nb], grid)
+            # a member is counted at its rank, so the at-risk counts are a
+            # reverse cumulative sum of those counts
+            ranks, rows = self.ranks[nb], nb.shape[0]
+            cell = ranks + (np.arange(rows) * width)[:, None]
+            at_risk = np.bincount(cell[ranks >= 0], minlength=rows * width).reshape(rows, width)
+            r = np.cumsum(at_risk[:, ::-1], axis=1)[:, ::-1].astype(float)
+            d = np.bincount(cell[self.events[nb] == 1], minlength=rows * width).reshape(rows, width).astype(float)
+            surv = np.cumprod(1.0 - np.divide(d, r, out=np.zeros_like(d), where=d > 0.0), axis=1)
+            out[start : start + size] = _steps_at(self.u, surv, grid, 1.0)
         return out
 
 

@@ -198,14 +198,7 @@ def _fit_trees(model_class, x, times, events, samples, max_depth, min_leaf, mtry
     return model_class(feature, threshold, leaf, child, np.array(roots), np.array(leaf_bounds), depth, *steps, p)
 
 
-def fit_survival_tree_arrays(x, times, events, max_depth=10, min_leaf=15, mtry=None, rng=None):
-    """Grow a tree on every record of raw arrays."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    mtry = x.shape[1] if mtry is None else int(mtry)
-    sample = [(np.arange(x.shape[0]), rng)]
-    return _fit_trees(SurvivalTreeModel, x, np.asarray(times, float), events, sample, max_depth, min_leaf, mtry)
-
-
 def fit_survival_tree(data: SurvivalDataset, max_depth: int = 10, min_leaf: int = 15) -> SurvivalTreeModel:
     """Fit a survival tree with exhaustive log-rank split search."""
-    return fit_survival_tree_arrays(data.x, data.time, data.event, max_depth, min_leaf)
+    sample = [(np.arange(data.n), None)]
+    return _fit_trees(SurvivalTreeModel, data.x, data.time, data.event, sample, max_depth, min_leaf, data.n_features)

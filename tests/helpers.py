@@ -22,6 +22,7 @@ from survcobra.data import SurvivalDataset, kfold_split
 from survcobra.exceptions import ConvergenceError, TuningError
 from survcobra.learners.base import _check_vector, standardize_fit
 from survcobra.learners.cox import COEF_TOL, MAX_OUTER_ITER, _PartialLikelihood, _soft_threshold
+from survcobra.learners.tree import SurvivalTreeModel, _fit_trees
 from survcobra.metrics import _brier_scores, _check_aligned
 from survcobra.relevance import COEF_TOL as LOGISTIC_COEF_TOL
 from survcobra.relevance import (
@@ -666,6 +667,16 @@ def reference_irls(x, y, l2):
             tuple(trace),
         )
     return beta, tuple(trace)
+
+
+def grow_tree(x, times, events, max_depth, min_leaf, mtry=None, rng=None):
+    """A survival tree on every record of the float arrays `x` and `times`
+    and the 0/1 `events`, which may hold no event; at each node `rng` draws
+    `mtry` of the features to search, or every feature is searched where
+    `rng` is None."""
+    sample = [(np.arange(x.shape[0]), rng)]
+    mtry = x.shape[1] if mtry is None else mtry
+    return _fit_trees(SurvivalTreeModel, x, times, events, sample, max_depth, min_leaf, mtry)
 
 
 def reference_leaf_curve(model, root, x):

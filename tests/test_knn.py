@@ -2,12 +2,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survcobra import curves
-from survcobra.curves import evaluate, kaplan_meier
+from survcobra.curves import evaluate, kaplan_meier, product_limit
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
-from survcobra.learners import base, fit_knn_survival, knn
+from survcobra.learners import KNNSurvivalModel, base, fit_knn_survival, knn
 from helpers import random_dataset, slow_km
+
+# few distinct times and covariates, so events tie with events and with
+# censorings, and distances tie
+TIED_RECORDS = st.lists(
+    st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.integers(0, 1), st.integers(0, 3), st.integers(0, 3)),
+    min_size=1,
+    max_size=20,
+)
 
 
 class TestKNNSurvival:
@@ -75,6 +85,51 @@ class TestKNNSurvival:
         model = fit_knn_survival(ds, k=2)
         curve = model.predict_curve(np.array([0.0]))
         assert curve.times.size == 0
+        # the sample's event at 3 is a column of the neighbourhood's counts
+        assert np.array_equal(model.predict_values([[0.0], [0.05]], [0.0, 2.0, 3.0, 4.0]), np.ones((2, 4)))
+
+    def test_training_sample_with_no_event_reads_one(self):
+        # no dataset holds such a sample, but the model's counting has no
+        # event time column at all here
+        x = np.array([[0.0], [1.0], [2.0]])
+        model = KNNSurvivalModel(x, np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=int), 2, np.zeros(1), np.ones(1))
+        assert model.u.size == 0
+        assert np.array_equal(model.predict_values([[0.0], [2.5], [9.0]], [0.0, 1.5, np.inf]), np.ones((3, 3)))
+        assert model.predict_curve([1.0]).times.size == 0
+
+    def test_hand_neighbourhoods(self):
+        # two neighbourhoods of four; a record censored at an event time is
+        # at risk at that time
+        x = np.array([[0.0], [0.1], [0.2], [0.3], [10.0], [10.1], [10.2], [10.3]])
+        times = np.array([1.0, 2.0, 2.0, 3.0, 2.0, 2.0, 4.0, 5.0])
+        events = np.array([1, 1, 0, 1, 0, 1, 1, 0])
+        model = fit_knn_survival(SurvivalDataset(x, times, events, ["x"]), k=4)
+        got = model.predict_values([[0.15], [10.15]], [0.0, 1.0, 2.0, 3.0, 4.0, 6.0])
+        # row 0: 3/4 at 1, times 2/3 at 2 (the censoring at 2 is at risk), 0 at 3
+        assert np.allclose(got[0], [1.0, 0.75, 0.5, 0.0, 0.0, 0.0])
+        # row 1: 3/4 at 2, times 1/2 at 4
+        assert np.allclose(got[1], [1.0, 1.0, 0.75, 0.75, 0.375, 0.375])
+
+    def test_infinite_grid_point_reads_past_the_last_event(self):
+        model = fit_knn_survival(SurvivalDataset([[0.0], [1.0]], [1.0, 2.0], [1, 0], ["x"]), k=2)
+        assert model.predict_values([[0.5]], [0.0, np.inf]).tolist() == [[1.0, 0.5]]
+
+    @pytest.mark.parametrize(
+        "events, want", [([1, 0, 0, 1, 0], [0.5, 1.0]), ([0, 0, 0, 0, 1], [1.0, 1.0])], ids=["events", "no event"]
+    )
+    def test_one_point_grid_gives_one_value_per_row(self, events, want):
+        # two neighbourhoods of two, and a far record whose time 1.2 is a
+        # column of both neighbourhoods' counts where it is an event
+        x = [[0.0], [0.1], [5.0], [5.1], [50.0]]
+        ds = SurvivalDataset(x, [1.0, 2.0, 1.0, 3.0, 1.2], events, ["x"])
+        got = fit_knn_survival(ds, k=2).predict_values([[0.05], [5.05]], [1.5])
+        assert got.shape == (2, 1) and got[:, 0].tolist() == want
+
+    @pytest.mark.parametrize("grid", [[-1.0], [np.nan], [1.0, np.nan]], ids=["negative", "nan", "nan in list"])
+    def test_negative_or_nan_grid_rejected(self, grid):
+        model = fit_knn_survival(SurvivalDataset([[0.0], [1.0]], [1.0, 2.0], [1, 1], ["x"]), k=2)
+        with pytest.raises(ValueError, match="^evaluation times must be nonnegative$"):
+            model.predict_values([[0.5]], grid)
 
     def test_predict_values_match_row_by_row_curves_across_chunks(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -131,6 +186,33 @@ class TestKNNSurvival:
             fit_knn_survival(ds, k=0)
         with pytest.raises(ValueError):
             fit_knn_survival(ds, k=11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(records=TIED_RECORDS, members=st.sampled_from(["one", "all", "some"]), data=st.data())
+def test_property_predict_values_match_neighbourhood_curves(records, members, data):
+    # k = 1 and k = n are drawn on purpose; the queries are the training
+    # points and points between and beyond them, split into chunks of a
+    # drawn size, and the grid reaches before the first event and past the last
+    times, events, a, b = (np.array(v) for v in zip(*records))
+    assume(events.any())
+    ds = SurvivalDataset(np.column_stack((a, b)), times, events, ["a", "b"])
+    k = {"one": 1, "all": ds.n}.get(members) or data.draw(st.integers(1, ds.n))
+    model = fit_knn_survival(ds, k=k)
+    extra = data.draw(st.lists(st.tuples(*[st.sampled_from([-1.0, 0.5, 1.5, 4.0])] * 2), max_size=4))
+    queries = np.vstack([ds.x, np.array(extra).reshape(-1, 2)])
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0])
+    chunk = data.draw(st.integers(1, queries.shape[0]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knn, "_NEIGHBOR_CHUNK_BYTES", chunk * model.z.size * 8)
+        got = model.predict_values(queries, grid)
+    assert got.shape == (queries.shape[0], grid.size)
+    for row, q in zip(got, queries):
+        nb = model._neighbor_rows(q[None, :])[0]
+        expected = evaluate(product_limit(times[nb], events[nb]), grid)
+        assert row.tobytes() == expected.tobytes()
+        if not events[nb].any():
+            assert np.all(row == 1.0)
 
 
 class TestNonFiniteDistances:

@@ -10,8 +10,7 @@ from survcobra.curves import evaluate, kaplan_meier, product_limit
 from survcobra.data import SurvivalDataset, SyntheticConfig, generate_synthetic
 from survcobra.learners import fit_random_survival_forest, fit_survival_tree
 from survcobra.learners import tree as tree_module
-from survcobra.learners.tree import fit_survival_tree_arrays
-from helpers import all_splits_logrank, leaf_curve, random_dataset, reference_node_split, slow_logrank
+from helpers import all_splits_logrank, grow_tree, leaf_curve, random_dataset, reference_node_split, slow_logrank
 
 # (feature, threshold) of every split in preorder, for the first three trees
 # of the forest in `test_split_sequences_are_pinned`
@@ -347,9 +346,7 @@ def test_forest_trees_are_the_trees_of_their_bootstraps():
             tree_rng = np.random.default_rng(int(rng.integers(2**63)))
             rows = tree_rng.integers(0, data.n, size=data.n)
             missed += earliest not in data.time[rows]
-            tree = fit_survival_tree_arrays(
-                data.x[rows], data.time[rows], data.event[rows], 10, 3, mtry=2, rng=tree_rng
-            )
+            tree = grow_tree(data.x[rows], data.time[rows], data.event[rows], 10, 3, mtry=2, rng=tree_rng)
             assert [(f, c.hex()) for f, c in preorder(forest, t)] == [(f, c.hex()) for f, c in preorder(tree)]
             lo, hi = forest.leaf_bounds[t : t + 2]
             assert [leaf_curve(forest, leaf) for leaf in range(lo, hi)] == [
@@ -400,7 +397,7 @@ def test_pinned_splits_hold_with_int32_counts(monkeypatch):
 @example(sample=([[0, 0], [0, 0], [3, 1], [3, 1]], [1, 2, 4, 4], [1, 1, 0, 0]), max_depth=2, min_leaf=1)
 def test_property_leaves_are_product_limit_curves_of_their_records(sample, max_depth, min_leaf):
     x, times, events = (np.array(v, dtype=float) for v in sample)
-    tree = fit_survival_tree_arrays(x, times, events.astype(int), max_depth, min_leaf)
+    tree = grow_tree(x, times, events.astype(int), max_depth, min_leaf)
     ids = tree._leaf_ids(x)[:, 0]
     assert set(ids.tolist()) == set(range(tree.leaf_bounds[1]))
     for leaf in range(tree.leaf_bounds[1]):
@@ -427,7 +424,7 @@ def searched_nodes(x, times, events, max_depth, min_leaf, mtry=None, rng=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "_best_split", record)
-        fit_survival_tree_arrays(x, times, events, max_depth, min_leaf, mtry, rng)
+        grow_tree(x, times, events, max_depth, min_leaf, mtry, rng)
     return calls
 
 
